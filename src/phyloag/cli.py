@@ -140,18 +140,23 @@ def _parse_split(text, leaf_order):
     return below, above
 
 
+def _dimension(args, tree, model):
+    """(affine rank, projective dimension) of the model or its mixture."""
+    if args.mixture > 1:
+        jmap = _invariants.make_mixture(tree, model.kind, args.mixture,
+                                        root_mode=args.root, k=model.k)
+    else:
+        jmap = _paramap.expand_map(model)
+    return _invariants.jacobian_dimension(jmap)
+
+
 def cmd_invariants(args):
     tree = _load_tree(args.tree)
     model = _build_model(args, tree)
     payload = {}
     lines = []
     if args.dim:
-        if args.mixture > 1:
-            jmap = _invariants.make_mixture(tree, model.kind, args.mixture,
-                                            root_mode=args.root, k=model.k)
-        else:
-            jmap = _paramap.expand_map(model)
-        rank, dim = _invariants.jacobian_dimension(jmap)
+        rank, dim = _dimension(args, tree, model)
         payload["affine_rank"] = rank
         payload["projective_dimension"] = dim
         lines.append(f"affine rank {rank}, projective dimension {dim}")
@@ -227,15 +232,12 @@ def cmd_infer_quartet(args):
         raise ValidationError(str(exc))
     if len(aln.names) != 4:
         raise ValidationError("quartet inference needs exactly 4 sequences")
-    alphabet = set("".join(aln.rows))
-    k = 4 if alphabet <= set(_models.DNA) else 2
-    counts = [0] * (k ** 4)
-    state = (lambda ch: _models.DNA.index(ch)) if k == 4 else int
-    for j in range(aln.num_sites):
-        flat = 0
-        for i in range(4):
-            flat = flat * k + state(aln.rows[i][j])
-        counts[flat] += 1
+    # binary digits mark a 0/1 alignment, anything else is read as DNA
+    k = 2 if set("".join(aln.rows)) & set("01") else 4
+    try:
+        counts = _pipeline.pattern_counts(aln, k)
+    except ValueError as exc:
+        raise ValidationError(str(exc))
     freqs = [c / aln.num_sites for c in counts]
     winner, scores, decisive = _pipeline.infer_quartet(freqs, aln.names, k,
                                                        args.rank)
@@ -269,12 +271,7 @@ def cmd_check(args):
 def cmd_dim(args):
     tree = _load_tree(args.tree)
     model = _build_model(args, tree)
-    if args.mixture > 1:
-        jmap = _invariants.make_mixture(tree, model.kind, args.mixture,
-                                        root_mode=args.root, k=model.k)
-    else:
-        jmap = _paramap.expand_map(model)
-    rank, dim = _invariants.jacobian_dimension(jmap)
+    rank, dim = _dimension(args, tree, model)
     _emit(args, {"affine_rank": rank, "projective_dimension": dim},
           [f"affine rank {rank}, projective dimension {dim}"])
 
@@ -294,7 +291,6 @@ def build_parser():
 
     sp = sub.add_parser("fourier", help="transformed coordinates")
     _add_model_args(sp)
-    sp.add_argument("--coordinates", action="store_true")
     sp.add_argument("--map", action="store_true")
     sp.add_argument("--binomials", type=int)
     sp.set_defaults(func=cmd_fourier)

@@ -20,8 +20,8 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 __all__ = [
-    "Rat", "rat", "VarTable", "VARS", "Poly", "poly_eval", "poly_substitute",
-    "mat_rank_nullspace", "mat_det", "minors", "nullspace_basis",
+    "Rat", "rat", "VarTable", "VARS", "Poly",
+    "mat_rank_nullspace", "mat_det", "minors",
     "parse_poly", "normalize_poly",
 ]
 
@@ -109,9 +109,6 @@ class Poly:
         if exp == 0:
             return cls.const(1)
         return cls({((VARS.id(name), exp),): Rat(1)})
-
-    def copy(self):
-        return Poly(dict(self.terms))
 
     def is_zero(self):
         return not self.terms
@@ -220,15 +217,6 @@ class Poly:
                         raise KeyError(f"unassigned variable {name!r}")
                     by_id[v] = Rat(assignment[name])
                 val = val * by_id[v] ** e
-            total += val
-        return total
-
-    def eval_float(self, assignment):
-        total = 0.0
-        for m, c in self.terms.items():
-            val = float(c)
-            for v, e in m:
-                val *= float(assignment[VARS.name(v)]) ** e
             total += val
         return total
 
@@ -369,25 +357,18 @@ def normalize_poly(p):
 # exact dense matrices
 
 
-def poly_eval(p, assignment):
-    """Module-level alias; exact evaluation of p at a variable assignment."""
-    return p.eval(assignment)
-
-
-def poly_substitute(p, subst):
-    return p.substitute(subst)
-
-
 def _bareiss_echelon(rows):
     """Fraction-free (Bareiss) elimination on integer rows.
 
-    Returns (echelon rows, pivot column list).  Input rows are consumed.
+    Returns (echelon rows, pivot column list, sign of the row permutation).
+    The input rows are left unchanged.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     piv_cols = []
     prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
         piv = None
@@ -397,7 +378,9 @@ def _bareiss_echelon(rows):
                 break
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, nrows):
             for j in range(c + 1, ncols):
                 m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
@@ -407,13 +390,15 @@ def _bareiss_echelon(rows):
         r += 1
         if r == nrows:
             break
-    return m[:r], piv_cols
+    return m[:r], piv_cols, sign
 
 
 def _clear_rows(mat):
-    """Scale each rational row to integers."""
+    """Scale each rational row to integers; returns the integer rows and the
+    product of the row multipliers."""
     from math import gcd
     out = []
+    scale = 1
     for row in mat:
         row = [Rat(x) for x in row]
         lcm = 1
@@ -421,7 +406,8 @@ def _clear_rows(mat):
             d = int(x.denominator)
             lcm = lcm * d // gcd(lcm, d)
         out.append([int(x.numerator) * (lcm // int(x.denominator)) for x in row])
-    return out
+        scale *= lcm
+    return out, scale
 
 
 def mat_rank_nullspace(mat):
@@ -431,15 +417,9 @@ def mat_rank_nullspace(mat):
     is exact with one vector per free column (rank + len(basis) == ncols).
     """
     if not mat or not mat[0]:
-        ncols = len(mat[0]) if mat else 0
-        basis = []
-        for j in range(ncols):
-            v = [Rat(0)] * ncols
-            v[j] = Rat(1)
-            basis.append(v)
-        return 0, basis
-    rows = _clear_rows(mat)
-    ech, piv_cols = _bareiss_echelon(rows)
+        return 0, []
+    rows, _ = _clear_rows(mat)
+    ech, piv_cols, _ = _bareiss_echelon(rows)
     rank = len(piv_cols)
     ncols = len(mat[0])
     free_cols = [j for j in range(ncols) if j not in set(piv_cols)]
@@ -459,10 +439,6 @@ def mat_rank_nullspace(mat):
     return rank, basis
 
 
-def nullspace_basis(mat):
-    return mat_rank_nullspace(mat)[1]
-
-
 def mat_det(mat):
     """Exact determinant; Bareiss for rational entries, cofactor expansion for
     polynomial entries."""
@@ -473,37 +449,13 @@ def mat_det(mat):
         raise ValueError("determinant of a non-square matrix")
     if isinstance(mat[0][0], Poly):
         return _det_cofactor(mat)
-    rows = _clear_rows(mat)
-    scale = Rat(1)
-    for orig, cleared in zip(mat, rows):
-        # recover the scaling applied by _clear_rows
-        for x, y in zip(orig, cleared):
-            x = Rat(x)
-            if x != 0:
-                scale = scale * (x / y)
-                break
-        else:
-            return Rat(0)
-    m = [list(r) for r in rows]
-    prev = 1
-    sign = 1
-    for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Rat(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return Rat(sign * m[n - 1][n - 1]) * scale
+    rows, scale = _clear_rows(mat)
+    ech, piv_cols, sign = _bareiss_echelon(rows)
+    if len(piv_cols) < n:
+        return Rat(0)
+    # the last Bareiss pivot is the determinant of the row-swapped integer
+    # matrix; undo the row scaling applied by _clear_rows
+    return Rat(sign * ech[-1][-1], scale)
 
 
 def _det_cofactor(mat):

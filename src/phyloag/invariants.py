@@ -108,16 +108,6 @@ def hankel_matrix(prefix="p"):
     return [[v[0], v[1], v[2]], [v[1], v[2], v[3]], [v[2], v[3], v[4]]]
 
 
-def rank_at_point(joint_map, split, params):
-    """Exact rank of the flattening of the model point eval(params)."""
-    tensor = joint_map.eval(params, mode="exact")
-    labels = joint_map.model.tree.leaf_labels if hasattr(joint_map, "model") \
-        else joint_map.leaf_labels
-    mat = flatten(tensor, labels, split, k=joint_map.k)
-    rank, _ = mat_rank_nullspace(mat)
-    return rank
-
-
 def variety_membership_minors(tensor, tree, r, k=None):
     """True iff every internal-edge flattening of the tensor has rank <= r."""
     labels = tree.leaf_labels
@@ -167,11 +157,6 @@ def vanishing_check(form, coords, mode="randomized", rng=None, points=25,
 # dimension via exact Jacobian rank
 
 
-def _matrix_rank(rows):
-    rank, _ = mat_rank_nullspace(rows)
-    return rank
-
-
 def jacobian_dimension(joint_map, rng=None, tries=3):
     """(affine rank, projective dimension) of the map's image.
 
@@ -184,7 +169,7 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
     for _ in range(tries):
         pt = random_point(symbols, rng)
         rows = joint_map.jacobian(pt, symbols)
-        best = max(best, _matrix_rank(rows))
+        best = max(best, mat_rank_nullspace(rows)[0])
         if best == len(symbols):
             break
     return best, best - 1
@@ -312,17 +297,25 @@ def make_mixture(tree, kind, m, root_mode="uniform", k=None):
     return mixture_map(comps)
 
 
+def quartet_splits(leaf_order):
+    """The three splits of four leaves a, b, c, d, named "(ab)(cd)",
+    "(ac)(bd)" and "(ad)(bc)", each as a (below, above) pair."""
+    a, b, c, d = leaf_order
+    return {f"({a}{b})({c}{d})": ((a, b), (c, d)),
+            f"({a}{c})({b}{d})": ((a, c), (b, d)),
+            f"({a}{d})({b}{c})": ((a, d), (b, c))}
+
+
 def named_variety_check(tensor, which):
     """Membership in the rank-2 determinantal variety of one quartet split:
     all 3x3 minors of the corresponding 4x4 flattening vanish."""
-    splits = {"(12)(34)": (("1", "2"), ("3", "4")),
-              "(13)(24)": (("1", "3"), ("2", "4")),
-              "(14)(23)": (("1", "4"), ("2", "3"))}
+    leaves = ["1", "2", "3", "4"]
+    splits = quartet_splits(leaves)
     if which not in splits:
         raise ValueError(f"unknown variety {which!r}")
     if len(tensor) != 16:
         raise ValueError("expected a 2x2x2x2 tensor (length 16)")
-    mat = flatten(tensor, ["1", "2", "3", "4"], splits[which], k=2)
+    mat = flatten(tensor, leaves, splits[which], k=2)
     return all(m == 0 or (isinstance(m, Poly) and m.is_zero())
                for m in minors(mat, 3))
 

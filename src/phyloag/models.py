@@ -136,9 +136,15 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
                      root=root, no_hidden=no_hidden, prefix=prefix)
 
 
-def parameter_count(model):
-    """Number of distinct symbols, root symbols included when free."""
-    return len(model.symbols)
+def _row_check(symbols, params):
+    """(exact sum, is a probability vector) of one row of symbols."""
+    values = []
+    for s in symbols:
+        if s not in params:
+            raise KeyError(f"missing symbol {s!r}")
+        values.append(Rat(params[s]))
+    total = sum(values, Rat(0))
+    return total, total == 1 and all(0 <= v <= 1 for v in values)
 
 
 def validate_stochastic(model, params):
@@ -150,30 +156,13 @@ def validate_stochastic(model, params):
     rows = []
     for eid, tpl in enumerate(model.templates):
         for i, row in enumerate(tpl):
-            total = Rat(0)
-            in_range = True
-            for s in row:
-                if s not in params:
-                    raise KeyError(f"missing symbol {s!r}")
-                v = Rat(params[s])
-                total += v
-                if not (0 <= v <= 1):
-                    in_range = False
+            total, ok = _row_check(row, params)
             rows.append({"edge": eid, "row": i, "sum": total,
-                         "row_stochastic": total == 1 and in_range})
+                         "row_stochastic": ok})
     report = {"rows": rows}
     if model.root.mode == "free":
-        total = Rat(0)
-        in_range = True
-        for s in model.root.symbols:
-            if s not in params:
-                raise KeyError(f"missing symbol {s!r}")
-            v = Rat(params[s])
-            total += v
-            if not (0 <= v <= 1):
-                in_range = False
-        report["root_sum"] = total
-        report["root_stochastic"] = total == 1 and in_range
+        report["root_sum"], report["root_stochastic"] = \
+            _row_check(model.root.symbols, params)
     report["stochastic"] = all(r["row_stochastic"] for r in rows) and \
         report.get("root_stochastic", True)
     return report

@@ -1,14 +1,18 @@
 """The joint-probability map of a (tree, model) pair.
 
-Two synchronized representations: per-coordinate expanded polynomials (lazy)
-and a shared factored circuit built by sum-product message passing up the
-tree, with subexpression sharing by structural hashing.
+The map is held as one factored sum-product circuit, built by Felsenstein's
+pruning recursion up the tree with memoized messages and subexpression
+sharing by structural hashing.  A single evaluation pass over the circuit
+serves every ring: exact or float values, dual numbers for the Jacobian, and
+polynomials for the expanded coordinates (read off lazily, per coordinate).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .exactalg import Poly, Rat
 from . import models as _models
@@ -17,6 +21,7 @@ SYM = "sym"
 CONST = "const"
 ADD = "add"
 MUL = "mul"
+_RING_OPS = {ADD: operator.add, MUL: operator.mul}
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,7 @@ class Circuit:
 
     Nodes are hash-consed: commutative children are sorted, so a0*a0 built
     twice is a single node.  Constants are free in the operation counters.
+    A node's children always have smaller ids than the node itself.
     """
 
     def __init__(self):
@@ -96,24 +102,38 @@ class Circuit:
 
     # -- traversal ---------------------------------------------------------
 
-    def _reachable(self, nid):
+    def _reachable(self, roots):
         seen = set()
-        stack = [nid]
+        stack = list(roots)
         while stack:
             v = stack.pop()
             if v in seen:
                 continue
             seen.add(v)
             kind, payload = self.ops[v]
-            if kind in (ADD, MUL):
+            if kind in _RING_OPS:
                 stack.extend(payload)
         return seen
+
+    def _pass(self, roots, leaf):
+        """Values of the nodes `roots` in one ring: `leaf(kind, payload)` maps
+        a SYM or CONST node into the ring, sums and products use the ring's
+        + and *.  Children have smaller ids, so ascending ids are a
+        topological order."""
+        val = {}
+        for v in sorted(self._reachable(roots)):
+            kind, payload = self.ops[v]
+            if kind in _RING_OPS:
+                val[v] = reduce(_RING_OPS[kind], [val[c] for c in payload])
+            else:
+                val[v] = leaf(kind, payload)
+        return [val[r] for r in roots]
 
     def op_counts(self, nid):
         """(multiplications, additions) for one output, shared nodes counted
         once; constants are free."""
         mults = adds = 0
-        for v in self._reachable(nid):
+        for v in self._reachable([nid]):
             kind, payload = self.ops[v]
             if kind == ADD:
                 adds += len(payload) - 1
@@ -124,30 +144,17 @@ class Circuit:
 
     def eval(self, assignment, mode="exact", outputs=None):
         """Evaluate outputs at a symbol assignment; exact mode uses Rat."""
-        conv = (lambda x: Rat(x)) if mode == "exact" else float
-        cache = {}
+        conv = Rat if mode == "exact" else float
 
-        def value(v):
-            if v in cache:
-                return cache[v]
-            kind, payload = self.ops[v]
-            if kind == SYM:
-                if payload not in assignment:
-                    raise KeyError(f"missing symbol {payload!r}")
-                out = conv(assignment[payload])
-            elif kind == CONST:
-                out = conv(payload)
-            elif kind == ADD:
-                out = sum(value(c) for c in payload)
-            else:
-                out = conv(1)
-                for c in payload:
-                    out = out * value(c)
-            cache[v] = out
-            return out
+        def leaf(kind, payload):
+            if kind == CONST:
+                return conv(payload)
+            if payload not in assignment:
+                raise KeyError(f"missing symbol {payload!r}")
+            return conv(assignment[payload])
 
         keys = sorted(self.outputs) if outputs is None else outputs
-        return [value(self.outputs[i]) for i in keys]
+        return self._pass([self.outputs[i] for i in keys], leaf)
 
     def jacobian(self, assignment, symbols):
         """Exact forward-mode derivatives of every output w.r.t. symbols.
@@ -156,81 +163,66 @@ class Circuit:
         i in the given symbol order.
         """
         sym_pos = {s: j for j, s in enumerate(symbols)}
-        cache = {}
 
-        def fwd(v):
-            if v in cache:
-                return cache[v]
-            kind, payload = self.ops[v]
-            if kind == SYM:
-                val = Rat(assignment[payload])
-                grad = {}
-                if payload in sym_pos:
-                    grad[sym_pos[payload]] = Rat(1)
-            elif kind == CONST:
-                val, grad = Rat(payload), {}
-            elif kind == ADD:
-                val, grad = Rat(0), {}
-                for c in payload:
-                    cv, cg = fwd(c)
-                    val += cv
-                    for j, g in cg.items():
-                        grad[j] = grad.get(j, Rat(0)) + g
-            else:
-                vals = []
-                grads = []
-                for c in payload:
-                    cv, cg = fwd(c)
-                    vals.append(cv)
-                    grads.append(cg)
-                val = Rat(1)
-                for cv in vals:
-                    val *= cv
-                grad = {}
-                for i, cg in enumerate(grads):
-                    if not cg:
-                        continue
-                    rest = Rat(1)
-                    for j2, cv in enumerate(vals):
-                        if j2 != i:
-                            rest *= cv
-                    for j, g in cg.items():
-                        grad[j] = grad.get(j, Rat(0)) + g * rest
-            cache[v] = (val, grad)
-            return cache[v]
+        def leaf(kind, payload):
+            if kind == CONST:
+                return _Dual(Rat(payload), {})
+            grad = {sym_pos[payload]: Rat(1)} if payload in sym_pos else {}
+            return _Dual(Rat(assignment[payload]), grad)
 
-        values, rows = [], []
-        for i in sorted(self.outputs):
-            val, grad = fwd(self.outputs[i])
-            values.append(val)
-            rows.append([grad.get(j, Rat(0)) for j in range(len(symbols))])
+        duals = self._pass([self.outputs[i] for i in sorted(self.outputs)],
+                           leaf)
+        values = [d.val for d in duals]
+        rows = [[d.grad.get(j, Rat(0)) for j in range(len(symbols))]
+                for d in duals]
         return values, rows
 
 
+@dataclass(slots=True)
+class _Dual:
+    """Exact value with a sparse gradient {symbol position: derivative}; the
+    ring in which the circuit pass is forward-mode differentiation."""
+
+    val: object
+    grad: dict
+
+    def __add__(self, other):
+        grad = dict(self.grad)
+        for j, g in other.grad.items():
+            grad[j] = grad.get(j, 0) + g
+        return _Dual(self.val + other.val, grad)
+
+    def __mul__(self, other):
+        grad = {j: g * other.val for j, g in self.grad.items()}
+        for j, g in other.grad.items():
+            grad[j] = grad.get(j, 0) + self.val * g
+        return _Dual(self.val * other.val, grad)
+
+
+def _poly_leaf(kind, payload):
+    return Poly.var(payload) if kind == SYM else Poly.const(payload)
+
+
 class JointMap:
-    """Joint-probability map of a model: lazy expanded polynomials per
-    coordinate plus the shared circuit."""
+    """Joint-probability map of a model: the shared circuit plus expanded
+    polynomials per coordinate, read off the circuit on first access."""
 
     def __init__(self, model):
         self.model = model
         self.k = model.k
         self.n = model.tree.num_leaves
-        # without hidden nodes every node is observed and indexes the output
-        self.observed = sorted(model.tree.children) if model.no_hidden \
-            else model.tree.leaves
         self._polys = {}
         self.circuit = build_circuit(model)
 
     @property
     def num_coordinates(self):
-        return self.k ** len(self.observed)
+        return len(self.circuit.outputs)
 
     def coordinate(self, flat_index):
         """Expanded polynomial of one coordinate (cached)."""
         if flat_index not in self._polys:
-            states = pattern_of_flat(flat_index, len(self.observed), self.k)
-            self._polys[flat_index] = _expand_coordinate(
-                self.model, states, self.observed)
+            self._polys[flat_index] = self.circuit._pass(
+                [self.circuit.outputs[flat_index]], _poly_leaf)[0]
         return self._polys[flat_index]
 
     def coordinates(self):
@@ -246,32 +238,6 @@ class JointMap:
 
     def symbols(self):
         return self.model.symbols
-
-
-def _hidden_nodes(model):
-    tree = model.tree
-    if model.no_hidden:
-        return []
-    return tree.internal_nodes()
-
-
-def _expand_coordinate(model, observed_states, observed=None):
-    tree = model.tree
-    k = model.k
-    if observed is None:
-        observed = tree.leaves
-    state = {node: s for node, s in zip(observed, observed_states)}
-    hidden = _hidden_nodes(model)
-    weights = model.root.weights(k)
-    out = Poly()
-    for assign in itertools.product(range(k), repeat=len(hidden)):
-        state.update(zip(hidden, assign))
-        w = weights[state[tree.root]]
-        term = Poly.const(w) if isinstance(w, Rat) else Poly.var(w)
-        for eid, (p, c) in enumerate(tree.edges):
-            term = term * Poly.var(model.templates[eid][state[p]][state[c]])
-        out = out + term
-    return out
 
 
 def expand_map(model):
@@ -291,66 +257,54 @@ def degree_profile(joint_map):
 
 
 def build_circuit(model):
-    """Factored sum-product circuit, messages passed up the tree."""
+    """Sum-product circuit by Felsenstein's pruning recursion.
+
+    Each coordinate is the root weight times the messages below the root.  An
+    observed node contributes the factors of its one state, a hidden node a
+    sum over its k states; the message of a hidden node is memoized on (node,
+    node state, observed states below the node).
+    """
     tree = model.tree
     k = model.k
     circ = Circuit()
-    if model.no_hidden:
-        return _build_circuit_no_hidden(model, circ)
+    # without hidden nodes every node is observed and indexes the output
+    observed = sorted(tree.children) if model.no_hidden else tree.leaves
+    kids = {v: [] for v in tree.children}     # node -> [(template, child)]
+    below = {v: [v] if v in observed else [] for v in tree.children}
+    for eid, (p, c) in enumerate(tree.edges):
+        kids[p].append((model.templates[eid], c))
+    for p, c in reversed(tree.edges):         # children before parents
+        below[p] = below[p] + below[c]
+    memo = {}
+
+    def weight(w):
+        return circ.const(w) if isinstance(w, Rat) else circ.sym(w)
+
+    def factors(row, node, state):
+        """Factors for `node` entered through an edge weighing row[t] when
+        the node is in state t."""
+        if node in state:
+            s = state[node]
+            return [weight(row[s])] + children(node, s, state)
+        return [circ.add([circ.mul([weight(row[t]), message(node, t, state)])
+                          for t in range(k)])]
+
+    def children(node, s, state):
+        return [f for tpl, c in kids[node] for f in factors(tpl[s], c, state)]
+
+    def message(node, s, state):
+        key = (node, s, tuple(state[v] for v in below[node]))
+        nid = memo.get(key)
+        if nid is None:
+            nid = memo[key] = circ.mul(children(node, s, state))
+        return nid
+
     weights = model.root.weights(k)
-
-    def message(node, node_state, leaf_states):
-        """Factor for the subtree below `node` given its state."""
-        factors = []
-        for c in tree.children[node]:
-            eid = tree.edge_id(node, c)
-            tpl = model.templates[eid]
-            if tree.is_leaf(c):
-                factors.append(circ.sym(tpl[node_state][leaf_states[c]]))
-            else:
-                terms = []
-                for t in range(k):
-                    edge = circ.sym(tpl[node_state][t])
-                    terms.append(circ.mul([edge, message(c, t, leaf_states)]))
-                factors.append(circ.add(terms))
-        return circ.mul(factors)
-
-    n = tree.num_leaves
-    for states in itertools.product(range(k), repeat=n):
-        leaf_states = dict(zip(tree.leaves, states))
-        terms = []
-        for s in range(k):
-            w = weights[s]
-            wnode = circ.const(w) if isinstance(w, Rat) else circ.sym(w)
-            body = message(tree.root, s, leaf_states)
-            terms.append(circ.mul([wnode, body]))
-        flat = LeafPattern(states).flat_index(k)
-        circ.outputs[flat] = circ.add(terms)
+    for states in itertools.product(range(k), repeat=len(observed)):
+        state = dict(zip(observed, states))
+        circ.outputs[LeafPattern(states).flat_index(k)] = \
+            circ.mul(factors(weights, tree.root, state))
     return circ
-
-
-def _build_circuit_no_hidden(model, circ):
-    # all nodes observed: one monomial per full state assignment
-    tree = model.tree
-    k = model.k
-    weights = model.root.weights(k)
-    nodes = sorted(tree.children)
-    for states in itertools.product(range(k), repeat=len(nodes)):
-        state = dict(zip(nodes, states))
-        w = weights[state[tree.root]]
-        factors = [circ.const(w) if isinstance(w, Rat) else circ.sym(w)]
-        for eid, (p, c) in enumerate(tree.edges):
-            factors.append(circ.sym(model.templates[eid][state[p]][state[c]]))
-        flat = 0
-        for v in nodes:
-            flat = flat * k + state[v]
-        circ.outputs[flat] = circ.mul(factors)
-    return circ
-
-
-def eval_map(joint_map, params, mode="exact"):
-    """Coordinate vector (length k^n) via the circuit."""
-    return joint_map.eval(params, mode=mode)
 
 
 def expanded_op_count(poly):

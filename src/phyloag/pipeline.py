@@ -70,31 +70,38 @@ def sample_alignment(joint_map, params, num_sites, seed):
     return Alignment(names=list(model.tree.leaf_labels), rows=rows)
 
 
-def pattern_counts(alignment, model):
-    """Pattern counts as a flat int list of length k^n."""
-    n, k = len(alignment.names), model.k
-    counts = [0] * (k ** n)
-    for j in range(alignment.num_sites):
-        states = tuple(_models.state_index(model, alignment.rows[i][j])
-                       for i in range(n))
-        counts[_paramap.LeafPattern(states).flat_index(k)] += 1
+def pattern_counts(alignment, k):
+    """Pattern counts as a flat int list of length k^n.
+
+    Sites are read in the k-state alphabet (ACGT for k = 4, else the digits
+    0..k-1); raises ValueError on any other character and on an alignment
+    without sites.
+    """
+    if alignment.num_sites == 0:
+        raise ValueError("alignment has no sites")
+    alphabet = _models.DNA if k == 4 else "".join(map(str, range(k)))
+    index = {ch: s for s, ch in enumerate(alphabet)}
+    counts = [0] * (k ** len(alignment.rows))
+    for column in zip(*alignment.rows):
+        flat = 0
+        for ch in column:
+            if ch not in index:
+                raise ValueError(f"character {ch!r} is not in the "
+                                 f"{k}-state alphabet {alphabet}")
+            flat = flat * k + index[ch]
+        counts[flat] += 1
     return counts
 
 
 def empirical_tensor(alignment, model):
     """Relative pattern frequencies as a flat float list of length k^n."""
-    counts = pattern_counts(alignment, model)
+    counts = pattern_counts(alignment, model.k)
     total = alignment.num_sites
     return [c / total for c in counts]
 
 
 def total_variation(p, q):
     return sum(abs(float(a) - float(b)) for a, b in zip(p, q)) / 2
-
-
-QUARTET_SPLITS = {"(12)(34)": (("1", "2"), ("3", "4")),
-                  "(13)(24)": (("1", "3"), ("2", "4")),
-                  "(14)(23)": (("1", "4"), ("2", "3"))}
 
 
 def score_splits(tensor, leaf_order, k, rank):
@@ -108,7 +115,7 @@ def score_splits(tensor, leaf_order, k, rank):
         raise ValueError("split scoring expects exactly four leaves")
     exact = all(isinstance(x, (Rat, int)) for x in tensor)
     scores = {}
-    for name, (below, above) in _pair_splits(leaf_order).items():
+    for name, (below, above) in _invariants.quartet_splits(leaf_order).items():
         mat = _invariants.flatten(tensor, leaf_order, (below, above), k=k)
         if exact:
             # exact rank test first so model points score exactly zero
@@ -120,13 +127,6 @@ def score_splits(tensor, leaf_order, k, rank):
         s = np.linalg.svd(M, compute_uv=False)
         scores[name] = float(np.sqrt(np.sum(s[rank:] ** 2)))
     return scores
-
-
-def _pair_splits(leaf_order):
-    a, b, c, d = leaf_order
-    return {f"({a}{b})({c}{d})": ((a, b), (c, d)),
-            f"({a}{c})({b}{d})": ((a, c), (b, d)),
-            f"({a}{d})({b}{c})": ((a, d), (b, c))}
 
 
 def infer_quartet(tensor, leaf_order, k, rank, rel_threshold=1e-12):

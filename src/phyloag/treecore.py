@@ -69,9 +69,6 @@ class Tree:
     def leaf_labels(self):
         return [self.labels[v] for v in self.leaves]
 
-    def nodes(self):
-        return list(self.children)
-
     def internal_nodes(self):
         return [v for v in self.children if self.children[v]]
 
@@ -95,9 +92,6 @@ class Tree:
                     acc |= self.leaves_below(c)
                 self._below[v] = acc
         return self._below[v]
-
-    def is_binary(self):
-        return all(len(self.children[v]) == 2 for v in self.internal_nodes())
 
     # -- layout ------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from phyloag import parse_newick
-from phyloag.exactalg import Rat
+from phyloag.exactalg import Poly, Rat
 
 
 @pytest.fixture
@@ -22,25 +22,45 @@ def tree5():
     return parse_newick("((1,2),(3,(4,5)));")
 
 
+def _brute_force_terms(model, leaf_states):
+    """Per full assignment of the hidden nodes: the root weight and the
+    template symbol of every edge."""
+    tree = model.tree
+    k = model.k
+    hidden = [] if model.no_hidden else tree.internal_nodes()
+    weights = model.root.weights(k)
+    state = {leaf: s for leaf, s in zip(tree.leaves, leaf_states)}
+    for assign in itertools.product(range(k), repeat=len(hidden)):
+        state.update(zip(hidden, assign))
+        yield weights[state[tree.root]], [
+            model.templates[eid][state[p]][state[c]]
+            for eid, (p, c) in enumerate(tree.edges)]
+
+
 def brute_force_eval(model, params, leaf_states):
     """Direct summation over all hidden-node assignments, no circuit.
 
     Independent oracle for the joint-probability map: iterates the full state
     space of the internal nodes and multiplies template entries.
     """
-    tree = model.tree
-    k = model.k
-    hidden = [] if model.no_hidden else tree.internal_nodes()
-    weights = model.root.weights(k)
-    state = {leaf: s for leaf, s in zip(tree.leaves, leaf_states)}
     total = Rat(0)
-    for assign in itertools.product(range(k), repeat=len(hidden)):
-        state.update(zip(hidden, assign))
-        w = weights[state[tree.root]]
+    for w, edge_symbols in _brute_force_terms(model, leaf_states):
         term = Rat(w) if isinstance(w, (Rat, int)) else Rat(params[w])
-        for eid, (p, c) in enumerate(tree.edges):
-            term *= Rat(params[model.templates[eid][state[p]][state[c]]])
+        for s in edge_symbols:
+            term *= Rat(params[s])
         total += term
+    return total
+
+
+def brute_force_expand(model, leaf_states):
+    """The same direct summation over polynomials: one coordinate expanded
+    without the circuit."""
+    total = Poly()
+    for w, edge_symbols in _brute_force_terms(model, leaf_states):
+        term = Poly.const(w) if isinstance(w, (Rat, int)) else Poly.var(w)
+        for s in edge_symbols:
+            term = term * Poly.var(s)
+        total = total + term
     return total
 
 

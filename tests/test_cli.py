@@ -129,3 +129,16 @@ def test_degenerate_exit_code(tmp_path, capsys):
     aln = tmp_path / "flat.fasta"
     aln.write_text(">1\nAAAA\n>2\nAAAA\n>3\nAAAA\n>4\nAAAA\n")
     assert main(["infer-quartet", "--alignment", str(aln)]) == 3
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["ACGT", "ACNT", "AC-T", "ACGT"], "'N'"),     # ambiguity and gap
+    (["acgt", "acgt", "acgt", "acgt"], "'a'"),     # lowercase bases
+    (["", "", "", ""], "no sites"),
+    (["0101", "0121", "0101", "0101"], "'2'"),     # state 2 in a 0/1 alignment
+])
+def test_infer_quartet_rejects_bad_alignment(tmp_path, capsys, rows, message):
+    aln = tmp_path / "bad.fasta"
+    aln.write_text("".join(f">{i + 1}\n{row}\n" for i, row in enumerate(rows)))
+    assert main(["infer-quartet", "--alignment", str(aln)]) == 2
+    assert message in capsys.readouterr().err

@@ -6,7 +6,8 @@ from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat
 from phyloag import paramap
 
-from conftest import brute_force_eval, random_params, stochastic_jc_params
+from conftest import (brute_force_eval, brute_force_expand, random_params,
+                      stochastic_jc_params)
 
 
 def test_three_leaf_general_markov_terms(tree3):
@@ -71,14 +72,30 @@ def test_maximal_mixing_uniform(tree4):
     ("(1,2,3);", "reversible", "uniform", 3),
 ])
 def test_circuit_matches_expansion(nwk, kind, root, k):
+    # eval and the expanded coordinates both come from the circuit, so both
+    # are checked against the brute-force oracle
     tree = parse_newick(nwk)
     m = make_model(tree, kind, root_mode=root, k=k)
     jm = expand_map(m)
+    patterns = list(itertools.product(range(m.k), repeat=tree.num_leaves))
     for seed in range(5):
         params = random_params(m.symbols, seed)
         via_circuit = jm.eval(params)
-        for i, v in enumerate(via_circuit):
-            assert v == jm.coordinate(i).eval(params)
+        for i, states in enumerate(patterns):
+            want = brute_force_eval(m, params, states)
+            assert via_circuit[i] == want
+            assert jm.coordinate(i).eval(params) == want
+
+
+def test_jacobian_matches_derivative_of_expansion(tree4):
+    m = make_model(tree4, "general-markov", root_mode="free", k=2)
+    jm = expand_map(m)
+    params = random_params(m.symbols, 7)
+    values, rows = jm.circuit.jacobian(params, m.symbols)
+    for i, states in enumerate(itertools.product(range(2), repeat=4)):
+        poly = brute_force_expand(m, states)
+        assert values[i] == poly.eval(params)
+        assert rows[i] == [poly.derivative(s).eval(params) for s in m.symbols]
 
 
 def test_circuit_matches_brute_force_oracle():

@@ -45,7 +45,7 @@ def test_sampling_deterministic(quartet_setup):
 def test_empirical_tensor_counts(quartet_setup):
     model, jmap, params = quartet_setup
     aln = pipeline.sample_alignment(jmap, params, 200, seed=1)
-    counts = pipeline.pattern_counts(aln, model)
+    counts = pipeline.pattern_counts(aln, model.k)
     assert sum(counts) == 200
     freqs = pipeline.empirical_tensor(aln, model)
     assert abs(sum(freqs) - 1.0) < 1e-12
