@@ -1,5 +1,13 @@
 """Flattenings, rank tests, vanishing checks, Jacobian-based dimensions,
-exact interpolation of vanishing forms, and mixture (secant) maps."""
+exact interpolation of vanishing forms, and mixture (secant) maps.
+
+Interpolation finds the nullspace of a sample matrix (one row per random
+rational point, one column per monomial).  Small monomial bases use exact
+Bareiss elimination.  Large ones are reduced modulo primes just below 2^23
+by blocked LU on float64 residues, whose trailing updates are BLAS matmuls
+that stay exact; bases from primes with the same pivots are combined by CRT,
+rationally reconstructed, and each form is verified at fresh random points.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +21,12 @@ from . import models as _models
 from . import paramap as _paramap
 from . import treecore
 
-# modular elimination primes (below 2^31 so numpy int64 products stay exact)
-_PRIMES = (2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-           2147483543, 2147483497, 2147483489, 2147483477, 2147483423)
+# Modular elimination holds residues in float64.  The primes lie below 2^23
+# and _BLOCK * (p - 1)^2 < 2^53, so every partial sum of a block update
+# L21 @ U12 is an integer that float64 represents exactly, in any order.
+_PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
+           8388539, 8388473, 8388461, 8388451, 8388449)
+_BLOCK = 32
 
 
 def random_rat(rng):
@@ -377,39 +388,96 @@ def _rat_reconstruct(a, m):
     return Rat(r1, s1)
 
 
-def _nullspace_mod_p(rows_fn, prime):
-    """RREF nullspace mod p of the sample matrix; rows_fn(p) -> numpy array."""
+def _rows_mod(coord_vals, exps, prime):
+    """Sample matrix mod prime in float64: one row per sample point, one
+    column per monomial, entries in [0, prime)."""
     import numpy as np
-    A = rows_fn(prime) % prime
+    C = np.array([[int(v.numerator) % prime
+                   * pow(int(v.denominator) % prime, prime - 2, prime) % prime
+                   for v in cv] for cv in coord_vals], dtype=np.float64)
+    npoints, ncoords = C.shape
+    powers = []
+    for j in range(ncoords):
+        ps = [np.ones(npoints)]
+        for _ in range(max(e[j] for e in exps)):
+            ps.append(ps[-1] * C[:, j] % prime)
+        powers.append(ps)
+    A = np.empty((npoints, len(exps)))
+    for col, e in enumerate(exps):
+        acc = np.ones(npoints)
+        for j, d in enumerate(e):
+            if d:
+                acc = acc * powers[j][d] % prime
+        A[:, col] = acc
+    return A
+
+
+def _nullspace_mod_p(A, prime):
+    """Nullspace mod prime of a float64 matrix with entries in [0, prime).
+
+    Right-looking blocked LU.  Each panel of _BLOCK columns is eliminated
+    row by row (unit pivots, whole-row swaps, zero columns skipped); its row
+    operations then reach the trailing columns as a triangular sweep over the
+    panel's pivot rows and one matmul for the rows below them.  A is
+    overwritten with a row echelon form.  Returns (basis, pivots, free): per
+    free column, the vector with 1 there, 0 at the other free columns and
+    the back-substituted values at the pivot columns.
+    """
+    import numpy as np
     m, n = A.shape
-    r = 0
     pivots = []
-    for c in range(n):
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), prime - 2, prime)
-        A[r] = (A[r] * inv) % prime
-        col_vals = A[:, c].copy()
-        col_vals[r] = 0
-        A = (A - np.outer(col_vals, A[r])) % prime
-        pivots.append(c)
-        r += 1
+    r = 0
+    # every panel's L21 @ U12 lands in this one buffer, so peak memory does
+    # not depend on how the allocator reuses freed temporaries
+    buf = np.empty(m * n)
+    for c0 in range(0, n, _BLOCK):
         if r == m:
             break
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-int(A[i, fc])) % prime
-        basis.append(v)
-    return basis, pivots, free
+        c1 = min(c0 + _BLOCK, n)
+        panel = A[r:, c0:c1]
+        L = np.zeros((m - r, c1 - c0))
+        inverses = []
+        s = 0
+        for j in range(c1 - c0):
+            nz = np.flatnonzero(panel[s:, j])
+            if nz.size == 0:
+                continue
+            i = s + int(nz[0])
+            if i != s:
+                A[[r + s, r + i]] = A[[r + i, r + s]]
+                L[[s, i]] = L[[i, s]]
+            inverses.append(pow(int(panel[s, j]), prime - 2, prime))
+            row = panel[s, j:]
+            row *= inverses[-1]
+            np.remainder(row, prime, out=row)
+            L[s + 1:, s] = panel[s + 1:, j]
+            below = panel[s + 1:, j:]
+            below -= np.outer(L[s + 1:, s], row)
+            np.remainder(below, prime, out=below)
+            pivots.append(c0 + j)
+            s += 1
+        trail = A[r:, c1:]
+        for k in range(s):
+            # the panel's row operations, replayed on its pivot rows
+            top = trail[k]
+            top -= L[k, :k] @ trail[:k]
+            np.remainder(top, prime, out=top)
+            top *= inverses[k]
+            np.remainder(top, prime, out=top)
+        rest = trail[s:]
+        product = buf[:rest.size].reshape(rest.shape)
+        rest -= np.matmul(L[s:, :s], trail[:s], out=product)
+        np.remainder(rest, prime, out=rest)
+        r += s
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    # int64 back-substitution: each dot product stays below n * p^2 < 2^63
+    X = np.zeros((n, len(free)), dtype=np.int64)
+    X[free, range(len(free))] = 1
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        X[c] = -(A[i, c + 1:].astype(np.int64) @ X[c + 1:]) % prime
+    return X.T.tolist(), pivots, free
 
 
 def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
@@ -437,31 +505,25 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
         coord_vals = [[p.eval(pt) for p in polys] for pt in pts]
         if nmono <= max_exact:
             rows = [_mono_values_exact(cv, exps) for cv in coord_vals]
-            _, basis = mat_rank_nullspace(rows)
+            candidates = [mat_rank_nullspace(rows)[1]]
         else:
-            basis = _modular_nullspace(coord_vals, exps, rng)
-            if basis is None:
-                continue
-        forms = []
-        ok = True
-        for vec in basis:
-            form = Poly()
-            for e, c in zip(exps, vec):
-                if c == 0:
-                    continue
-                mono = Poly.const(c)
-                for j, d in enumerate(e):
-                    if d:
-                        mono = mono * Poly.var(names[j], d)
-                form = form + mono
-            form = normalize_poly(form)
-            if not _verify_form(form, dict(coords), params, rng,
-                                verify_points):
-                ok = False
-                break
-            forms.append(form)
-        if ok:
-            return forms
+            candidates = _modular_nullspace(coord_vals, exps)
+        for basis in candidates:
+            forms = []
+            for vec in basis:
+                form = Poly()
+                for e, c in zip(exps, vec):
+                    if c == 0:
+                        continue
+                    mono = Poly.const(c)
+                    for j, d in enumerate(e):
+                        if d:
+                            mono = mono * Poly.var(names[j], d)
+                    form = form + mono
+                forms.append(normalize_poly(form))
+            if all(_verify_form(f, dict(coords), params, rng, verify_points)
+                   for f in forms):
+                return forms
     raise RuntimeError("interpolation failed: insufficient sample rank after "
                        f"{max_retries} retries")
 
@@ -475,68 +537,33 @@ def _verify_form(form, coords, params, rng, points):
     return True
 
 
-def _modular_nullspace(coord_vals, exps, rng, max_primes=8):
-    """Multi-modular nullspace + CRT + rational reconstruction."""
-    import numpy as np
+def _modular_nullspace(coord_vals, exps):
+    """Candidate nullspace bases over Q: one per prime of _PRIMES whose
+    accumulated residues pass rational reconstruction.
 
-    def rows_mod(prime):
-        npoints = len(coord_vals)
-        ncoords = len(coord_vals[0])
-        C = np.zeros((npoints, ncoords), dtype=np.int64)
-        for i, cv in enumerate(coord_vals):
-            for j, v in enumerate(cv):
-                num = int(v.numerator) % prime
-                den = int(v.denominator) % prime
-                C[i, j] = num * pow(den, prime - 2, prime) % prime
-        maxes = [max(e[j] for e in exps) for j in range(ncoords)]
-        powers = []
-        for j in range(ncoords):
-            ps = [np.ones(npoints, dtype=np.int64)]
-            for _ in range(maxes[j]):
-                ps.append(ps[-1] * C[:, j] % prime)
-            powers.append(ps)
-        A = np.ones((npoints, len(exps)), dtype=np.int64)
-        for col, e in enumerate(exps):
-            acc = np.ones(npoints, dtype=np.int64)
-            for j, d in enumerate(e):
-                if d:
-                    acc = acc * powers[j][d] % prime
-            A[:, col] = acc
-        return A
-
-    residues = None
-    modulus = None
-    ref_pivots = None
-    for prime in _PRIMES[:max_primes]:
-        basis, pivots, free = _nullspace_mod_p(rows_mod, prime)
-        if residues is None:
-            residues = [list(v) for v in basis]
-            modulus = prime
-            ref_pivots = pivots
+    Primes with the same pivot columns are combined by CRT.  Reduction mod
+    a prime can only lower the rank of each leading block of columns, so a
+    prime that finds more pivots, or as many further left, shows that the
+    primes so far were unlucky and replaces their residues; one with fewer
+    or later pivots is skipped.
+    """
+    residues = modulus = best = None
+    for prime in _PRIMES:
+        basis, pivots, _ = _nullspace_mod_p(
+            _rows_mod(coord_vals, exps, prime), prime)
+        if best is None or len(pivots) > len(best) or \
+                (len(pivots) == len(best) and pivots < best):
+            residues, modulus, best = basis, prime, pivots
+        elif pivots != best:
+            continue
         else:
-            if pivots != ref_pivots or len(basis) != len(residues):
-                continue  # unlucky prime
             for v, bv in zip(residues, basis):
-                for i in range(len(v)):
-                    v[i], _ = _crt_pair(v[i], modulus, bv[i], prime)
+                for i, b in enumerate(bv):
+                    v[i], _ = _crt_pair(v[i], modulus, b, prime)
             modulus *= prime
-        # try reconstruction
-        recon = []
-        good = True
-        for v in residues:
-            vec = []
-            for a in v:
-                r = _rat_reconstruct(a, modulus)
-                if r is None:
-                    good = False
-                    break
-                vec.append(r)
-            if not good:
-                break
-            recon.append(vec)
-        if good:
-            return recon
-    return None
+        recon = [[_rat_reconstruct(a, modulus) for a in v] for v in residues]
+        if all(x is not None for v in recon for x in v):
+            yield recon
 
 
 def linear_relations(coords, rng=None):

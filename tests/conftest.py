@@ -83,3 +83,35 @@ def stochastic_jc_params(tree, k, seed=0, denom_base=17):
         params[f"{letter}1"] = a1
         params[f"{letter}0"] = 1 - (k - 1) * a1
     return params
+
+
+def rref_nullspace_mod_p(rows, p):
+    """Gauss-Jordan mod p on Python ints, one row operation at a time.
+
+    Independent oracle for the blocked modular elimination: returns the
+    pivot columns and, per free column, the nullspace vector with 1 there
+    and 0 at the other free columns.
+    """
+    A = [[x % p for x in row] for row in rows]
+    n = len(A[0])
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        i = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for j, row in enumerate(A):
+            if j != r and row[c]:
+                A[j] = [(x - row[c] * y) % p for x, y in zip(row, A[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -A[r][f] % p
+        basis.append(v)
+    return pivots, basis

@@ -1,14 +1,17 @@
 import itertools
 import random
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
                               normalize_poly, parse_poly)
 from phyloag import invariants, paramap
 
-from conftest import random_rat, random_params
+from conftest import random_rat, random_params, rref_nullspace_mod_p
 
 
 def rank1_tensor(rng, n, k):
@@ -185,11 +188,16 @@ def test_interpolate_segre_quadric():
     assert forms[0] == normalize_poly(parse_poly("p00*p11 - p01*p10"))
 
 
-def test_interpolation_verifies_on_fresh_points(tree3):
-    jm = expand_map(make_model(tree3, "jc-dna"))
-    classes = paramap.symmetry_classes(jm)
-    acc = paramap.accumulate_classes(jm, classes)
-    coords = list(zip(["p123", "p12", "p13", "p23", "pdis"], acc))
+def jc3_class_coords():
+    """Accumulated symmetry classes of jc-dna on (1,(2,3)); their cubic
+    invariant is sought among 35 monomials."""
+    jm = expand_map(make_model(parse_newick("(1,(2,3));"), "jc-dna"))
+    acc = paramap.accumulate_classes(jm, paramap.symmetry_classes(jm))
+    return list(zip(["p123", "p12", "p13", "p23", "pdis"], acc))
+
+
+def test_interpolation_verifies_on_fresh_points():
+    coords = jc3_class_coords()
     forms = invariants.interpolate_vanishing_forms(coords, 3)
     assert len(forms) == 1
     cdict = dict(coords)
@@ -197,13 +205,72 @@ def test_interpolation_verifies_on_fresh_points(tree3):
 
 
 def test_modular_path_agrees_with_exact():
-    """Force the multi-modular elimination on a case small enough to also be
-    solved directly and compare the resulting forms."""
-    coords = [("p00", parse_poly("u0*v0")), ("p01", parse_poly("u0*v1")),
-              ("p10", parse_poly("u1*v0")), ("p11", parse_poly("u1*v1"))]
-    exact = invariants.interpolate_vanishing_forms(coords, 2)
-    forced = invariants.interpolate_vanishing_forms(coords, 2, max_exact=0)
-    assert {str(f) for f in exact} == {str(f) for f in forced}
+    """Force the multi-modular elimination on cases small enough to also be
+    solved directly and compare the resulting forms; the cubic's 35
+    monomials span two elimination panels."""
+    segre = [("p00", parse_poly("u0*v0")), ("p01", parse_poly("u0*v1")),
+             ("p10", parse_poly("u1*v0")), ("p11", parse_poly("u1*v1"))]
+    for coords, degree in [(segre, 2), (jc3_class_coords(), 3)]:
+        exact = invariants.interpolate_vanishing_forms(coords, degree)
+        forced = invariants.interpolate_vanishing_forms(coords, degree,
+                                                        max_exact=0)
+        assert [str(f) for f in exact] == [str(f) for f in forced]
+
+
+@pytest.mark.parametrize("polys, want", [
+    # x vanishes mod the first prime, which then finds one pivot of two
+    (["{P}*u", "v", "2*v"], "2*y - z"),
+    # as many pivots mod the first prime as over Q, but in a later column
+    (["{P}*u", "u"], "x - {P}*y"),
+])
+def test_modular_path_survives_unlucky_first_prime(polys, want):
+    P = invariants._PRIMES[0]
+    coords = [(name, parse_poly(p.format(P=P)))
+              for name, p in zip("xyz", polys)]
+    exact = invariants.interpolate_vanishing_forms(coords, 1)
+    forced = invariants.interpolate_vanishing_forms(coords, 1, max_exact=0)
+    assert [str(f) for f in forced] == [str(f) for f in exact]
+    assert forced == [normalize_poly(parse_poly(want.format(P=P)))]
+
+
+def test_modular_primes_keep_float64_exact():
+    primes = invariants._PRIMES
+    assert len(set(primes)) == len(primes)
+    assert all(all(p % d for d in range(2, isqrt(p) + 1)) for p in primes)
+    assert invariants._BLOCK * (max(primes) - 1) ** 2 < 2 ** 53
+
+
+@st.composite
+def modular_matrices(draw):
+    """(int64 matrix with entries in [0, p), p).  Rows are sparse
+    combinations of `rank` rows with leading zeros, some columns are zeroed,
+    and p = 7 adds accidental dependencies.  Sorting the rows by leading
+    zeros puts pivots far below the current row, beyond the panel."""
+    p = draw(st.sampled_from([invariants._PRIMES[0], 7]))
+    m, n = draw(st.integers(1, 72)), draw(st.integers(1, 72))
+    rank = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    R = rng.integers(0, p, (rank, n))
+    R[np.arange(n) < rng.integers(0, n // 2 + 1, (rank, 1))] = 0
+    B = rng.integers(0, p, (m, rank)) * (rng.random((m, rank)) < rng.random())
+    A = B @ R % p
+    A[:, draw(st.lists(st.integers(0, n - 1), max_size=n // 4))] = 0
+    if draw(st.booleans()):  # the rows with the most leading zeros first
+        lead = np.where(A.any(axis=1), (A != 0).argmax(axis=1), n)
+        A = A[np.argsort(-lead, kind="stable")]
+    return A, p
+
+
+@given(modular_matrices())
+@settings(max_examples=60, deadline=None)
+def test_blocked_elimination_matches_rref(case):
+    A, p = case
+    pivots, basis = rref_nullspace_mod_p(A.tolist(), p)
+    got_basis, got_pivots, free = invariants._nullspace_mod_p(
+        A.astype(np.float64), p)
+    assert got_pivots == pivots
+    assert free == [c for c in range(A.shape[1]) if c not in pivots]
+    assert got_basis == basis
 
 
 def test_rational_reconstruction_roundtrip():
