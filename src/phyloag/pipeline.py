@@ -11,14 +11,13 @@ import numpy as np
 
 from .exactalg import Rat, mat_rank_nullspace
 from . import models as _models
-from . import paramap as _paramap
 from . import invariants as _invariants
 
 
 @dataclass
 class Alignment:
-    """Site patterns over the leaf set: names in tree leaf order, one string
-    of equal length per leaf."""
+    """Site patterns over the leaf set: one sequence name and one string of
+    equal length per leaf (sample_alignment writes them in tree leaf order)."""
 
     names: list
     rows: list
@@ -45,28 +44,38 @@ def exact_distribution(joint_map, params, require_stochastic=True):
     return probs
 
 
+def _inverse_cdf(probs, u):
+    """Index of the first pattern whose cumulative probability is >= u.
+
+    Philox doubles are m * 2^-53 with an integer m < 2^53, and for an exact
+    rational c, c < m * 2^-53 iff floor(c * 2^53) < m, so comparing integer
+    thresholds with m reproduces the exact scan, ties included.
+    """
+    thresholds = np.array(
+        [int(c.numerator * 2**53 // c.denominator)
+         for c in itertools.accumulate(probs)], dtype=np.int64)
+    m = (u * 2**53).astype(np.int64)
+    return np.searchsorted(thresholds, m, side="left")
+
+
 def sample_alignment(joint_map, params, num_sites, seed):
     """I.i.d. site patterns from the exact distribution.
 
     Uses numpy's Philox counter-based generator, so a given (seed, num_sites)
-    pair is reproducible across runs and platforms; sampling is by inverse
-    CDF over the exact cumulative probabilities.
+    pair is reproducible across runs and platforms.  Sampling is exact integer
+    inverse CDF: each draw is m * 2^-53 and lands on the first pattern with
+    floor(cum * 2^53) >= m, exactly as a rational comparison would.
     """
+    if num_sites < 0:
+        raise ValueError(f"num_sites must be non-negative, got {num_sites}")
     probs = exact_distribution(joint_map, params)
-    cum = list(itertools.accumulate(probs))
     rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(num_sites)
+    idx = _inverse_cdf(probs, rng.random(num_sites))
     model = joint_map.model
     n, k = joint_map.n, joint_map.k
-    cols = []
-    for x in u:
-        x = Rat(x.item())
-        idx = 0
-        while cum[idx] < x:
-            idx += 1
-        states = _paramap.pattern_of_flat(idx, n, k)
-        cols.append(_paramap.pattern_label(model, states))
-    rows = ["".join(col[i] for col in cols) for i in range(n)]
+    labels = np.array([_models.state_label(model, s) for s in range(k)])
+    rows = ["".join(labels[idx // k ** (n - 1 - i) % k].tolist())
+            for i in range(n)]
     return Alignment(names=list(model.tree.leaf_labels), rows=rows)
 
 
@@ -74,29 +83,46 @@ def pattern_counts(alignment, k):
     """Pattern counts as a flat int list of length k^n.
 
     Sites are read in the k-state alphabet (ACGT for k = 4, else the digits
-    0..k-1); raises ValueError on any other character and on an alignment
-    without sites.
+    0..k-1); raises ValueError on any other character, on rows of unequal
+    length and on an alignment without sites.
     """
+    if len({len(r) for r in alignment.rows}) > 1:
+        raise ValueError("alignment rows have unequal lengths")
     if alignment.num_sites == 0:
         raise ValueError("alignment has no sites")
     alphabet = _models.DNA if k == 4 else "".join(map(str, range(k)))
-    index = {ch: s for s, ch in enumerate(alphabet)}
-    counts = [0] * (k ** len(alignment.rows))
-    for column in zip(*alignment.rows):
-        flat = 0
-        for ch in column:
-            if ch not in index:
-                raise ValueError(f"character {ch!r} is not in the "
-                                 f"{k}-state alphabet {alphabet}")
-            flat = flat * k + index[ch]
-        counts[flat] += 1
-    return counts
+    # code point -> state, with one trailing -1 for every code point past it
+    table = np.full(max(map(ord, alphabet)) + 2, -1, dtype=np.int64)
+    table[[ord(ch) for ch in alphabet]] = np.arange(k)
+    flat = np.zeros(alignment.num_sites, dtype=np.int64)
+    for row in alignment.rows:
+        codes = np.frombuffer(row.encode("utf-32-le"), dtype="<u4")
+        states = table[np.minimum(codes, len(table) - 1)]
+        if (states < 0).any():
+            # report the first foreign character in site order
+            ch = next(ch for column in zip(*alignment.rows) for ch in column
+                      if ch not in alphabet)
+            raise ValueError(f"character {ch!r} is not in the "
+                             f"{k}-state alphabet {alphabet}")
+        flat *= k
+        flat += states
+    return np.bincount(flat, minlength=k ** len(alignment.rows)).tolist()
 
 
 def empirical_tensor(alignment, model):
-    """Relative pattern frequencies as a flat float list of length k^n."""
-    counts = pattern_counts(alignment, model.k)
-    total = alignment.num_sites
+    """Relative pattern frequencies as a flat float list of length k^n, with
+    rows matched to the tree's leaves by sequence name; raises ValueError on
+    missing, extra or duplicate names."""
+    leaves = list(model.tree.leaf_labels)
+    if sorted(alignment.names) != sorted(leaves) or \
+            len(alignment.rows) != len(leaves):
+        raise ValueError(f"{len(alignment.rows)} rows with sequence names "
+                         f"{alignment.names} do not match the tree's leaves "
+                         f"{leaves}")
+    row_of = dict(zip(alignment.names, alignment.rows))
+    ordered = Alignment(names=leaves, rows=[row_of[leaf] for leaf in leaves])
+    counts = pattern_counts(ordered, model.k)
+    total = ordered.num_sites
     return [c / total for c in counts]
 
 

@@ -85,6 +85,24 @@ def stochastic_jc_params(tree, k, seed=0, denom_base=17):
     return params
 
 
+def rational_scan_inverse_cdf(probs, u):
+    """Inverse CDF by a linear scan over exact rational cumulative sums, one
+    draw at a time.
+
+    Independent oracle for the sampler's integer-threshold search: returns,
+    per draw x, the first index whose cumulative probability is >= x.
+    """
+    cum = list(itertools.accumulate(probs))
+    out = []
+    for x in u:
+        x = Rat(x.item())
+        idx = 0
+        while cum[idx] < x:
+            idx += 1
+        out.append(idx)
+    return out
+
+
 def rref_nullspace_mod_p(rows, p):
     """Gauss-Jordan mod p on Python ints, one row operation at a time.
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -104,19 +105,38 @@ def test_check_command(tmp_path, params_file, capsys):
     assert main(["check", "--config", str(cfg_path)]) == 2
 
 
+def _simulate_argv(tree_file, params_file, out, length, seed=11):
+    return ["simulate", "--tree", tree_file, "--model", "jc-dna",
+            "--params", params_file[0], "--length", str(length),
+            "--seed", str(seed), "--out", out]
+
+
 def test_simulate_and_infer(tree_file, params_file, tmp_path, capsys):
-    path, _ = params_file
     out_fasta = str(tmp_path / "a.fasta")
-    rc = main(["simulate", "--tree", tree_file, "--model", "jc-dna",
-               "--params", path, "--length", "3000", "--seed", "11",
-               "--out", out_fasta])
-    assert rc == 0
+    assert main(_simulate_argv(tree_file, params_file, out_fasta, 3000)) == 0
     capsys.readouterr()
     rc = main(["infer-quartet", "--alignment", out_fasta, "--format", "json"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["split"] == "(12)(34)"
     assert out["decisive"]
+
+
+def test_simulate_fasta_is_pinned(tree_file, params_file, tmp_path):
+    # bit-for-bit reproducibility across versions, not just within one
+    out = tmp_path / "a.fasta"
+    assert main(_simulate_argv(tree_file, params_file, str(out), 2000)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "4e7d92aa5bbd11b73d3e945f845d9ae28b577c62c22aa1d1a80ffb12e2af6d56"
+
+
+def test_simulate_length(tree_file, params_file, tmp_path, capsys):
+    out = tmp_path / "a.fasta"
+    assert main(_simulate_argv(tree_file, params_file, str(out), -3)) == 2
+    assert "num_sites must be non-negative" in capsys.readouterr().err
+    assert main(_simulate_argv(tree_file, params_file, str(out), 0)) == 0
+    assert "wrote 0 sites" in capsys.readouterr().out
+    assert out.read_text() == ">1\n\n>2\n\n>3\n\n>4\n\n"
 
 
 def test_missing_tree_is_validation_error():

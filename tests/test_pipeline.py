@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Rat
 from phyloag import pipeline
 
-from conftest import stochastic_jc_params
+from conftest import rational_scan_inverse_cdf, stochastic_jc_params
 
 
 @pytest.fixture
@@ -49,6 +51,71 @@ def test_empirical_tensor_counts(quartet_setup):
     assert sum(counts) == 200
     freqs = pipeline.empirical_tensor(aln, model)
     assert abs(sum(freqs) - 1.0) < 1e-12
+
+
+def test_pattern_counts_rejects_ragged():
+    aln = pipeline.Alignment(names=["1", "2", "3", "4"],
+                             rows=["ACGTA", "ACGTA", "ACGTA", "AC"])
+    with pytest.raises(ValueError, match="unequal lengths"):
+        pipeline.pattern_counts(aln, 4)
+
+
+def test_empirical_tensor_maps_rows_by_name(quartet_setup):
+    model, jmap, params = quartet_setup
+    aln = pipeline.sample_alignment(jmap, params, 300, seed=3)
+    order = [0, 2, 1, 3]
+    permuted = pipeline.Alignment(names=[aln.names[i] for i in order],
+                                  rows=[aln.rows[i] for i in order])
+    assert pipeline.empirical_tensor(permuted, model) == \
+        pipeline.empirical_tensor(aln, model)
+
+
+@pytest.mark.parametrize("names, num_rows", [
+    (["x", "y", "z", "w"], 4),          # foreign
+    (["1", "2", "3"], 3),               # missing
+    (["1", "2", "3", "4", "5"], 5),     # extra
+    (["1", "2", "3", "3"], 4),          # duplicate
+    (["1", "2", "3", "4"], 3),          # a name without a row
+])
+def test_empirical_tensor_rejects_foreign_names(quartet_setup, names,
+                                                num_rows):
+    model, _, _ = quartet_setup
+    aln = pipeline.Alignment(names=names, rows=["ACGT"] * num_rows)
+    with pytest.raises(ValueError, match="names"):
+        pipeline.empirical_tensor(aln, model)
+
+
+@st.composite
+def distributions_and_draws(draw):
+    """An exact distribution with zero-probability patterns, and Philox-style
+    draws m * 2^-53 that include 0 and every cumulative value's neighbours,
+    so ties between a draw and a cumulative sum occur."""
+    size = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # denominator 2^53: cumulative sums are themselves possible draws
+        cuts = sorted(draw(st.lists(st.integers(0, 2**53), min_size=size - 1,
+                                    max_size=size - 1)))
+        bounds = [0] + cuts + [2**53]
+        probs = [Rat(b - a, 2**53) for a, b in zip(bounds, bounds[1:])]
+    else:
+        weights = draw(st.lists(st.integers(0, 50), min_size=size,
+                                max_size=size).filter(any))
+        probs = [Rat(w, sum(weights)) for w in weights]
+    ms = draw(st.lists(st.integers(0, 2**53 - 1), max_size=20)) + [0]
+    acc = Rat(0)
+    for p in probs:
+        acc += p
+        base = acc.numerator * 2**53 // acc.denominator
+        ms += [m for m in (base - 1, base, base + 1) if 0 <= m < 2**53]
+    return probs, np.array(ms, dtype=np.float64) * 2.0**-53
+
+
+@given(distributions_and_draws())
+@settings(max_examples=200, deadline=None)
+def test_inverse_cdf_matches_rational_scan(case):
+    probs, u = case
+    assert pipeline._inverse_cdf(probs, u).tolist() == \
+        rational_scan_inverse_cdf(probs, u)
 
 
 def test_total_variation_converges(quartet_setup):
