@@ -422,7 +422,8 @@ def mat_rank_nullspace(mat):
     ech, piv_cols, _ = _bareiss_echelon(rows)
     rank = len(piv_cols)
     ncols = len(mat[0])
-    free_cols = [j for j in range(ncols) if j not in set(piv_cols)]
+    pivots = set(piv_cols)
+    free_cols = [j for j in range(ncols) if j not in pivots]
     basis = []
     for fc in free_cols:
         v = [Rat(0)] * ncols

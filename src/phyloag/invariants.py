@@ -172,15 +172,19 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
     """(affine rank, projective dimension) of the map's image.
 
     Exact Jacobian rank at `tries` random rational points, maximum taken;
-    projective dimension is the affine rank minus one.
+    projective dimension is the affine rank minus one.  The rank is taken
+    over the distinct coordinates only, found by circuit node
+    (`coordinate_keys`): coordinates with the same key are the same
+    polynomial, and duplicate rows change neither rank nor nullspace.
     """
     rng = rng or random.Random(0)
     symbols = joint_map.symbols()
+    keys = joint_map.coordinate_keys()
     best = 0
     for _ in range(tries):
         pt = random_point(symbols, rng)
-        rows = joint_map.jacobian(pt, symbols)
-        best = max(best, mat_rank_nullspace(rows)[0])
+        distinct = dict(zip(keys, joint_map.jacobian(pt, symbols)))
+        best = max(best, mat_rank_nullspace(list(distinct.values()))[0])
         if best == len(symbols):
             break
     return best, best - 1
@@ -246,30 +250,32 @@ class MixtureMap:
             total = total + p
         return total
 
+    def coordinate_keys(self):
+        """One key per coordinate: the tuple of the components' keys."""
+        return list(zip(*(c.coordinate_keys() for c in self.components)))
+
     def jacobian(self, params, symbols=None):
+        """One row per coordinate; the row of each distinct coordinate key is
+        built once and copied to the coordinates with that key."""
         symbols = symbols or self.symbols()
         pos = {s: j for j, s in enumerate(symbols)}
         weights = self._weights(params)
-        ncols = len(symbols)
-        rows = None
-        for i, comp in enumerate(self.components):
+        keys = self.coordinate_keys()
+        first = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        combined = {key: [Rat(0)] * len(symbols) for key in first}
+        for c, comp in enumerate(self.components):
             comp_syms = comp.model.symbols
             values, comp_rows = comp.circuit.jacobian(params, comp_syms)
-            w = weights[i]
-            block = []
-            for out_idx, grad in enumerate(comp_rows):
-                row = [Rat(0)] * ncols
-                for s, g in zip(comp_syms, grad):
-                    row[pos[s]] = w * g
+            w = weights[c]
+            for key, i in first.items():
+                row = combined[key]
+                for s, g in zip(comp_syms, comp_rows[i]):
+                    row[pos[s]] += w * g
                 if self.weight_symbols:
-                    row[pos[self.weight_symbols[i]]] = values[out_idx]
-                block.append(row)
-            if rows is None:
-                rows = block
-            else:
-                rows = [[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(rows, block)]
-        return rows
+                    row[pos[self.weight_symbols[c]]] += values[i]
+        return [list(combined[key]) for key in keys]
 
 
 def mixture_map(components):

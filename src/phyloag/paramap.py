@@ -160,9 +160,12 @@ class Circuit:
         """Exact forward-mode derivatives of every output w.r.t. symbols.
 
         Returns (values, rows) where rows[i] is the dense gradient of output
-        i in the given symbol order.
+        i in the given symbol order.  The pass and the dense rows are built
+        once per distinct output node; outputs that share a node get copies
+        of its row.
         """
         sym_pos = {s: j for j, s in enumerate(symbols)}
+        zero = Rat(0)
 
         def leaf(kind, payload):
             if kind == CONST:
@@ -170,12 +173,12 @@ class Circuit:
             grad = {sym_pos[payload]: Rat(1)} if payload in sym_pos else {}
             return _Dual(Rat(assignment[payload]), grad)
 
-        duals = self._pass([self.outputs[i] for i in sorted(self.outputs)],
-                           leaf)
-        values = [d.val for d in duals]
-        rows = [[d.grad.get(j, Rat(0)) for j in range(len(symbols))]
-                for d in duals]
-        return values, rows
+        nodes = [self.outputs[i] for i in sorted(self.outputs)]
+        distinct = list(dict.fromkeys(nodes))
+        duals = dict(zip(distinct, self._pass(distinct, leaf)))
+        dense = {v: [d.grad.get(j, zero) for j in range(len(symbols))]
+                 for v, d in duals.items()}
+        return [duals[v].val for v in nodes], [list(dense[v]) for v in nodes]
 
 
 @dataclass(slots=True)
@@ -230,6 +233,11 @@ class JointMap:
 
     def eval(self, params, mode="exact"):
         return self.circuit.eval(params, mode=mode)
+
+    def coordinate_keys(self):
+        """One key per coordinate, equal for coordinates that are the same
+        polynomial: the output node of the hash-consed circuit."""
+        return [self.circuit.outputs[i] for i in range(self.num_coordinates)]
 
     def jacobian(self, params, symbols=None):
         symbols = symbols or self.model.symbols

@@ -177,8 +177,8 @@ def write_fasta(alignment, path):
 
 
 def read_fasta(path):
-    names, rows = [], []
-    cur = None
+    """Records of a FASTA file; a record's wrapped lines are joined once."""
+    names, parts = [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -186,12 +186,12 @@ def read_fasta(path):
                 continue
             if line.startswith(">"):
                 names.append(line[1:].strip())
-                rows.append("")
-                cur = len(rows) - 1
+                parts.append([])
             else:
-                if cur is None:
+                if not parts:
                     raise ValueError("sequence data before first '>' header")
-                rows[cur] += line
+                parts[-1].append(line)
+    rows = ["".join(p) for p in parts]
     if len({len(r) for r in rows}) > 1:
         raise ValueError("sequences have unequal lengths")
     return Alignment(names=names, rows=rows)

@@ -54,6 +54,10 @@ class Tree:
     labels: dict           # leaf node id -> label
     source: str = ""
     _below: dict = field(default_factory=dict, repr=False)
+    _edge_ids: dict = field(init=False, repr=False)   # (parent, child) -> id
+
+    def __post_init__(self):
+        self._edge_ids = {e: eid for eid, e in enumerate(self.edges)}
 
     # -- construction ------------------------------------------------------
 
@@ -76,7 +80,10 @@ class Tree:
         return not self.children[v]
 
     def edge_id(self, parent, child):
-        return self.edges.index((parent, child))
+        try:
+            return self._edge_ids[parent, child]
+        except KeyError:
+            raise ValueError(f"({parent}, {child}) is not an edge") from None
 
     def child_of_edge(self, eid):
         return self.edges[eid][1]

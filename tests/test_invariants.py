@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,60 @@ def test_jacobian_dimension_small_gm(tree3):
     rank, _ = invariants.jacobian_dimension(jm)
     # image fills the 7-simplex cone
     assert rank == 8
+
+
+# the benchmark's dimension cases, a model without hidden nodes and a
+# free-root 2-mixture (no global weight symbols)
+_DIMENSION_CASES = [
+    (c["newick"], c["kind"], c["root"], c["k"], c["mixture"], False)
+    for c in json.loads((Path(__file__).parents[1] / "perfbench" /
+                         "reference.json").read_text())["dimension"]
+] + [("(1,(2,3));", "general-markov", "uniform", 2, 1, True),
+     ("(1,(2,3));", "general-markov", "free", 2, 2, False)]
+
+
+def _dimension_map(nwk, kind, root, k, mcount, no_hidden):
+    tree = parse_newick(nwk)
+    if no_hidden:
+        return expand_map(make_model(tree, kind, root_mode=root, k=k,
+                                     no_hidden=True))
+    return invariants.make_mixture(tree, kind, mcount, root_mode=root, k=k)
+
+
+@pytest.mark.parametrize("case", _DIMENSION_CASES,
+                         ids=[f"{c[1]}x{c[4]}:{c[0]}" for c in _DIMENSION_CASES])
+def test_distinct_rows_give_the_full_rank(case):
+    jm = _dimension_map(*case)
+    parts = getattr(jm, "components", [jm])
+    circuits = [(list(c.circuit.ops), dict(c.circuit.outputs)) for c in parts]
+    rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(5), tries=1)
+    # the same first point that jacobian_dimension drew
+    symbols = jm.symbols()
+    pt = invariants.random_point(symbols, random.Random(5))
+    rows = jm.jacobian(pt, symbols)
+    assert len(rows) == jm.num_coordinates
+    assert rank == mat_rank_nullspace(rows)[0]
+    keys = jm.coordinate_keys()
+    first = {}
+    for key, row in zip(keys, rows):
+        assert row == first.setdefault(key, row)
+    # ranking the Jacobian leaves the circuits as they were built
+    assert circuits == [(c.circuit.ops, c.circuit.outputs) for c in parts]
+
+
+def test_shared_output_node_is_one_polynomial(tree4):
+    jm = expand_map(make_model(tree4, "jc-dna"))
+    params = random_params(jm.symbols(), 4)
+    rows = jm.jacobian(params)
+    seen = {}
+    for i, key in enumerate(jm.coordinate_keys()):
+        j = seen.setdefault(key, i)
+        assert jm.coordinate(i) == jm.coordinate(j)
+        if i == j:
+            poly = jm.coordinate(i)
+            assert rows[i] == [poly.derivative(s).eval(params)
+                               for s in jm.symbols()]
+    assert len(seen) < jm.num_coordinates
 
 
 def test_mixture_map_eval_and_symbols(tree3):

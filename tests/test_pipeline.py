@@ -168,6 +168,23 @@ def test_fasta_roundtrip(tmp_path, quartet_setup):
     assert back.rows == aln.rows
 
 
+def test_fasta_wrapped_roundtrip(tmp_path):
+    rng = np.random.default_rng(3)
+    names = ["1", "2", "3", "4"]
+    rows = ["".join(rng.choice(list("ACGT"), 150)) for _ in names]
+    wrapped = tmp_path / "wrapped.fasta"
+    wrapped.write_text("".join(
+        f">{name}\n" + "".join(row[i:i + 60] + "\n"
+                               for i in range(0, len(row), 60))
+        for name, row in zip(names, rows)))
+    back = pipeline.read_fasta(wrapped)
+    assert (back.names, back.rows) == (names, rows)
+    flat = tmp_path / "flat.fasta"
+    pipeline.write_fasta(back, flat)
+    again = pipeline.read_fasta(flat)
+    assert (again.names, again.rows) == (names, rows)
+
+
 def test_fasta_rejects_ragged(tmp_path):
     path = tmp_path / "bad.fasta"
     path.write_text(">x\nACGT\n>y\nAC\n")

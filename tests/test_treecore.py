@@ -35,6 +35,15 @@ def test_parse_errors(bad, snippet):
     assert snippet in str(err.value)
 
 
+def test_edge_id_lookup():
+    t = parse_newick("((1,2),(3,(4,5)));")
+    for eid, (p, c) in enumerate(t.edges):
+        assert t.edge_id(p, c) == eid
+    p, c = t.edges[0]
+    with pytest.raises(ValueError):
+        t.edge_id(c, p)
+
+
 def test_newick_file_roundtrip(tmp_path):
     p = tmp_path / "t.nwk"
     treecore.write_newick(parse_newick("(a,(b,c));"), p)
