@@ -118,7 +118,10 @@ def cmd_fourier(args):
         raise ValidationError(f"model {model.kind!r} is not group-based")
     mm = _fourier.monomial_map(model)
     if args.binomials is not None:
-        forms = _fourier.binomials_up_to_degree(mm, args.binomials)
+        try:
+            forms = _fourier.binomials_up_to_degree(mm, args.binomials)
+        except ValueError as exc:
+            raise ValidationError(str(exc))
         _emit(args, {"binomials": [str(f) for f in forms]},
               [str(f) for f in forms])
     elif args.map:
@@ -142,6 +145,9 @@ def _parse_split(text, leaf_order):
 
 def _dimension(args, tree, model):
     """(affine rank, projective dimension) of the model or its mixture."""
+    if args.mixture < 1:
+        raise ValidationError(f"--mixture must be at least 1, got "
+                              f"{args.mixture}")
     if args.mixture > 1:
         jmap = _invariants.make_mixture(tree, model.kind, args.mixture,
                                         root_mode=args.root, k=model.k)

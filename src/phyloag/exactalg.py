@@ -20,7 +20,7 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 __all__ = [
-    "Rat", "rat", "VarTable", "VARS", "Poly",
+    "Rat", "rat", "residue", "VarTable", "VARS", "Poly",
     "mat_rank_nullspace", "mat_det", "minors",
     "parse_poly", "normalize_poly",
 ]
@@ -34,6 +34,12 @@ def rat(num, den=1):
             return Rat(int(a), int(b))
         return Rat(int(num))
     return Rat(num, den)
+
+
+def residue(x, prime):
+    """Residue of a rational (Fraction, mpq or int) modulo a prime; raises
+    ValueError when the prime divides the denominator."""
+    return int(x.numerator) * pow(int(x.denominator), -1, prime) % prime
 
 
 class VarTable:

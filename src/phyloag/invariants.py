@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 from math import isqrt
 
-from .exactalg import (Poly, Rat, mat_rank_nullspace, minors, normalize_poly)
+from .exactalg import (Poly, Rat, mat_rank_nullspace, minors, normalize_poly,
+                       residue)
 from . import models as _models
 from . import paramap as _paramap
 from . import treecore
@@ -165,26 +166,39 @@ def vanishing_check(form, coords, mode="randomized", rng=None, points=25,
 
 
 # ---------------------------------------------------------------------------
-# dimension via exact Jacobian rank
+# dimension via Jacobian rank modulo a prime
 
 
 def jacobian_dimension(joint_map, rng=None, tries=3):
     """(affine rank, projective dimension) of the map's image.
 
-    Exact Jacobian rank at `tries` random rational points, maximum taken;
-    projective dimension is the affine rank minus one.  The rank is taken
-    over the distinct coordinates only, found by circuit node
-    (`coordinate_keys`): coordinates with the same key are the same
-    polynomial, and duplicate rows change neither rank nor nullspace.
+    Rank of the Jacobian modulo the prime _PRIMES[0] at `tries` random
+    rational points, maximum taken; projective dimension is the affine rank
+    minus one.  The rank is taken over the distinct coordinates only, found
+    by circuit node (`coordinate_keys`): coordinates with the same key are
+    the same polynomial, and duplicate rows change neither rank nor
+    nullspace.
+
+    Rigor: the exact rank at a point and the rank modulo p at a point are
+    both Monte Carlo lower bounds on the generic rank.  The rank modulo p at
+    a point is at most the exact rank there, since every minor that vanishes
+    over Q vanishes modulo p.  Points and constants are read modulo p as
+    rationals: p is about 8.4e6, above every denominator of the points (at
+    most 97) and of the constants 1/k, so each denominator is invertible.  A
+    rank equal to the number of symbols is therefore still a proof of full
+    rank.
     """
+    import numpy as np
     rng = rng or random.Random(0)
+    prime = _PRIMES[0]
     symbols = joint_map.symbols()
     keys = joint_map.coordinate_keys()
     best = 0
     for _ in range(tries):
         pt = random_point(symbols, rng)
-        distinct = dict(zip(keys, joint_map.jacobian(pt, symbols)))
-        best = max(best, mat_rank_nullspace(list(distinct.values()))[0])
+        distinct = dict(zip(keys, joint_map.jacobian(pt, symbols, prime)))
+        A = np.array(list(distinct.values()), dtype=np.float64)
+        best = max(best, len(_nullspace_mod_p(A, prime)[1]))
         if best == len(symbols):
             break
     return best, best - 1
@@ -254,20 +268,22 @@ class MixtureMap:
         """One key per coordinate: the tuple of the components' keys."""
         return list(zip(*(c.coordinate_keys() for c in self.components)))
 
-    def jacobian(self, params, symbols=None):
-        """One row per coordinate; the row of each distinct coordinate key is
-        built once and copied to the coordinates with that key."""
+    def jacobian(self, params, symbols=None, prime=None):
+        """One row per coordinate, exact or modulo `prime`; the row of each
+        distinct coordinate key is built once and copied to the coordinates
+        with that key."""
         symbols = symbols or self.symbols()
+        conv = Rat if prime is None else lambda x: residue(x, prime)
         pos = {s: j for j, s in enumerate(symbols)}
-        weights = self._weights(params)
+        weights = [conv(w) for w in self._weights(params)]
         keys = self.coordinate_keys()
         first = {}
         for i, key in enumerate(keys):
             first.setdefault(key, i)
-        combined = {key: [Rat(0)] * len(symbols) for key in first}
+        combined = {key: [conv(0)] * len(symbols) for key in first}
         for c, comp in enumerate(self.components):
             comp_syms = comp.model.symbols
-            values, comp_rows = comp.circuit.jacobian(params, comp_syms)
+            values, comp_rows = comp.circuit.jacobian(params, comp_syms, prime)
             w = weights[c]
             for key, i in first.items():
                 row = combined[key]
@@ -275,6 +291,9 @@ class MixtureMap:
                     row[pos[s]] += w * g
                 if self.weight_symbols:
                     row[pos[self.weight_symbols[c]]] += values[i]
+        if prime is not None:
+            for row in combined.values():
+                row[:] = [x % prime for x in row]
         return [list(combined[key]) for key in keys]
 
 
@@ -398,9 +417,8 @@ def _rows_mod(coord_vals, exps, prime):
     """Sample matrix mod prime in float64: one row per sample point, one
     column per monomial, entries in [0, prime)."""
     import numpy as np
-    C = np.array([[int(v.numerator) % prime
-                   * pow(int(v.denominator) % prime, prime - 2, prime) % prime
-                   for v in cv] for cv in coord_vals], dtype=np.float64)
+    C = np.array([[residue(v, prime) for v in cv] for cv in coord_vals],
+                 dtype=np.float64)
     npoints, ncoords = C.shape
     powers = []
     for j in range(ncoords):

@@ -116,6 +116,8 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
         k = implied[base]
     elif k is None:
         raise ValueError(f"kind {base!r} needs an explicit k")
+    elif k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if base not in KINDS or base == "homogeneous":
         raise ValueError(f"unsupported model kind {kind!r}")
 

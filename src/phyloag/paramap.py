@@ -1,10 +1,11 @@
 """The joint-probability map of a (tree, model) pair.
 
 The map is held as one factored sum-product circuit, built by Felsenstein's
-pruning recursion up the tree with memoized messages and subexpression
-sharing by structural hashing.  A single evaluation pass over the circuit
-serves every ring: exact or float values, dual numbers for the Jacobian, and
-polynomials for the expanded coordinates (read off lazily, per coordinate).
+pruning recursion up the tree with memoized factors and messages and
+subexpression sharing by structural hashing.  A single evaluation pass over
+the circuit serves every ring: exact or float values, dual numbers (exact or
+over the ints modulo a prime) for the Jacobian, and polynomials for the
+expanded coordinates (read off lazily, per coordinate).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .exactalg import Poly, Rat
+from .exactalg import Poly, Rat, residue
 from . import models as _models
 
 SYM = "sym"
@@ -156,26 +157,35 @@ class Circuit:
         keys = sorted(self.outputs) if outputs is None else outputs
         return self._pass([self.outputs[i] for i in keys], leaf)
 
-    def jacobian(self, assignment, symbols):
-        """Exact forward-mode derivatives of every output w.r.t. symbols.
+    def jacobian(self, assignment, symbols, prime=None):
+        """Forward-mode derivatives of every output w.r.t. symbols, exact, or
+        modulo `prime` when one is given.
 
         Returns (values, rows) where rows[i] is the dense gradient of output
         i in the given symbol order.  The pass and the dense rows are built
         once per distinct output node; outputs that share a node get copies
-        of its row.
+        of its row.  Modulo a prime, every symbol value and constant enters
+        the pass as its residue, a plain int, and values and rows are reduced
+        once at the end.
         """
         sym_pos = {s: j for j, s in enumerate(symbols)}
-        zero = Rat(0)
+        conv = Rat if prime is None else lambda x: residue(Rat(x), prime)
+        zero, one = conv(0), conv(1)
 
         def leaf(kind, payload):
             if kind == CONST:
-                return _Dual(Rat(payload), {})
-            grad = {sym_pos[payload]: Rat(1)} if payload in sym_pos else {}
-            return _Dual(Rat(assignment[payload]), grad)
+                return _Dual(conv(payload), {})
+            grad = {sym_pos[payload]: one} if payload in sym_pos else {}
+            return _Dual(conv(assignment[payload]), grad)
 
         nodes = [self.outputs[i] for i in sorted(self.outputs)]
         distinct = list(dict.fromkeys(nodes))
         duals = dict(zip(distinct, self._pass(distinct, leaf)))
+        if prime is not None:
+            for d in duals.values():
+                d.val %= prime
+                for j in d.grad:
+                    d.grad[j] %= prime
         dense = {v: [d.grad.get(j, zero) for j in range(len(symbols))]
                  for v, d in duals.items()}
         return [duals[v].val for v in nodes], [list(dense[v]) for v in nodes]
@@ -183,8 +193,9 @@ class Circuit:
 
 @dataclass(slots=True)
 class _Dual:
-    """Exact value with a sparse gradient {symbol position: derivative}; the
-    ring in which the circuit pass is forward-mode differentiation."""
+    """Value with a sparse gradient {symbol position: derivative}, over Rat
+    or over the ints; the ring in which the circuit pass is forward-mode
+    differentiation."""
 
     val: object
     grad: dict
@@ -239,9 +250,9 @@ class JointMap:
         polynomial: the output node of the hash-consed circuit."""
         return [self.circuit.outputs[i] for i in range(self.num_coordinates)]
 
-    def jacobian(self, params, symbols=None):
+    def jacobian(self, params, symbols=None, prime=None):
         symbols = symbols or self.model.symbols
-        _, rows = self.circuit.jacobian(params, symbols)
+        _, rows = self.circuit.jacobian(params, symbols, prime)
         return rows
 
     def symbols(self):
@@ -269,49 +280,73 @@ def build_circuit(model):
 
     Each coordinate is the root weight times the messages below the root.  An
     observed node contributes the factors of its one state, a hidden node a
-    sum over its k states; the message of a hidden node is memoized on (node,
-    node state, observed states below the node).
+    sum over its k states.  The factors of a node entered through an edge
+    row are memoized on (row, node, observed states below the node), the
+    message of a hidden node on (node, node state, observed states below the
+    node), and each weight node is made on first use.  A leaf pattern thus
+    stops at every subtree whose observed states an earlier pattern had, and
+    the nodes are created in the same order as by a full walk per pattern.
     """
     tree = model.tree
     k = model.k
     circ = Circuit()
     # without hidden nodes every node is observed and indexes the output
     observed = sorted(tree.children) if model.no_hidden else tree.leaves
-    kids = {v: [] for v in tree.children}     # node -> [(template, child)]
+    rows = {None: model.root.weights(k)}   # row key -> weight per state
+    kids = {v: [] for v in tree.children}  # node -> [(edge id, child)]
     below = {v: [v] if v in observed else [] for v in tree.children}
     for eid, (p, c) in enumerate(tree.edges):
-        kids[p].append((model.templates[eid], c))
-    for p, c in reversed(tree.edges):         # children before parents
+        kids[p].append((eid, c))
+        for s, row in enumerate(model.templates[eid]):
+            rows[eid, s] = row
+    for p, c in reversed(tree.edges):      # children before parents
         below[p] = below[p] + below[c]
-    memo = {}
+    # observed states below a node, read off the state dict
+    states_below = {v: operator.itemgetter(*b) for v, b in below.items()}
+    weight_ids = {}
+    factor_memo = {}
+    message_memo = {}
 
-    def weight(w):
-        return circ.const(w) if isinstance(w, Rat) else circ.sym(w)
-
-    def factors(row, node, state):
-        """Factors for `node` entered through an edge weighing row[t] when
-        the node is in state t."""
-        if node in state:
-            s = state[node]
-            return [weight(row[s])] + children(node, s, state)
-        return [circ.add([circ.mul([weight(row[t]), message(node, t, state)])
-                          for t in range(k)])]
-
-    def children(node, s, state):
-        return [f for tpl, c in kids[node] for f in factors(tpl[s], c, state)]
-
-    def message(node, s, state):
-        key = (node, s, tuple(state[v] for v in below[node]))
-        nid = memo.get(key)
+    def weight(row, t):
+        nid = weight_ids.get((row, t))
         if nid is None:
-            nid = memo[key] = circ.mul(children(node, s, state))
+            w = rows[row][t]
+            nid = weight_ids[row, t] = \
+                circ.const(w) if isinstance(w, Rat) else circ.sym(w)
         return nid
 
-    weights = model.root.weights(k)
-    for states in itertools.product(range(k), repeat=len(observed)):
+    def factors(row, node, state):
+        """Factors for `node` entered through the row of weights `row`
+        (an (edge id, parent state) pair, or None at the root), indexed by
+        the node's state."""
+        key = (row, node, states_below[node](state))
+        out = factor_memo.get(key)
+        if out is None:
+            if node in state:
+                s = state[node]
+                out = [weight(row, s)] + children(node, s, state)
+            else:
+                out = [circ.add([circ.mul([weight(row, t),
+                                           message(node, t, state)])
+                                 for t in range(k)])]
+            factor_memo[key] = out
+        return out
+
+    def children(node, s, state):
+        return [f for eid, c in kids[node] for f in factors((eid, s), c, state)]
+
+    def message(node, s, state):
+        key = (node, s, states_below[node](state))
+        nid = message_memo.get(key)
+        if nid is None:
+            nid = message_memo[key] = circ.mul(children(node, s, state))
+        return nid
+
+    # lexicographic order of the patterns is the order of their flat indices
+    patterns = itertools.product(range(k), repeat=len(observed))
+    for flat, states in enumerate(patterns):
         state = dict(zip(observed, states))
-        circ.outputs[LeafPattern(states).flat_index(k)] = \
-            circ.mul(factors(weights, tree.root, state))
+        circ.outputs[flat] = circ.mul(factors(None, tree.root, state))
     return circ
 
 

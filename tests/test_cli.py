@@ -93,6 +93,29 @@ def test_dim_command(tree_file, capsys):
     assert out["projective_dimension"] == 5
 
 
+@pytest.mark.parametrize("command", ["dim", "invariants"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_dim_rejects_mixture_below_one(tree_file, capsys, command, count):
+    argv = [command, "--tree", tree_file, "--model", "jc-dna",
+            "--mixture", count]
+    assert main(argv + (["--dim"] if command == "invariants" else [])) == 2
+    assert "--mixture must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["param", "dim"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_k_below_one_is_validation_error(tree_file, capsys, command, k):
+    assert main([command, "--tree", tree_file, "--model", "general-markov",
+                 "--k", k]) == 2
+    assert f"k must be at least 1, got {k}" in capsys.readouterr().err
+
+
+def test_fourier_binomial_degree_too_high(tree_file, capsys):
+    assert main(["fourier", "--tree", tree_file, "--model", "jc-dna",
+                 "--binomials", "5"]) == 2
+    assert "binomial search supports degree <= 3" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path, params_file, capsys):
     path, params = params_file
     cfg = {"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "uniform",

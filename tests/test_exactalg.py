@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
-                              normalize_poly, parse_poly, rat)
+                              normalize_poly, parse_poly, rat, residue)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -15,6 +15,19 @@ def test_rat_from_string():
     assert rat("3/4") == Rat(3, 4)
     assert rat("-7") == Rat(-7)
     assert rat(5, 10) == Rat(1, 2)
+
+
+@given(rationals, st.sampled_from([7, 97, 8388593]))
+def test_residue_solves_the_congruence(x, p):
+    assume(x.denominator % p)
+    r = residue(Rat(x), p)
+    assert 0 <= r < p
+    assert (r * x.denominator - x.numerator) % p == 0
+
+
+def test_residue_rejects_a_denominator_divisible_by_the_prime():
+    with pytest.raises(ValueError):
+        residue(Rat(3, 14), 7)
 
 
 def test_poly_basic_arithmetic():

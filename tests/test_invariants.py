@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
-                              normalize_poly, parse_poly)
+                              normalize_poly, parse_poly, residue)
 from phyloag import invariants, paramap
 
 from conftest import random_rat, random_params, rref_nullspace_mod_p
@@ -136,14 +137,15 @@ def test_jacobian_dimension_small_gm(tree3):
     assert rank == 8
 
 
-# the benchmark's dimension cases, a model without hidden nodes and a
+# the benchmark's dimension cases, then a model without hidden nodes and a
 # free-root 2-mixture (no global weight symbols)
-_DIMENSION_CASES = [
+_BENCHMARK_CASES = [
     (c["newick"], c["kind"], c["root"], c["k"], c["mixture"], False)
     for c in json.loads((Path(__file__).parents[1] / "perfbench" /
-                         "reference.json").read_text())["dimension"]
-] + [("(1,(2,3));", "general-markov", "uniform", 2, 1, True),
-     ("(1,(2,3));", "general-markov", "free", 2, 2, False)]
+                         "reference.json").read_text())["dimension"]]
+_DIMENSION_CASES = _BENCHMARK_CASES + [
+    ("(1,(2,3));", "general-markov", "uniform", 2, 1, True),
+    ("(1,(2,3));", "general-markov", "free", 2, 2, False)]
 
 
 def _dimension_map(nwk, kind, root, k, mcount, no_hidden):
@@ -173,6 +175,64 @@ def test_distinct_rows_give_the_full_rank(case):
         assert row == first.setdefault(key, row)
     # ranking the Jacobian leaves the circuits as they were built
     assert circuits == [(c.circuit.ops, c.circuit.outputs) for c in parts]
+
+
+def test_dimension_circuits_are_pinned():
+    # SHA-256 of the circuits of the benchmark's dimension cases as built by
+    # a full walk of the tree per leaf pattern; the memoized build must make
+    # the same nodes in the same order
+    digest = hashlib.sha256()
+    for case in _BENCHMARK_CASES:
+        jm = _dimension_map(*case)
+        for part in getattr(jm, "components", [jm]):
+            ops = [(kind, str(p) if kind == paramap.CONST else p)
+                   for kind, p in part.circuit.ops]
+            digest.update(repr(ops).encode())
+            digest.update(repr(sorted(part.circuit.outputs.items())).encode())
+    assert digest.hexdigest() == \
+        "a8b51c000be49429f12767e8e24f10f71bdb7cae75dfb6898155d7bdf90d1187"
+
+
+@st.composite
+def small_dimension_models(draw):
+    """A random tree with 3-5 leaves (root of degree 2 or 3) and one of the
+    model kinds, as a _dimension_map case."""
+    n = draw(st.integers(3, 5))
+    parts = [str(i + 1) for i in range(n)]
+    top = draw(st.sampled_from([2, 3]))
+    while len(parts) > top:
+        i, j = sorted(draw(st.lists(st.integers(0, len(parts) - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        parts[i] = f"({parts[i]},{parts.pop(j)})"
+    nwk = "(" + ",".join(parts) + ");"
+    kind, root, k, mcount, no_hidden = draw(st.sampled_from([
+        ("jc-binary", "uniform", None, 1, False),
+        ("jc-dna", "uniform", None, 1, False),
+        ("kimura2", "uniform", None, 1, False),
+        ("kimura3", "uniform", None, 1, False),
+        ("general-markov", "free", 2, 1, False),
+        ("general-markov", "uniform", 2, 1, True),
+        ("jc-dna", "uniform", None, 2, False),
+    ]))
+    return nwk, kind, root, k, mcount, no_hidden
+
+
+@given(small_dimension_models(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
+    # uniform roots put the constant 1/k into every coordinate, and the
+    # 2-mixture adds the weight symbols' rows
+    jm = _dimension_map(*case)
+    symbols = jm.symbols()
+    prime = invariants._PRIMES[0]
+    pt = invariants.random_point(symbols, random.Random(seed))
+    exact = jm.jacobian(pt, symbols)
+    assert jm.jacobian(pt, symbols, prime) == \
+        [[residue(x, prime) for x in row] for row in exact]
+    rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(seed),
+                                            tries=1)
+    distinct = dict(zip(jm.coordinate_keys(), exact))
+    assert rank == mat_rank_nullspace(list(distinct.values()))[0]
 
 
 def test_shared_output_node_is_one_polynomial(tree4):
