@@ -174,7 +174,10 @@ def cmd_invariants(args):
         payload["flattening"] = [[str(x) for x in row] for row in mat]
         lines += [" ".join(str(x) for x in row) for row in mat]
         if args.minors is not None:
-            forms = _invariants.minors(mat, args.minors)
+            try:
+                forms = _invariants.minors(mat, args.minors)
+            except ValueError as exc:
+                raise ValidationError(str(exc))
             payload["minors"] = [str(f) for f in forms]
             lines += [str(f) for f in forms]
     if args.interpolate is not None:
@@ -185,7 +188,10 @@ def cmd_invariants(args):
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read coords: {exc}")
-        coords = [(nm, parse_poly(tx)) for nm, tx in raw.items()]
+        try:
+            coords = [(nm, parse_poly(tx)) for nm, tx in raw.items()]
+        except ValueError as exc:
+            raise ValidationError(f"bad coords: {exc}")
         try:
             forms = _invariants.interpolate_vanishing_forms(coords,
                                                             args.interpolate)
@@ -209,7 +215,7 @@ def cmd_invariants(args):
         for tx in form_texts:
             try:
                 ok = _invariants.vanishing_check(parse_poly(tx), coords)
-            except KeyError as exc:
+            except (KeyError, ValueError) as exc:
                 raise ValidationError(str(exc))
             results.append({"form": tx, "vanishes": ok})
             lines.append(f"{'vanishes' if ok else 'NONZERO'}: {tx}")

@@ -27,10 +27,13 @@ __all__ = [
 
 
 def rat(num, den=1):
-    """Exact rational from ints or a 'p/q' string."""
+    """Exact rational from ints or a 'p/q' string; a malformed string or a
+    zero denominator in one raises ValueError."""
     if isinstance(num, str):
         if "/" in num:
             a, b = num.split("/")
+            if int(b) == 0:
+                raise ValueError(f"zero denominator in {num!r}")
             return Rat(int(a), int(b))
         return Rat(int(num))
     return Rat(num, den)
@@ -225,6 +228,30 @@ class Poly:
                 val = val * by_id[v] ** e
             total += val
         return total
+
+    def eval_mod(self, assignment, prime):
+        """Evaluation modulo a prime; assignment maps variable name ->
+        residue in [0, prime).  The residues may be ints or int64 numpy
+        arrays (one entry per point, all points at once): every product is
+        reduced right away, so it stays below prime^2, which int64 holds for
+        prime < 2^31.  Raises ValueError when the prime divides the
+        denominator of a coefficient."""
+        powers = {}
+        total = 0
+        for m, c in self.terms.items():
+            val = residue(c, prime)
+            for v, e in m:
+                ps = powers.get(v)
+                if ps is None:
+                    name = VARS.name(v)
+                    if name not in assignment:
+                        raise KeyError(f"unassigned variable {name!r}")
+                    ps = powers[v] = [1, assignment[name]]
+                while len(ps) <= e:
+                    ps.append(ps[-1] * ps[1] % prime)
+                val = val * ps[e] % prime
+            total = total + val
+        return total % prime
 
     def substitute(self, subst):
         """Substitute polynomials for variables; result fully expanded.

@@ -18,6 +18,10 @@ from .models import edge_letter
 
 @dataclass(frozen=True)
 class GroupSpec:
+    """A group Z2^m.  Its elements are bit tuples in binary order, so an
+    element's index read in binary is its bit tuple, and the group
+    operations act on the indices bitwise."""
+
     name: str
     elements: tuple          # bit tuples, identity first
 
@@ -27,12 +31,10 @@ class GroupSpec:
 
     def char(self, g, h):
         """Character value chi_g(h) = (-1)^(g.h) for element indices g, h."""
-        bits = sum(a & b for a, b in zip(self.elements[g], self.elements[h]))
-        return 1 if bits % 2 == 0 else -1
+        return -1 if (g & h).bit_count() & 1 else 1
 
     def add(self, g, h):
-        s = tuple(a ^ b for a, b in zip(self.elements[g], self.elements[h]))
-        return self.elements.index(s)
+        return g ^ h
 
 
 Z2 = GroupSpec("Z2", ((0,), (1,)))
@@ -217,8 +219,10 @@ def binomials_up_to_degree(mono_map, d):
     """All binomials q^alpha - q^beta of degree <= d with disjoint supports
     and equal exponent-matrix image, deduplicated up to sign.
 
-    Exhaustive multiset enumeration with hashing on A.alpha; d <= 3.
+    Exhaustive multiset enumeration with hashing on A.alpha; 1 <= d <= 3.
     """
+    if d < 1:
+        raise ValueError(f"binomial degree must be at least 1, got {d}")
     if d > 3:
         raise ValueError("binomial search supports degree <= 3")
     A = mono_map.exponent_matrix

@@ -2,11 +2,15 @@
 exact interpolation of vanishing forms, and mixture (secant) maps.
 
 Interpolation finds the nullspace of a sample matrix (one row per random
-rational point, one column per monomial).  Small monomial bases use exact
-Bareiss elimination.  Large ones are reduced modulo primes just below 2^23
-by blocked LU on float64 residues, whose trailing updates are BLAS matmuls
-that stay exact; bases from primes with the same pivots are combined by CRT,
-rationally reconstructed, and each form is verified at fresh random points.
+rational point, one column per monomial).  Small monomial bases evaluate the
+coordinates exactly and use exact Bareiss elimination.  Large ones never
+evaluate a coordinate over Q: per prime just below 2^23, the points'
+parameters are reduced to residues once, the coordinates and monomials are
+evaluated from them modulo the prime at all points together, and the matrix
+is reduced by blocked LU on float64 residues, whose trailing updates are
+BLAS matmuls that stay exact.  Bases from primes with the same pivots are
+combined by CRT and rationally reconstructed, and each form is verified
+exactly at fresh random points.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
 from .exactalg import (Poly, Rat, mat_rank_nullspace, minors, normalize_poly,
                        residue)
@@ -23,11 +27,14 @@ from . import paramap as _paramap
 from . import treecore
 
 # Modular elimination holds residues in float64.  The primes lie below 2^23
-# and _BLOCK * (p - 1)^2 < 2^53, so every partial sum of a block update
-# L21 @ U12 is an integer that float64 represents exactly, in any order.
+# and _BLOCK * (p - 1)^2 + p < 2^53, so every partial sum of a block update
+# L21 @ U12, and every entry of a lazily reduced panel, is an integer that
+# float64 represents exactly, in any order.
 _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
            8388539, 8388473, 8388461, 8388451, 8388449)
-_BLOCK = 32
+_BLOCK = 64
+# points per block when building the sample matrix
+_ROWS = 256
 
 
 def random_rat(rng):
@@ -413,27 +420,76 @@ def _rat_reconstruct(a, m):
     return Rat(r1, s1)
 
 
-def _rows_mod(coord_vals, exps, prime):
-    """Sample matrix mod prime in float64: one row per sample point, one
-    column per monomial, entries in [0, prime)."""
+def _coordinate_residues(polys, params, pts, prime):
+    """Coordinates modulo prime at every point, as a float64 matrix with one
+    row per point and one column per coordinate.  The points' parameters are
+    reduced to residues once; each polynomial is then evaluated at all points
+    together in int64 (Poly.eval_mod).  Raises ValueError when the prime
+    divides a denominator."""
     import numpy as np
-    C = np.array([[residue(v, prime) for v in cv] for cv in coord_vals],
-                 dtype=np.float64)
+    P = np.array([[residue(pt[s], prime) for s in params] for pt in pts],
+                 dtype=np.int64).reshape(len(pts), len(params))
+    columns = dict(zip(params, P.T))
+    C = np.empty((len(pts), len(polys)))
+    for j, poly in enumerate(polys):
+        C[:, j] = poly.eval_mod(columns, prime)
+    return C
+
+
+def _rows_mod(C, exps, prime):
+    """Sample matrix mod prime in float64 from the coordinate residues C: one
+    row per sample point, one column per monomial of exps, entries in
+    [0, prime).
+
+    exps must be _monomial_exponents(ncoords, degree), whose order is that of
+    combinations_with_replacement: the degree-d monomials whose first
+    coordinate is i are coordinate i times the degree-(d-1) monomials in
+    coordinates i.., which are the last comb(ncoords - i + d - 2, d - 1)
+    monomials of degree d - 1.  So each degree is built from the one below
+    by one broadcast product per coordinate, _ROWS points at a time.
+    """
+    import numpy as np
     npoints, ncoords = C.shape
-    powers = []
-    for j in range(ncoords):
-        ps = [np.ones(npoints)]
-        for _ in range(max(e[j] for e in exps)):
-            ps.append(ps[-1] * C[:, j] % prime)
-        powers.append(ps)
+    degree = sum(exps[0])
+    if degree == 0:
+        return np.ones((npoints, 1))
     A = np.empty((npoints, len(exps)))
-    for col, e in enumerate(exps):
-        acc = np.ones(npoints)
-        for j, d in enumerate(e):
-            if d:
-                acc = acc * powers[j][d] % prime
-        A[:, col] = acc
+    scratch = np.empty(min(npoints, _ROWS) * len(exps))
+    for r0 in range(0, npoints, _ROWS):
+        rows = C[r0:r0 + _ROWS]
+        level = np.ones((len(rows), 1))
+        for d in range(1, degree + 1):
+            out = A[r0:r0 + _ROWS] if d == degree else \
+                np.empty((len(rows), comb(ncoords + d - 1, d)))
+            col = 0
+            for i in range(ncoords):
+                tail = level[:, -comb(ncoords - i + d - 2, d - 1):]
+                np.multiply(tail, rows[:, i:i + 1],
+                            out=out[:, col:col + tail.shape[1]])
+                col += tail.shape[1]
+            _reduce(out, prime, scratch[:out.size].reshape(out.shape))
+            level = out
     return A
+
+
+def _reduce(x, prime, scratch):
+    """x mod prime in place, for an integer-valued float64 array with
+    |x| <= 2^53 - prime; scratch is a contiguous float64 array of x's shape.
+
+    The quotient q = floor(x * (1/prime)) is within one of floor(x / prime),
+    so |q * prime| <= 2^53 and x - q * prime is exact; one correction each
+    way then lands in [0, prime).  Six passes without a division, against the
+    float divmod of np.remainder.  The corrections' masks reuse scratch's
+    memory.
+    """
+    import numpy as np
+    np.multiply(x, 1.0 / prime, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= prime
+    x -= scratch
+    mask = scratch.reshape(-1).view(np.bool_)[:x.size].reshape(x.shape)
+    np.add(x, prime, out=x, where=np.less(x, 0, out=mask))
+    np.subtract(x, prime, out=x, where=np.greater_equal(x, prime, out=mask))
 
 
 def _nullspace_mod_p(A, prime):
@@ -446,13 +502,23 @@ def _nullspace_mod_p(A, prime):
     overwritten with a row echelon form.  Returns (basis, pivots, free): per
     free column, the vector with 1 there, 0 at the other free columns and
     the back-substituted values at the pivot columns.
+
+    The panel is reduced lazily: only the column searched for a pivot and
+    the pivot row are reduced (np.remainder, one call per short vector).
+    The multipliers and the pivot row are then in [0, prime), so each step
+    subtracts at most (prime - 1)^2 from an entry, and an entry gathers at
+    most _BLOCK such products before the panel ends: it stays above
+    -_BLOCK * (prime - 1)^2, which float64 holds exactly.  The trailing
+    update L21 @ U12 sums at most _BLOCK such products too, and is reduced
+    by _reduce in the buffer that held the product.
     """
     import numpy as np
     m, n = A.shape
     pivots = []
     r = 0
-    # every panel's L21 @ U12 lands in this one buffer, so peak memory does
-    # not depend on how the allocator reuses freed temporaries
+    # every panel's products land in this one buffer, which then serves as
+    # _reduce's scratch, so peak memory does not depend on how the allocator
+    # reuses freed temporaries
     buf = np.empty(m * n)
     for c0 in range(0, n, _BLOCK):
         if r == m:
@@ -463,7 +529,9 @@ def _nullspace_mod_p(A, prime):
         inverses = []
         s = 0
         for j in range(c1 - c0):
-            nz = np.flatnonzero(panel[s:, j])
+            column = panel[s:, j]
+            np.remainder(column, prime, out=column)
+            nz = np.flatnonzero(column)
             if nz.size == 0:
                 continue
             i = s + int(nz[0])
@@ -472,12 +540,13 @@ def _nullspace_mod_p(A, prime):
                 L[[s, i]] = L[[i, s]]
             inverses.append(pow(int(panel[s, j]), prime - 2, prime))
             row = panel[s, j:]
+            np.remainder(row, prime, out=row)
             row *= inverses[-1]
             np.remainder(row, prime, out=row)
             L[s + 1:, s] = panel[s + 1:, j]
             below = panel[s + 1:, j:]
-            below -= np.outer(L[s + 1:, s], row)
-            np.remainder(below, prime, out=below)
+            product = buf[:below.size].reshape(below.shape)
+            below -= np.multiply.outer(L[s + 1:, s], row, out=product)
             pivots.append(c0 + j)
             s += 1
         trail = A[r:, c1:]
@@ -491,7 +560,7 @@ def _nullspace_mod_p(A, prime):
         rest = trail[s:]
         product = buf[:rest.size].reshape(rest.shape)
         rest -= np.matmul(L[s:, :s], trail[:s], out=product)
-        np.remainder(rest, prime, out=rest)
+        _reduce(rest, prime, product)
         r += s
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
@@ -526,12 +595,12 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
 
     for attempt in range(max_retries):
         pts = [random_point(params, rng) for _ in range(npoints)]
-        coord_vals = [[p.eval(pt) for p in polys] for pt in pts]
         if nmono <= max_exact:
-            rows = [_mono_values_exact(cv, exps) for cv in coord_vals]
+            rows = [_mono_values_exact([p.eval(pt) for p in polys], exps)
+                    for pt in pts]
             candidates = [mat_rank_nullspace(rows)[1]]
         else:
-            candidates = _modular_nullspace(coord_vals, exps)
+            candidates = _modular_nullspace(polys, params, pts, exps)
         for basis in candidates:
             forms = []
             for vec in basis:
@@ -561,20 +630,26 @@ def _verify_form(form, coords, params, rng, points):
     return True
 
 
-def _modular_nullspace(coord_vals, exps):
+def _modular_nullspace(polys, params, pts, exps):
     """Candidate nullspace bases over Q: one per prime of _PRIMES whose
     accumulated residues pass rational reconstruction.
 
-    Primes with the same pivot columns are combined by CRT.  Reduction mod
-    a prime can only lower the rank of each leading block of columns, so a
-    prime that finds more pivots, or as many further left, shows that the
-    primes so far were unlucky and replaces their residues; one with fewer
-    or later pivots is skipped.
+    The sample matrix at the points `pts` is built mod each prime from the
+    residues of the parameters; a prime that divides a denominator of the
+    polynomials' coefficients is skipped.  Primes with the same pivot
+    columns are combined by CRT.  Reduction mod a prime can only lower the
+    rank of each leading block of columns, so a prime that finds more
+    pivots, or as many further left, shows that the primes so far were
+    unlucky and replaces their residues; one with fewer or later pivots is
+    skipped.
     """
     residues = modulus = best = None
     for prime in _PRIMES:
-        basis, pivots, _ = _nullspace_mod_p(
-            _rows_mod(coord_vals, exps, prime), prime)
+        try:
+            C = _coordinate_residues(polys, params, pts, prime)
+        except ValueError:
+            continue
+        basis, pivots, _ = _nullspace_mod_p(_rows_mod(C, exps, prime), prime)
         if best is None or len(pivots) > len(best) or \
                 (len(pivots) == len(best) and pivots < best):
             residues, modulus, best = basis, prime, pivots

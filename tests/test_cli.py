@@ -116,6 +116,30 @@ def test_fourier_binomial_degree_too_high(tree_file, capsys):
     assert "binomial search supports degree <= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_fourier_binomial_degree_below_one(tree_file, capsys, degree):
+    assert main(["fourier", "--tree", tree_file, "--model", "jc-dna",
+                 "--binomials", degree]) == 2
+    assert f"binomial degree must be at least 1, got {degree}" in \
+        capsys.readouterr().err
+
+
+def test_invariants_minor_size_out_of_range(tmp_path, capsys):
+    tree = tmp_path / "t3.nwk"
+    tree.write_text("(1,(2,3));\n")
+    assert main(["invariants", "--tree", str(tree), "--model", "jc-dna",
+                 "--flatten", "1|2,3", "--minors", "9"]) == 2
+    assert "minor size 9 out of range for 4x16" in capsys.readouterr().err
+
+
+def test_invariants_bad_coords_polynomial(tree_file, tmp_path, capsys):
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({"x": "u*", "y": "u"}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(coords)]) == 2
+    assert "bad coords" in capsys.readouterr().err
+
+
 def test_check_command(tmp_path, params_file, capsys):
     path, params = params_file
     cfg = {"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "uniform",
@@ -126,6 +150,24 @@ def test_check_command(tmp_path, params_file, capsys):
     bad = dict(cfg, params=dict(params, a0="1/2"))
     cfg_path.write_text(json.dumps(bad))
     assert main(["check", "--config", str(cfg_path)]) == 2
+
+
+def test_check_zero_denominator(tmp_path, params_file, capsys):
+    cfg = {"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "uniform",
+           "params": dict(params_file[1], a0="1/0")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(cfg_path)]) == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_simulate_zero_denominator(tree_file, params_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(params_file[1], a0="1/0")))
+    argv = _simulate_argv(tree_file, (str(bad),), str(tmp_path / "a.fasta"),
+                          10)
+    assert main(argv) == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
 
 
 def _simulate_argv(tree_file, params_file, out, length, seed=11):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,18 @@ def test_group_addition():
     assert g.add(1, 2) == 3
     assert g.add(3, 3) == 0
     assert all(g.add(0, h) == h for h in range(4))
+
+
+@pytest.mark.parametrize("group", [fourier.Z2, fourier.Z2xZ2],
+                         ids=lambda g: g.name)
+def test_bitwise_group_operations_match_bit_tuples(group):
+    # the definitions on bit tuples that the index arithmetic replaces
+    elems = group.elements
+    for g, h in itertools.product(range(group.k), repeat=2):
+        bits = sum(a & b for a, b in zip(elems[g], elems[h]))
+        assert group.char(g, h) == (1 if bits % 2 == 0 else -1)
+        s = tuple(a ^ b for a, b in zip(elems[g], elems[h]))
+        assert group.add(g, h) == elems.index(s)
 
 
 @given(st.lists(st.integers(-20, 20), min_size=8, max_size=8))
