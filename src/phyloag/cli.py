@@ -42,13 +42,23 @@ def _build_model(args, tree):
         raise ValidationError(str(exc))
 
 
-def _load_params(path):
+def _load_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return {sym: rat(val) for sym, val in raw.items()}
+            return json.load(fh)
     except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read params: {exc}")
+        raise ValidationError(f"cannot read {what}: {exc}")
+
+
+def _mapping(raw, what):
+    """raw, checked to be a JSON object whose values are strings or ints."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    for sym, val in raw.items():
+        if isinstance(val, bool) or not isinstance(val, (str, int)):
+            raise ValidationError(f"{what}: {sym!r} must be a string or an "
+                                  f"int, got {json.dumps(val)}")
+    return raw
 
 
 def _emit(args, payload, text_lines):
@@ -183,13 +193,9 @@ def cmd_invariants(args):
     if args.interpolate is not None:
         if not args.coords:
             raise ValidationError("--interpolate needs --coords FILE")
+        raw = _mapping(_load_json(args.coords, "coords"), "coords")
         try:
-            with open(args.coords, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read coords: {exc}")
-        try:
-            coords = [(nm, parse_poly(tx)) for nm, tx in raw.items()]
+            coords = [(nm, parse_poly(str(tx))) for nm, tx in raw.items()]
         except ValueError as exc:
             raise ValidationError(f"bad coords: {exc}")
         try:
@@ -226,7 +232,11 @@ def cmd_invariants(args):
 def cmd_simulate(args):
     tree = _load_tree(args.tree)
     model = _build_model(args, tree)
-    params = _load_params(args.params)
+    raw = _mapping(_load_json(args.params, "params"), "params")
+    try:
+        params = {sym: rat(val) for sym, val in raw.items()}
+    except ValueError as exc:
+        raise ValidationError(f"cannot read params: {exc}")
     jmap = _paramap.expand_map(model)
     try:
         aln = _pipeline.sample_alignment(jmap, params, args.length, args.seed)
@@ -262,9 +272,13 @@ def cmd_infer_quartet(args):
 
 
 def cmd_check(args):
+    cfg = _load_json(args.config, "config")
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
+    _mapping(cfg.get("params", {}), "params")
     try:
-        model, params = _models.load_model_config(args.config)
-    except (OSError, ValueError, KeyError, treecore.NewickError) as exc:
+        model, params = _models.load_model_config(cfg)
+    except (ValueError, KeyError, treecore.NewickError) as exc:
         raise ValidationError(f"bad config: {exc}")
     if params is None:
         raise ValidationError("config has no params to check")

@@ -22,7 +22,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "Rat", "rat", "residue", "VarTable", "VARS", "Poly",
     "mat_rank_nullspace", "mat_det", "minors",
-    "parse_poly", "normalize_poly",
+    "parse_poly", "normalize_poly", "binomial",
 ]
 
 
@@ -384,6 +384,19 @@ def normalize_poly(p):
     if lead_coeff < 0:
         q = -q
     return q
+
+
+def binomial(a, b):
+    """normalize_poly(prod(a) - prod(b)) for two lists of variable names,
+    written directly as two terms (zero when the products are equal).  The
+    names are registered in the order a, then b."""
+    ma, mb = (tuple(sorted((VARS.id(n), names.count(n))
+                           for n in dict.fromkeys(names))) for names in (a, b))
+    if ma == mb:
+        return Poly()
+    # the content is 1, so normalize_poly only makes the leading term positive
+    one = Rat(1) if _mono_sort_key(ma) < _mono_sort_key(mb) else Rat(-1)
+    return Poly({ma: one, mb: -one})
 
 
 # ---------------------------------------------------------------------------

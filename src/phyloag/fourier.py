@@ -3,7 +3,9 @@ probability tensors, subforest-indexed coordinates, the toric monomial map,
 and degree-bounded binomial invariants.
 
 Supported groups are Z2 (binary states) and Z2 x Z2 (DNA states with the
-fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1)).
+fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1)).  The monomial map and
+the binomial search work on integer exponent data (edge labels, packed
+exponent-matrix columns), not on polynomial products.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .exactalg import Poly, Rat, normalize_poly
+import numpy as np
+
+from .exactalg import VARS, Poly, Rat, binomial
 from . import treecore
 from .models import edge_letter
 
@@ -167,7 +171,7 @@ class MonomialMap:
 def coord_name(key):
     if isinstance(key, treecore.Subforest):
         return "q" + str(key)
-    return "q" + "".join(str(l) for l in key.labels)
+    return "q" + "".join(map(str, key.labels))
 
 
 def monomial_map(model):
@@ -175,94 +179,85 @@ def monomial_map(model):
 
     Requires a group-based model with uniform root.  Jukes-Cantor models use
     the subforest-indicator convention with two transformed symbols per edge.
+    Each monomial is written directly from its edge labels.
     """
     group = group_for_model(model)
     if model.root.mode != "uniform":
         raise ValueError("monomial map requires a uniform root")
     tree = model.tree
-    E = tree.num_edges
     reduced = model.kind in ("jc-binary", "jc-dna")
     if reduced:
         keys = treecore.enumerate_subforests(tree)
         label_vectors = [sf.indicator for sf in keys]
     else:
-        seen = {}
-        for leaf_labels in itertools.product(range(group.k),
-                                             repeat=tree.num_leaves):
-            fi = leaf_to_edge_labels(tree, leaf_labels, group)
-            if fi is not None and fi.labels not in seen:
-                seen[fi.labels] = fi
-        keys = [seen[l] for l in sorted(seen)]
-        label_vectors = [fi.labels for fi in keys]
+        # the zero-sum leaf labelings: the group addition is XOR on element
+        # indices, so the last leaf's label is the XOR of the others, and an
+        # edge's label the XOR of the labels of the leaves below it
+        pos = {tree.labels[v]: i for i, v in enumerate(tree.leaves)}
+        below = [[pos[l] for l in tree.leaves_below(tree.child_of_edge(e))]
+                 for e in range(tree.num_edges)]
+        heads = np.array(list(itertools.product(
+            range(group.k), repeat=tree.num_leaves - 1)))
+        leaf = np.column_stack([heads, np.bitwise_xor.reduce(heads, axis=1)])
+        edge = np.column_stack([np.bitwise_xor.reduce(leaf[:, b], axis=1)
+                                for b in below])
+        label_vectors = sorted(set(map(tuple, edge.tolist())))
+        keys = [FourierIndex(l) for l in label_vectors]
 
     n_idx = 2 if reduced else group.k
     symbols = [transformed_symbol(model, e, i)
-               for e in range(E) for i in range(n_idx)]
-    sym_row = {s: r for r, s in enumerate(symbols)}
-    monos = []
-    matrix = [[0] * len(keys) for _ in symbols]
-    for col, labels in enumerate(label_vectors):
-        mono = Poly.const(1)
-        for e, h in enumerate(labels):
-            s = transformed_symbol(model, e, h)
-            mono = mono * Poly.var(s)
-            matrix[sym_row[s]][col] += 1
-        monos.append(mono)
+               for e in range(tree.num_edges) for i in range(n_idx)]
+    rows = np.array(label_vectors) + n_idx * np.arange(tree.num_edges)
+    matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
+    matrix[rows, np.arange(len(keys))[:, None]] = 1
+    rows = rows.tolist()
+    # register the symbols in the order in which the columns first use them
+    vid = {r: VARS.id(symbols[r])
+           for r in dict.fromkeys(itertools.chain.from_iterable(rows))}
+    one = Rat(1)
+    monos = [Poly({tuple([(v, 1) for v in sorted(map(vid.get, col))]): one})
+             for col in rows]
     return MonomialMap(model=model, group=group, reduced=reduced,
                        coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],
                        monomials=monos, symbols=symbols,
-                       exponent_matrix=matrix)
+                       exponent_matrix=matrix.tolist())
 
 
 def binomials_up_to_degree(mono_map, d):
     """All binomials q^alpha - q^beta of degree <= d with disjoint supports
-    and equal exponent-matrix image, deduplicated up to sign.
+    and equal exponent-matrix image, up to sign; 1 <= d <= 3.
 
-    Exhaustive multiset enumeration with hashing on A.alpha; 1 <= d <= 3.
+    Exhaustive multiset enumeration, hashing the image A.alpha packed into
+    one int (field base d*max(A)+1, row 0 most significant): a multiset's
+    packed image is the sum of its columns', and int order is image order.
+    No form comes out twice: within one degree each unordered pair gives
+    +-(q^a - q^b), different pairs give different term sets, and different
+    degrees never collide.
     """
     if d < 1:
         raise ValueError(f"binomial degree must be at least 1, got {d}")
     if d > 3:
         raise ValueError("binomial search supports degree <= 3")
     A = mono_map.exponent_matrix
-    ncoords = len(mono_map.coord_names)
+    names = mono_map.coord_names
+    base = d * max(map(max, A), default=0) + 1
+    packed = [0] * len(names)
+    for row in A:
+        packed = [p * base + x for p, x in zip(packed, row)]
     out = []
-    seen = set()
     for deg in range(1, d + 1):
         buckets = {}
-        for combo in itertools.combinations_with_replacement(range(ncoords),
-                                                             deg):
-            image = tuple(sum(A[r][c] for c in combo) for r in range(len(A)))
-            buckets.setdefault(image, []).append(combo)
-        for image in sorted(buckets):
-            group_combos = buckets[image]
-            for a, b in itertools.combinations(group_combos, 2):
-                if set(a) & set(b):
-                    continue
-                pa = Poly.const(1)
-                for c in a:
-                    pa = pa * Poly.var(mono_map.coord_names[c])
-                pb = Poly.const(1)
-                for c in b:
-                    pb = pb * Poly.var(mono_map.coord_names[c])
-                form = normalize_poly(pa - pb)
-                key = frozenset(form.terms.items())
-                if key not in seen:
-                    seen.add(key)
-                    out.append(form)
-    return out
-
-
-def support_classes(tree, group):
-    """Indicator vectors realizable by zero-sum leaf labelings; for JC-type
-    symmetry this equals the set of subforest indicators."""
-    out = set()
-    for leaf_labels in itertools.product(range(group.k),
-                                         repeat=tree.num_leaves):
-        fi = leaf_to_edge_labels(tree, leaf_labels, group)
-        if fi is not None:
-            out.add(fi.indicator)
+        for combo, cols in zip(
+                itertools.combinations_with_replacement(range(len(names)),
+                                                        deg),
+                itertools.combinations_with_replacement(packed, deg)):
+            buckets.setdefault(sum(cols), []).append(combo)
+        for image in sorted(i for i, c in buckets.items() if len(c) > 1):
+            for a, b in itertools.combinations(buckets[image], 2):
+                if set(a).isdisjoint(b):
+                    out.append(binomial([names[c] for c in a],
+                                        [names[c] for c in b]))
     return out
 
 
@@ -392,11 +387,9 @@ def flattening_minors(tree):
     for _, _, matrix in all_fourier_flattenings(tree):
         for r1, r2 in itertools.combinations(range(len(matrix)), 2):
             for c1, c2 in itertools.combinations(range(len(matrix[0])), 2):
-                form = (Poly.var(coord_name(matrix[r1][c1]))
-                        * Poly.var(coord_name(matrix[r2][c2]))
-                        - Poly.var(coord_name(matrix[r1][c2]))
-                        * Poly.var(coord_name(matrix[r2][c1])))
-                form = normalize_poly(form)
+                form = binomial(
+                    [coord_name(matrix[r1][c1]), coord_name(matrix[r2][c2])],
+                    [coord_name(matrix[r1][c2]), coord_name(matrix[r2][c1])])
                 if form.is_zero():
                     continue
                 key = frozenset(form.terms.items())

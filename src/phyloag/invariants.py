@@ -2,15 +2,15 @@
 exact interpolation of vanishing forms, and mixture (secant) maps.
 
 Interpolation finds the nullspace of a sample matrix (one row per random
-rational point, one column per monomial).  Small monomial bases evaluate the
-coordinates exactly and use exact Bareiss elimination.  Large ones never
-evaluate a coordinate over Q: per prime just below 2^23, the points'
+rational point, one column per monomial).  It never evaluates a coordinate
+over Q to build that matrix: per prime just below 2^23, the points'
 parameters are reduced to residues once, the coordinates and monomials are
 evaluated from them modulo the prime at all points together, and the matrix
 is reduced by blocked LU on float64 residues, whose trailing updates are
 BLAS matmuls that stay exact.  Bases from primes with the same pivots are
 combined by CRT and rationally reconstructed, and each form is verified
-exactly at fresh random points.
+exactly at fresh random points.  Exact evaluation and Bareiss elimination
+remain as a path that a caller asks for with max_exact.
 """
 
 from __future__ import annotations
@@ -574,15 +574,15 @@ def _nullspace_mod_p(A, prime):
 
 
 def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
-                                verify_points=10, max_exact=200,
+                                verify_points=10, max_exact=0,
                                 max_retries=3):
     """Exact basis of degree-d forms in the given coordinates vanishing on
     the model image.
 
     coords: list of (name, Poly-in-parameters) pairs.  Samples the map at
     #monomials + extra_points random exact rational points, computes an exact
-    nullspace basis (direct elimination for small monomial counts, otherwise
-    multi-modular elimination with rational reconstruction), normalizes each
+    nullspace basis by multi-modular elimination and rational reconstruction
+    (exact elimination for at most max_exact monomials), normalizes each
     form, and re-verifies it at fresh random points before returning.
     """
     rng = rng or random.Random(0)

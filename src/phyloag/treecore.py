@@ -73,9 +73,6 @@ class Tree:
     def leaf_labels(self):
         return [self.labels[v] for v in self.leaves]
 
-    def internal_nodes(self):
-        return [v for v in self.children if self.children[v]]
-
     def is_leaf(self, v):
         return not self.children[v]
 
@@ -212,17 +209,6 @@ def edge_split(tree, edge):
     return Split(edge=edge, below=below, above=above)
 
 
-def is_subforest(tree, edge_set):
-    """True when every degree-1 vertex of the edge-induced subgraph is a leaf
-    of the original tree (the empty set qualifies)."""
-    deg = {}
-    for e in edge_set:
-        p, c = tree.edges[e]
-        deg[p] = deg.get(p, 0) + 1
-        deg[c] = deg.get(c, 0) + 1
-    return all(d != 1 or tree.is_leaf(v) for v, d in deg.items())
-
-
 def enumerate_subforests(tree):
     """All subforests, ordered lexicographically by indicator vector.
 
@@ -265,10 +251,3 @@ def display_edge_order(tree):
     mids = [((x[p] + x[c]) / 2, i) for i, (p, c) in enumerate(tree.edges)]
     mids.sort()
     return [i for _, i in mids]
-
-
-def fibonacci(m):
-    a, b = 1, 1
-    for _ in range(m - 1):
-        a, b = b, a + b
-    return a

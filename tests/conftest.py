@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from phyloag import parse_newick
-from phyloag.exactalg import Poly, Rat
+from phyloag import fourier, parse_newick, treecore
+from phyloag.exactalg import Poly, Rat, normalize_poly
 
 
 @pytest.fixture
@@ -22,12 +23,27 @@ def tree5():
     return parse_newick("((1,2),(3,(4,5)));")
 
 
+def draw_newick(draw, min_leaves, max_leaves):
+    """Inside a hypothesis composite strategy: a random tree in Newick form
+    with leaves 1..n, n in [min_leaves, max_leaves], and a root of degree 2
+    or 3."""
+    n = draw(st.integers(min_leaves, max_leaves))
+    parts = [str(i + 1) for i in range(n)]
+    top = draw(st.sampled_from([2, 3]))
+    while len(parts) > top:
+        i, j = sorted(draw(st.lists(st.integers(0, len(parts) - 1),
+                                    min_size=2, max_size=2, unique=True)))
+        parts[i] = f"({parts[i]},{parts.pop(j)})"
+    return "(" + ",".join(parts) + ");"
+
+
 def _brute_force_terms(model, leaf_states):
     """Per full assignment of the hidden nodes: the root weight and the
     template symbol of every edge."""
     tree = model.tree
     k = model.k
-    hidden = [] if model.no_hidden else tree.internal_nodes()
+    hidden = [] if model.no_hidden else [v for v in tree.children
+                                         if tree.children[v]]
     weights = model.root.weights(k)
     state = {leaf: s for leaf, s in zip(tree.leaves, leaf_states)}
     for assign in itertools.product(range(k), repeat=len(hidden)):
@@ -133,3 +149,110 @@ def rref_nullspace_mod_p(rows, p):
             v[c] = -A[r][f] % p
         basis.append(v)
     return pivots, basis
+
+
+def is_subforest(tree, edge_set):
+    """True when every degree-1 vertex of the edge-induced subgraph is a leaf
+    of the original tree (the empty set qualifies)."""
+    deg = {}
+    for e in edge_set:
+        p, c = tree.edges[e]
+        deg[p] = deg.get(p, 0) + 1
+        deg[c] = deg.get(c, 0) + 1
+    return all(d != 1 or tree.is_leaf(v) for v, d in deg.items())
+
+
+def fibonacci(m):
+    a, b = 1, 1
+    for _ in range(m - 1):
+        a, b = b, a + b
+    return a
+
+
+def support_classes(tree, group):
+    """Indicator vectors realizable by zero-sum leaf labelings; for JC-type
+    symmetry this equals the set of subforest indicators."""
+    out = set()
+    for leaf_labels in itertools.product(range(group.k),
+                                         repeat=tree.num_leaves):
+        fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+        if fi is not None:
+            out.add(fi.indicator)
+    return out
+
+
+def poly_product_monomial_map(model):
+    """The monomial map from Poly products, with the edge labels of every
+    one of the k^n leaf labelings found by walking the tree.
+
+    Independent oracle for fourier.monomial_map, which writes each monomial
+    from its edge labels and enumerates only the zero-sum labelings.
+    """
+    group = fourier.group_for_model(model)
+    tree = model.tree
+    E = tree.num_edges
+    reduced = model.kind in ("jc-binary", "jc-dna")
+    if reduced:
+        keys = treecore.enumerate_subforests(tree)
+        label_vectors = [sf.indicator for sf in keys]
+    else:
+        seen = {}
+        for leaf_labels in itertools.product(range(group.k),
+                                             repeat=tree.num_leaves):
+            fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+            if fi is not None and fi.labels not in seen:
+                seen[fi.labels] = fi
+        keys = [seen[l] for l in sorted(seen)]
+        label_vectors = [fi.labels for fi in keys]
+    n_idx = 2 if reduced else group.k
+    symbols = [fourier.transformed_symbol(model, e, i)
+               for e in range(E) for i in range(n_idx)]
+    sym_row = {s: r for r, s in enumerate(symbols)}
+    monos = []
+    matrix = [[0] * len(keys) for _ in symbols]
+    for col, labels in enumerate(label_vectors):
+        mono = Poly.const(1)
+        for e, h in enumerate(labels):
+            s = fourier.transformed_symbol(model, e, h)
+            mono = mono * Poly.var(s)
+            matrix[sym_row[s]][col] += 1
+        monos.append(mono)
+    return fourier.MonomialMap(
+        model=model, group=group, reduced=reduced, coord_keys=keys,
+        coord_names=[fourier.coord_name(k) for k in keys], monomials=monos,
+        symbols=symbols, exponent_matrix=matrix)
+
+
+def poly_product_binomials(mono_map, d):
+    """Binomials of degree <= d from Poly products, hashing image tuples
+    A.alpha and deduplicating normalized forms up to sign.
+
+    Independent oracle for fourier.binomials_up_to_degree, which hashes
+    packed ints and writes each binomial as two terms.
+    """
+    A = mono_map.exponent_matrix
+    ncoords = len(mono_map.coord_names)
+    out = []
+    seen = set()
+    for deg in range(1, d + 1):
+        buckets = {}
+        for combo in itertools.combinations_with_replacement(range(ncoords),
+                                                             deg):
+            image = tuple(sum(A[r][c] for c in combo) for r in range(len(A)))
+            buckets.setdefault(image, []).append(combo)
+        for image in sorted(buckets):
+            for a, b in itertools.combinations(buckets[image], 2):
+                if set(a) & set(b):
+                    continue
+                pa = Poly.const(1)
+                for c in a:
+                    pa = pa * Poly.var(mono_map.coord_names[c])
+                pb = Poly.const(1)
+                for c in b:
+                    pb = pb * Poly.var(mono_map.coord_names[c])
+                form = normalize_poly(pa - pb)
+                key = frozenset(form.terms.items())
+                if key not in seen:
+                    seen.add(key)
+                    out.append(form)
+    return out

@@ -227,3 +227,54 @@ def test_infer_quartet_rejects_bad_alignment(tmp_path, capsys, rows, message):
     aln.write_text("".join(f">{i + 1}\n{row}\n" for i, row in enumerate(rows)))
     assert main(["infer-quartet", "--alignment", str(aln)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"a0": 0.5}, "params: 'a0' must be a string or an int, got 0.5"),
+    ({"a0": True}, "params: 'a0' must be a string or an int, got true"),
+    (["a0", "1/2"], "params must be a JSON object"),
+], ids=["float", "bool", "list"])
+def test_simulate_params_of_the_wrong_shape(tree_file, tmp_path, capsys,
+                                            params, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(params))
+    argv = _simulate_argv(tree_file, (str(bad),), str(tmp_path / "a.fasta"),
+                          10)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coords, message", [
+    ([1, 2], "coords must be a JSON object"),
+    ({"x": "u", "y": 1.5}, "coords: 'y' must be a string or an int, got 1.5"),
+], ids=["list", "float"])
+def test_invariants_coords_of_the_wrong_shape(tree_file, tmp_path, capsys,
+                                              coords, message):
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps(coords))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_invariants_integer_coordinate_is_a_constant(tree_file, tmp_path,
+                                                     capsys):
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"x": "2*u", "y": "u", "z": 1}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(path)]) == 0
+    assert capsys.readouterr().out == "1*x - 2*y\n"
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"newick": "((1,2),(3,4));", "kind": "jc-dna", "params": {"a0": 0.5}},
+     "params: 'a0' must be a string or an int, got 0.5"),
+    ({"newick": "((1,2),(3,4));", "kind": "jc-dna", "params": ["a0"]},
+     "params must be a JSON object"),
+    (["((1,2),(3,4));"], "config must be a JSON object"),
+], ids=["float-param", "list-params", "list-config"])
+def test_check_config_of_the_wrong_shape(tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["check", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err

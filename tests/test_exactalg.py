@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
-                              normalize_poly, parse_poly, rat, residue)
+from phyloag.exactalg import (Poly, Rat, binomial, mat_det, mat_rank_nullspace,
+                              minors, normalize_poly, parse_poly, rat, residue)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -202,3 +202,32 @@ def test_minors_order_and_count():
 def test_empty_matrix_rank():
     rank, basis = mat_rank_nullspace([])
     assert rank == 0 and basis == []
+
+
+_names = st.lists(st.sampled_from(["bx", "by", "bz", "bw"]), min_size=1,
+                  max_size=3)
+
+
+@given(_names, _names)
+@settings(max_examples=60)
+def test_binomial_is_the_normalized_difference(a, b):
+    # squared names and products that cancel included
+    want = normalize_poly(
+        Poly.const(1) * _product(a) - Poly.const(1) * _product(b))
+    got = binomial(a, b)
+    assert got == want
+    assert str(got) == str(want)
+    assert list(got.terms) == list(want.terms)
+
+
+def _product(names):
+    out = Poly.const(1)
+    for name in names:
+        out = out * Poly.var(name)
+    return out
+
+
+def test_binomial_squares_and_cancels():
+    assert binomial(["bx", "bx"], ["by", "bz"]) == \
+        normalize_poly(parse_poly("bx^2 - by*bz"))
+    assert binomial(["bx", "by"], ["by", "bx"]).is_zero()

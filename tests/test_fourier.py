@@ -1,5 +1,11 @@
+import hashlib
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +14,10 @@ from phyloag import expand_map, make_model
 from phyloag.exactalg import Poly, Rat
 from phyloag import fourier, paramap, treecore
 
-from conftest import random_rat
+from conftest import (draw_newick, poly_product_binomials,
+                      poly_product_monomial_map, random_rat, support_classes)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_characters_are_plus_minus_one():
@@ -178,7 +187,7 @@ def test_flattening_minors_5_leaf(tree5):
 
 
 def test_support_classes_equal_subforests(tree4):
-    got = fourier.support_classes(tree4, fourier.Z2xZ2)
+    got = support_classes(tree4, fourier.Z2xZ2)
     want = {sf.indicator for sf in treecore.enumerate_subforests(tree4)}
     assert got == want
 
@@ -207,3 +216,82 @@ def test_mixture_monomial_coords(tree4):
     some = coords["q000000"]
     assert some.num_terms() == 2
     assert {"s0", "s1"} <= some.variables()
+
+
+@st.composite
+def group_based_models(draw):
+    """A random tree with 3-6 leaves (root of degree 2 or 3) and a
+    group-based model kind."""
+    nwk = draw_newick(draw, 3, 6)
+    kind = draw(st.sampled_from(["jc-binary", "jc-dna", "kimura2",
+                                 "kimura3"]))
+    return make_model(treecore.parse_newick(nwk), kind)
+
+
+@given(group_based_models())
+@settings(max_examples=20, deadline=None)
+def test_monomial_map_and_binomials_match_poly_products(model):
+    mm = fourier.monomial_map(model)
+    want = poly_product_monomial_map(model)
+    assert mm.coord_keys == want.coord_keys
+    assert mm.coord_names == want.coord_names
+    assert mm.symbols == want.symbols
+    assert mm.exponent_matrix == want.exponent_matrix
+    assert mm.monomials == want.monomials
+    if model.tree.num_leaves > 5:
+        return
+    # the highest degree up to 3 whose multisets the oracle can hash in
+    # well under a second (kimura models on 4-5 leaves stop below 3)
+    ncoords = len(mm.coord_names)
+    degree = max(d for d in (1, 2, 3) if math.comb(ncoords + d - 1, d) <= 8000)
+    got = fourier.binomials_up_to_degree(mm, degree)
+    expected = poly_product_binomials(want, degree)
+    assert got == expected
+    assert [str(f) for f in got] == [str(f) for f in expected]
+
+
+@pytest.mark.parametrize("kind", ["jc-dna", "kimura3"])
+def test_no_binomials_of_degree_one(tree5, kind):
+    # distinct coordinates have distinct exponent-matrix columns
+    mm = fourier.monomial_map(make_model(tree5, kind))
+    assert fourier.binomials_up_to_degree(mm, 1) == []
+
+
+def test_kimura2_cubic_binomials_match_poly_products(tree4):
+    mm = fourier.monomial_map(make_model(tree4, "kimura2"))
+    got = fourier.binomials_up_to_degree(mm, 3)
+    expected = poly_product_binomials(mm, 3)
+    assert [str(f) for f in got] == [str(f) for f in expected]
+    assert got == expected
+
+
+# SHA-256 of the stdout of `phylo-ag fourier`, recorded before the monomial
+# map and the binomial search moved onto exponent data
+_FOURIER_STDOUT = [
+    ("((1,2),(3,(4,5)));", "jc-dna", ["--binomials", "3"],
+     "37ecae98397d96cf8c668f377387fba5b2907fe40076b66e52dbe69d0b9c40bc"),
+    ("((1,2),(3,(4,5)));", "jc-dna", ["--map"],
+     "ec052c73d434cd23cd4b4d912b9ee5c72895d1d0f41ce4a4fe37ab7ce12cb619"),
+    ("((1,2),(3,(4,5)));", "jc-dna", [],
+     "2aa1fa516360ac602d6cbe2c203ade35471dc33bb57e542cf46b7dfef3d73ca4"),
+    ("((1,2),(3,4));", "kimura3", [],
+     "52e007f57b369e5ace82feb0fd1e29c2aad5cb2c5ff5a092afb288b02f8a7bab"),
+]
+
+
+@pytest.mark.parametrize("newick, kind, extra, digest", _FOURIER_STDOUT,
+                         ids=["jc-dna-binomials", "jc-dna-map",
+                              "jc-dna-coordinates", "kimura3-coordinates"])
+def test_fourier_stdout_is_pinned(tmp_path, newick, kind, extra, digest):
+    # a fresh process, so the printed order follows only this command's
+    # variable registrations
+    tree = tmp_path / "t.nwk"
+    tree.write_text(newick + "\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run(
+        [sys.executable, "-m", "phyloag.cli", "fourier", "--tree", str(tree),
+         "--model", kind] + extra,
+        env=env, capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -14,7 +14,8 @@ from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
                               normalize_poly, parse_poly, residue)
 from phyloag import invariants, paramap
 
-from conftest import random_rat, random_params, rref_nullspace_mod_p
+from conftest import (draw_newick, random_rat, random_params,
+                      rref_nullspace_mod_p)
 
 
 def rank1_tensor(rng, n, k):
@@ -197,14 +198,7 @@ def test_dimension_circuits_are_pinned():
 def small_dimension_models(draw):
     """A random tree with 3-5 leaves (root of degree 2 or 3) and one of the
     model kinds, as a _dimension_map case."""
-    n = draw(st.integers(3, 5))
-    parts = [str(i + 1) for i in range(n)]
-    top = draw(st.sampled_from([2, 3]))
-    while len(parts) > top:
-        i, j = sorted(draw(st.lists(st.integers(0, len(parts) - 1),
-                                    min_size=2, max_size=2, unique=True)))
-        parts[i] = f"({parts[i]},{parts.pop(j)})"
-    nwk = "(" + ",".join(parts) + ");"
+    nwk = draw_newick(draw, 3, 5)
     kind, root, k, mcount, no_hidden = draw(st.sampled_from([
         ("jc-binary", "uniform", None, 1, False),
         ("jc-dna", "uniform", None, 1, False),
@@ -327,7 +321,8 @@ def test_modular_path_agrees_with_exact():
     segre = [("p00", parse_poly("u0*v0")), ("p01", parse_poly("u0*v1")),
              ("p10", parse_poly("u1*v0")), ("p11", parse_poly("u1*v1"))]
     for coords, degree in [(segre, 2), (jc3_class_coords(), 3)]:
-        exact = invariants.interpolate_vanishing_forms(coords, degree)
+        exact = invariants.interpolate_vanishing_forms(coords, degree,
+                                                       max_exact=200)
         forced = invariants.interpolate_vanishing_forms(coords, degree,
                                                         max_exact=0)
         assert [str(f) for f in exact] == [str(f) for f in forced]
@@ -343,7 +338,7 @@ def test_modular_path_survives_unlucky_first_prime(polys, want):
     P = invariants._PRIMES[0]
     coords = [(name, parse_poly(p.format(P=P)))
               for name, p in zip("xyz", polys)]
-    exact = invariants.interpolate_vanishing_forms(coords, 1)
+    exact = invariants.interpolate_vanishing_forms(coords, 1, max_exact=3)
     forced = invariants.interpolate_vanishing_forms(coords, 1, max_exact=0)
     assert [str(f) for f in forced] == [str(f) for f in exact]
     assert forced == [normalize_poly(parse_poly(want.format(P=P)))]
@@ -354,7 +349,7 @@ def test_modular_path_skips_a_prime_in_a_denominator():
     # coordinates have no residues modulo it
     P = invariants._PRIMES[0]
     coords = [("x", parse_poly(f"1/{P}*u")), ("y", parse_poly("u"))]
-    exact = invariants.interpolate_vanishing_forms(coords, 1)
+    exact = invariants.interpolate_vanishing_forms(coords, 1, max_exact=3)
     forced = invariants.interpolate_vanishing_forms(coords, 1, max_exact=0)
     assert forced == exact == [normalize_poly(parse_poly(f"{P}*x - y"))]
 

@@ -4,8 +4,9 @@ import pytest
 
 from phyloag import treecore
 from phyloag.treecore import (NewickError, Subforest, display_edge_order,
-                              edge_split, enumerate_subforests, fibonacci,
-                              is_subforest, parse_newick)
+                              edge_split, enumerate_subforests, parse_newick)
+
+from conftest import fibonacci, is_subforest
 
 
 def test_parse_and_roundtrip():
