@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .exactalg import parse_poly, rat
+from .exactalg import minors, parse_poly, rat
 from . import fourier as _fourier
 from . import invariants as _invariants
 from . import models as _models
@@ -185,7 +185,7 @@ def cmd_invariants(args):
         lines += [" ".join(str(x) for x in row) for row in mat]
         if args.minors is not None:
             try:
-                forms = _invariants.minors(mat, args.minors)
+                forms = minors(mat, args.minors)
             except ValueError as exc:
                 raise ValidationError(str(exc))
             payload["minors"] = [str(f) for f in forms]
@@ -271,10 +271,20 @@ def cmd_infer_quartet(args):
         raise DegeneracyError("split scores tie within tolerance")
 
 
+_CONFIG_FIELDS = {"newick": str, "kind": str, "root": str,
+                  "homogeneous_base": str, "k": int}
+
+
 def cmd_check(args):
     cfg = _load_json(args.config, "config")
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
+    for field, kind in _CONFIG_FIELDS.items():
+        val = cfg.get(field)
+        if field in cfg and (isinstance(val, bool) or not isinstance(val, kind)):
+            what = "an int" if kind is int else "a string"
+            raise ValidationError(f"config: {field!r} must be {what}, got "
+                                  f"{json.dumps(val)}")
     _mapping(cfg.get("params", {}), "params")
     try:
         model, params = _models.load_model_config(cfg)

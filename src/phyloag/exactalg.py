@@ -3,16 +3,16 @@ dense rational/polynomial matrices with rank, nullspace, determinants and
 minors.
 
 Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
-otherwise.  Polynomials are stored sparsely as {monomial: coefficient} with a
-session-global variable table, terms kept in graded-lexicographic order on
-variable ids.
+otherwise.  Polynomials are stored sparsely as {monomial: coefficient}; a
+monomial names its variables itself, and terms print in graded-lexicographic
+order on variable names.  There is no global state, so the printed text of a
+polynomial depends only on the polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-import threading
 
 try:
     from gmpy2 import mpq as Rat
@@ -20,7 +20,7 @@ except ImportError:  # pragma: no cover
     from fractions import Fraction as Rat
 
 __all__ = [
-    "Rat", "rat", "residue", "VarTable", "VARS", "Poly",
+    "Rat", "rat", "residue", "Poly",
     "mat_rank_nullspace", "mat_det", "minors",
     "parse_poly", "normalize_poly", "binomial",
 ]
@@ -45,39 +45,6 @@ def residue(x, prime):
     return int(x.numerator) * pow(int(x.denominator), -1, prime) % prime
 
 
-class VarTable:
-    """Session-global name <-> id table.
-
-    Ids are assigned in registration order; concurrent reads are safe, writes
-    are serialized.
-    """
-
-    def __init__(self):
-        self._names = []
-        self._ids = {}
-        self._lock = threading.Lock()
-
-    def id(self, name):
-        vid = self._ids.get(name)
-        if vid is None:
-            with self._lock:
-                vid = self._ids.get(name)
-                if vid is None:
-                    vid = len(self._names)
-                    self._names.append(name)
-                    self._ids[name] = vid
-        return vid
-
-    def name(self, vid):
-        return self._names[vid]
-
-    def __len__(self):
-        return len(self._names)
-
-
-VARS = VarTable()
-
-
 def _mono_mul(m1, m2):
     if not m1:
         return m2
@@ -90,17 +57,20 @@ def _mono_mul(m1, m2):
 
 
 def _mono_sort_key(mono):
-    # descending graded order; ties broken lexicographically by variable id
-    # with larger exponents on smaller ids first
+    # descending graded order; ties broken lexicographically by variable name
+    # with larger exponents on smaller names first
     deg = sum(e for _, e in mono)
-    return (-deg, tuple((v, -e) for v, e in sorted(mono)))
+    return (-deg, tuple((v, -e) for v, e in mono))
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Monomials are tuples of (variable-id, exponent) sorted by id; zero
-    coefficients and zero exponents are never stored.
+    Monomials are tuples of (variable name, exponent) pairs sorted by name
+    (Python str order), and every constructor keeps them sorted; zero
+    coefficients and zero exponents are never stored.  Terms are ordered
+    graded-lex on names, so equal polynomials print the same text in any
+    process.
     """
 
     __slots__ = ("terms",)
@@ -117,7 +87,7 @@ class Poly:
     def var(cls, name, exp=1):
         if exp == 0:
             return cls.const(1)
-        return cls({((VARS.id(name), exp),): Rat(1)})
+        return cls({((name, exp),): Rat(1)})
 
     def is_zero(self):
         return not self.terms
@@ -199,33 +169,28 @@ class Poly:
 
     def variables(self):
         """Variable names occurring in this polynomial."""
-        seen = set()
-        for m in self.terms:
-            for v, _ in m:
-                seen.add(v)
-        return {VARS.name(v) for v in seen}
+        return {v for m in self.terms for v, _ in m}
 
     def num_terms(self):
         return len(self.terms)
 
     def coefficient(self, mono_names):
         """Coefficient of the monomial given as {name: exponent}."""
-        m = tuple(sorted((VARS.id(n), e) for n, e in mono_names.items() if e))
+        m = tuple(sorted((n, e) for n, e in mono_names.items() if e))
         return Rat(self.terms.get(m, 0))
 
     def eval(self, assignment):
         """Exact evaluation; assignment maps variable name -> Rat/int."""
-        by_id = {}
+        values = {}
         total = Rat(0)
         for m, c in self.terms.items():
             val = c
             for v, e in m:
-                if v not in by_id:
-                    name = VARS.name(v)
-                    if name not in assignment:
-                        raise KeyError(f"unassigned variable {name!r}")
-                    by_id[v] = Rat(assignment[name])
-                val = val * by_id[v] ** e
+                if v not in values:
+                    if v not in assignment:
+                        raise KeyError(f"unassigned variable {v!r}")
+                    values[v] = Rat(assignment[v])
+                val = val * values[v] ** e
             total += val
         return total
 
@@ -243,10 +208,9 @@ class Poly:
             for v, e in m:
                 ps = powers.get(v)
                 if ps is None:
-                    name = VARS.name(v)
-                    if name not in assignment:
-                        raise KeyError(f"unassigned variable {name!r}")
-                    ps = powers[v] = [1, assignment[name]]
+                    if v not in assignment:
+                        raise KeyError(f"unassigned variable {v!r}")
+                    ps = powers[v] = [1, assignment[v]]
                 while len(ps) <= e:
                     ps.append(ps[-1] * ps[1] % prime)
                 val = val * ps[e] % prime
@@ -264,12 +228,11 @@ class Poly:
         for m, c in self.terms.items():
             term = Poly.const(c)
             for v, e in m:
-                name = VARS.name(v)
-                if name not in subst:
-                    raise KeyError(f"unsubstituted variable {name!r}")
+                if v not in subst:
+                    raise KeyError(f"unsubstituted variable {v!r}")
                 key = (v, e)
                 if key not in cache:
-                    rep = subst[name]
+                    rep = subst[v]
                     if not isinstance(rep, Poly):
                         rep = Poly.const(rep)
                     cache[key] = rep ** e
@@ -278,11 +241,10 @@ class Poly:
         return out
 
     def derivative(self, name):
-        vid = VARS.id(name)
         out = {}
         for m, c in self.terms.items():
             for i, (v, e) in enumerate(m):
-                if v == vid:
+                if v == name:
                     nc = c * e
                     if e == 1:
                         nm = m[:i] + m[i + 1:]
@@ -310,8 +272,8 @@ class Poly:
             num, den = c.numerator, c.denominator
             coeff = f"{num}" if den == 1 else f"{num}/{den}"
             factors.append(coeff.lstrip("-"))
-            for v, e in sorted(m):
-                factors.append(VARS.name(v) if e == 1 else f"{VARS.name(v)}^{e}")
+            for v, e in m:
+                factors.append(v if e == 1 else f"{v}^{e}")
             s = "*".join(factors)
             if not parts:
                 parts.append(("-" if num < 0 else "") + s)
@@ -388,10 +350,9 @@ def normalize_poly(p):
 
 def binomial(a, b):
     """normalize_poly(prod(a) - prod(b)) for two lists of variable names,
-    written directly as two terms (zero when the products are equal).  The
-    names are registered in the order a, then b."""
-    ma, mb = (tuple(sorted((VARS.id(n), names.count(n))
-                           for n in dict.fromkeys(names))) for names in (a, b))
+    written directly as two terms (zero when the products are equal)."""
+    ma, mb = (tuple(sorted((n, names.count(n)) for n in set(names)))
+              for names in (a, b))
     if ma == mb:
         return Poly()
     # the content is 1, so normalize_poly only makes the leading term positive

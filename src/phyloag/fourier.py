@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import VARS, Poly, Rat, binomial
+from .exactalg import Poly, Rat, binomial
 from . import treecore
 from .models import edge_letter
 
@@ -210,13 +210,9 @@ def monomial_map(model):
     rows = np.array(label_vectors) + n_idx * np.arange(tree.num_edges)
     matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
     matrix[rows, np.arange(len(keys))[:, None]] = 1
-    rows = rows.tolist()
-    # register the symbols in the order in which the columns first use them
-    vid = {r: VARS.id(symbols[r])
-           for r in dict.fromkeys(itertools.chain.from_iterable(rows))}
     one = Rat(1)
-    monos = [Poly({tuple([(v, 1) for v in sorted(map(vid.get, col))]): one})
-             for col in rows]
+    monos = [Poly({tuple(sorted([(symbols[r], 1) for r in col])): one})
+             for col in rows.tolist()]
     return MonomialMap(model=model, group=group, reduced=reduced,
                        coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],

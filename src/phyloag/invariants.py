@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .exactalg import (Poly, Rat, mat_rank_nullspace, minors, normalize_poly,
-                       residue)
+from .exactalg import Poly, Rat, mat_rank_nullspace, normalize_poly, residue
 from . import models as _models
 from . import paramap as _paramap
 from . import treecore
@@ -125,21 +124,6 @@ def hankel_matrix(prefix="p"):
     """The 3x3 symmetric-tensor matrix [[p0,p1,p2],[p1,p2,p3],[p2,p3,p4]]."""
     v = [Poly.var(f"{prefix}{i}") for i in range(5)]
     return [[v[0], v[1], v[2]], [v[1], v[2], v[3]], [v[2], v[3], v[4]]]
-
-
-def variety_membership_minors(tensor, tree, r, k=None):
-    """True iff every internal-edge flattening of the tensor has rank <= r."""
-    labels = tree.leaf_labels
-    result = True
-    for eid in range(tree.num_edges):
-        split = treecore.edge_split(tree, eid)
-        if len(split.below) < 2 or len(split.above) < 2:
-            continue
-        mat = flatten(tensor, labels, split, k=k)
-        rank, _ = mat_rank_nullspace(mat)
-        if rank > r:
-            result = False
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +331,6 @@ def quartet_splits(leaf_order):
     return {f"({a}{b})({c}{d})": ((a, b), (c, d)),
             f"({a}{c})({b}{d})": ((a, c), (b, d)),
             f"({a}{d})({b}{c})": ((a, d), (b, c))}
-
-
-def named_variety_check(tensor, which):
-    """Membership in the rank-2 determinantal variety of one quartet split:
-    all 3x3 minors of the corresponding 4x4 flattening vanish."""
-    leaves = ["1", "2", "3", "4"]
-    splits = quartet_splits(leaves)
-    if which not in splits:
-        raise ValueError(f"unknown variety {which!r}")
-    if len(tensor) != 16:
-        raise ValueError("expected a 2x2x2x2 tensor (length 16)")
-    mat = flatten(tensor, leaves, splits[which], k=2)
-    return all(m == 0 or (isinstance(m, Poly) and m.is_zero())
-               for m in minors(mat, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,3 @@ def load_model_config(path_or_dict):
         params = {sym: rat(val) for sym, val in cfg["params"].items()}
     return model, params
 
-
-def dump_model_config(model, params=None):
-    cfg = {"newick": model.tree.to_newick(), "kind": model.kind,
-           "root": model.root.mode}
-    if model.kind in ("general-markov", "reversible", "homogeneous"):
-        cfg["k"] = model.k
-    if params is not None:
-        cfg["params"] = {s: str(Rat(v)) for s, v in params.items()}
-    return cfg

@@ -3,7 +3,6 @@ sampling, empirical tensors and SVD-based quartet split scoring."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -196,28 +195,3 @@ def read_fasta(path):
         raise ValueError("sequences have unequal lengths")
     return Alignment(names=names, rows=rows)
 
-
-def write_tensor_csv(counts, path):
-    """One row per flat pattern index: index, count, frequency."""
-    total = sum(counts)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "count", "frequency"])
-        for i, c in enumerate(counts):
-            w.writerow([i, c, c / total if total else 0.0])
-
-
-def read_tensor_csv(path):
-    """(counts, frequencies), row order taken from the index column."""
-    rows = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        rdr = csv.reader(fh)
-        header = next(rdr)
-        if header[:3] != ["index", "count", "frequency"]:
-            raise ValueError("expected 'index,count,frequency' header")
-        for idx, count, freq in rdr:
-            rows[int(idx)] = (int(count), float(freq))
-    size = max(rows) + 1 if rows else 0
-    counts = [rows.get(i, (0, 0.0))[0] for i in range(size)]
-    freqs = [rows.get(i, (0, 0.0))[1] for i in range(size)]
-    return counts, freqs

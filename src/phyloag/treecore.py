@@ -123,8 +123,10 @@ class Tree:
 def parse_newick(text):
     """Parse a Newick expression (terminated by ';') into a Tree.
 
-    Leaf labels must be nonempty alphanumeric (plus '_' and '.') and unique.
-    Raises NewickError with the offending position on malformed input.
+    Leaf labels must be nonempty alphanumeric (plus '_' and '.') and unique;
+    branch lengths and internal or root labels are rejected.  Raises
+    NewickError with the offending position on malformed input.  The parse
+    is iterative, so a tree of any depth parses.
     """
     s = text.strip()
     if not s.endswith(";"):
@@ -133,70 +135,70 @@ def parse_newick(text):
     children = {}
     parent = {}
     labels = {}
-    leaves = []
-    counter = itertools.count()
-
-    def new_node():
-        v = next(counter)
-        children[v] = []
-        return v
-
+    seen = set()
+    open_nodes = []        # internal nodes whose ')' is still to come
     pos = 0
 
-    def parse_subtree():
-        nonlocal pos
-        v = new_node()
-        if pos < len(s) and s[pos] == "(":
+    def label_at(start):
+        end = start
+        while end < len(s) and (s[end].isalnum() or s[end] in "_."):
+            end += 1
+        return s[start:end]
+
+    def reject_annotation(node):
+        # a label or branch length written after a subtree's ')' or a leaf
+        if s[pos:pos + 1] == ":":
+            end = pos + 1
+            while end < len(s) and s[end] not in ",();":
+                end += 1
+            raise NewickError(f"branch length {s[pos:end]!r} is not "
+                              "supported", pos)
+        label = label_at(pos)
+        if label:
+            where = "internal node" if node in parent else "root"
+            raise NewickError(f"{where} label {label!r} is not supported", pos)
+
+    while True:
+        # a subtree starts at pos; nodes are numbered in pre-order
+        v = len(children)
+        children[v] = []
+        if open_nodes:
+            parent[v] = open_nodes[-1]
+            children[open_nodes[-1]].append(v)
+        if s[pos:pos + 1] == "(":
+            open_nodes.append(v)
             pos += 1
-            while True:
-                c = parse_subtree()
-                children[v].append(c)
-                parent[c] = v
-                if pos < len(s) and s[pos] == ",":
-                    pos += 1
-                    continue
-                break
-            if pos >= len(s) or s[pos] != ")":
+            continue
+        label = label_at(pos)
+        if not label:
+            raise NewickError("empty subtree or missing label", pos)
+        if label in seen:
+            raise NewickError(f"duplicate leaf label {label!r}", pos)
+        seen.add(label)
+        labels[v] = label
+        pos += len(label)
+        reject_annotation(v)
+        while open_nodes and s[pos:pos + 1] != ",":
+            if s[pos:pos + 1] != ")":
                 raise NewickError("unbalanced parentheses", pos)
             pos += 1
-        else:
-            start = pos
-            while pos < len(s) and (s[pos].isalnum() or s[pos] in "_."):
-                pos += 1
-            label = s[start:pos]
-            if not label:
-                raise NewickError("empty subtree or missing label", start)
-            if label in labels.values():
-                raise NewickError(f"duplicate leaf label {label!r}", start)
-            labels[v] = label
-            leaves.append(v)
-        return v
-
-    root = parse_subtree()
+            reject_annotation(open_nodes.pop())
+        if not open_nodes:
+            break
+        pos += 1
     if pos != len(s):
         raise NewickError("trailing characters after tree", pos)
 
-    edges = []
-
-    def preorder(v):
-        for c in children[v]:
-            edges.append((v, c))
-            preorder(c)
-
-    preorder(root)
-    return Tree(root=root, children=children, parent=parent, edges=edges,
-                leaves=leaves, labels=labels, source=text.strip())
+    # pre-order edge ids: a child's id is its pre-order number
+    edges = [(parent[c], c) for c in range(1, len(children))]
+    return Tree(root=0, children=children, parent=parent, edges=edges,
+                leaves=list(labels), labels=labels, source=text.strip())
 
 
 def read_newick(path):
     """One tree per file, UTF-8."""
     with open(path, encoding="utf-8") as fh:
         return parse_newick(fh.read())
-
-
-def write_newick(tree, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tree.to_newick() + "\n")
 
 
 def edge_split(tree, edge):

@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phyloag.cli import main
+
+from conftest import draw_newick
 
 
 @pytest.fixture
@@ -272,9 +279,84 @@ def test_invariants_integer_coordinate_is_a_constant(tree_file, tmp_path,
     ({"newick": "((1,2),(3,4));", "kind": "jc-dna", "params": ["a0"]},
      "params must be a JSON object"),
     (["((1,2),(3,4));"], "config must be a JSON object"),
-], ids=["float-param", "list-params", "list-config"])
+    ({"newick": 5, "kind": "jc-dna", "params": {}},
+     "config: 'newick' must be a string, got 5"),
+    ({"newick": "((1,2),(3,4));", "kind": ["jc-dna"], "params": {}},
+     "config: 'kind' must be a string, got [\"jc-dna\"]"),
+    ({"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": 0, "params": {}},
+     "config: 'root' must be a string, got 0"),
+    ({"newick": "((1,2),(3,4));", "kind": "homogeneous", "k": 2,
+      "homogeneous_base": None, "params": {}},
+     "config: 'homogeneous_base' must be a string, got null"),
+    ({"newick": "((1,2),(3,4));", "kind": "general-markov", "k": True,
+      "params": {}}, "config: 'k' must be an int, got true"),
+    ({"newick": "((1,2),(3,4));", "kind": "general-markov", "k": "2",
+      "params": {}}, "config: 'k' must be an int, got \"2\""),
+], ids=["float-param", "list-params", "list-config", "int-newick",
+        "list-kind", "int-root", "null-base", "bool-k", "string-k"])
 def test_check_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["check", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+_json_keys = st.sampled_from(["a0", "a1", "b0", "x", "y", "newick", "kind",
+                              "root", "k", "params", "homogeneous_base"])
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5)
+    | st.floats(-2, 2, allow_nan=False)
+    | st.text(alphabet="0123456789/-+*^abxy(),;", max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_json_keys, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _tree_texts(draw):
+    if draw(st.booleans()):
+        return draw_newick(draw, 3, 4)
+    return draw(st.text(alphabet="(),;:12345x. ", max_size=14))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(tree file text, JSON file value, command, model kind)."""
+    tree = draw(_tree_texts())
+    command = draw(st.sampled_from(["check", "simulate", "interpolate"]))
+    if command == "check" and draw(st.booleans()):
+        value = draw(st.fixed_dictionaries({
+            "newick": st.one_of(_tree_texts(), _json_values),
+            "kind": st.sampled_from(["jc-dna", "general-markov",
+                                     "homogeneous", "kimura9"])
+            | _json_values,
+            "params": st.dictionaries(_json_keys, _json_values, max_size=4),
+        }, optional={"root": st.sampled_from(["uniform", "free"])
+                     | _json_values,
+                     "k": _json_values, "homogeneous_base": _json_values}))
+    else:
+        value = draw(_json_values)
+    model = draw(st.sampled_from(["jc-binary", "jc-dna"]))
+    return tree, value, command, model
+
+
+@given(_cli_runs())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exits_with_a_documented_code(run):
+    tree, value, command, model = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tree_file, json_file = Path(tmp, "t.nwk"), Path(tmp, "in.json")
+        tree_file.write_text(tree)
+        json_file.write_text(json.dumps(value))
+        argv = {
+            "check": ["check", "--config", str(json_file)],
+            "simulate": ["simulate", "--tree", str(tree_file), "--model",
+                         model, "--params", str(json_file), "--length", "5",
+                         "--seed", "1", "--out", str(Path(tmp, "a.fasta"))],
+            "interpolate": ["invariants", "--tree", str(tree_file),
+                            "--model", model, "--interpolate", "1",
+                            "--coords", str(json_file)],
+        }[command]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)

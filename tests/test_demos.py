@@ -14,8 +14,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_stdout_is_pinned(demo):
-    # a fresh process, so nothing registered by other tests leaks into the
-    # printed polynomials
+    # a fresh process, so the demo runs from start-up exactly as a user runs
+    # it
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])

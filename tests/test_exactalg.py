@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from phyloag import invariants
 from phyloag.exactalg import (Poly, Rat, binomial, mat_det, mat_rank_nullspace,
                               minors, normalize_poly, parse_poly, rat, residue)
 
@@ -100,6 +101,31 @@ def test_normalize_poly():
     assert n == x * y - 2 * y ** 2
     assert normalize_poly(n) == n
     assert normalize_poly(Poly()).is_zero()
+
+
+_fresh = itertools.count()
+
+
+@given(st.permutations(range(4)))
+@settings(max_examples=30)
+def test_printed_text_does_not_depend_on_earlier_variables(order):
+    # names no earlier example or test has used, created in a drawn order
+    n = next(_fresh)
+    a, b, c, d = names = [f"hist{n}{x}" for x in "abcd"]
+    for i in order:
+        Poly.var(names[i])
+    A, B, C, D = map(Poly.var, names)
+    assert str(normalize_poly(B ** 2 - A ** 2)) == f"1*{a}^2 - 1*{b}^2"
+    assert str(normalize_poly((B + A) * (D - C))) == \
+        f"1*{a}*{c} - 1*{a}*{d} + 1*{b}*{c} - 1*{b}*{d}"
+    # an interpolated form's sign must not follow the order in which its
+    # coordinate names were first created
+    x, y, u = (f"hist{n}{v}" for v in "xyu")
+    Poly.var(y), Poly.var(x)
+    P = invariants._PRIMES[0]
+    forms = invariants.interpolate_vanishing_forms(
+        [(x, P * Poly.var(u)), (y, Poly.var(u))], 1)
+    assert [str(f) for f in forms] == [f"1*{x} - {P}*{y}"]
 
 
 # -- matrices ---------------------------------------------------------------

@@ -265,17 +265,17 @@ def test_kimura2_cubic_binomials_match_poly_products(tree4):
     assert got == expected
 
 
-# SHA-256 of the stdout of `phylo-ag fourier`, recorded before the monomial
-# map and the binomial search moved onto exponent data
+# SHA-256 of the stdout of `phylo-ag fourier`; terms print in graded-lex
+# order on variable names
 _FOURIER_STDOUT = [
     ("((1,2),(3,(4,5)));", "jc-dna", ["--binomials", "3"],
-     "37ecae98397d96cf8c668f377387fba5b2907fe40076b66e52dbe69d0b9c40bc"),
+     "05fa7cdfbf8b640625febde736877ca897e05a253294f8a7ce7fb41a7afe1d1f"),
     ("((1,2),(3,(4,5)));", "jc-dna", ["--map"],
      "ec052c73d434cd23cd4b4d912b9ee5c72895d1d0f41ce4a4fe37ab7ce12cb619"),
     ("((1,2),(3,(4,5)));", "jc-dna", [],
-     "2aa1fa516360ac602d6cbe2c203ade35471dc33bb57e542cf46b7dfef3d73ca4"),
+     "4259f2bd866673411adde856fd1de0d1bb486d2e54ead61f1c60fd966f71840c"),
     ("((1,2),(3,4));", "kimura3", [],
-     "52e007f57b369e5ace82feb0fd1e29c2aad5cb2c5ff5a092afb288b02f8a7bab"),
+     "c371806ee27b3bd6c324c77e9da60262f5a49ed49990a52695b18ec490eaa9f6"),
 ]
 
 
@@ -283,8 +283,8 @@ _FOURIER_STDOUT = [
                          ids=["jc-dna-binomials", "jc-dna-map",
                               "jc-dna-coordinates", "kimura3-coordinates"])
 def test_fourier_stdout_is_pinned(tmp_path, newick, kind, extra, digest):
-    # a fresh process, so the printed order follows only this command's
-    # variable registrations
+    # a fresh process, so the digest covers the command's whole output path
+    # from start-up, as a user runs it
     tree = tmp_path / "t.nwk"
     tree.write_text(newick + "\n")
     env = dict(os.environ)

@@ -73,22 +73,6 @@ def test_flattening_rank_of_low_rank_tensors():
         assert all(v == 0 for v in minors(m2, 3))
 
 
-def test_variety_membership_minors(tree4):
-    rng = random.Random(4)
-    t2 = tensor_sum(rank1_tensor(rng, 4, 2), rank1_tensor(rng, 4, 2))
-    assert invariants.variety_membership_minors(t2, tree4, 2, k=2)
-    assert not invariants.variety_membership_minors(t2, tree4, 1, k=2)
-
-
-def test_named_variety_check():
-    rng = random.Random(21)
-    t1 = rank1_tensor(rng, 4, 2)
-    for which in ("(12)(34)", "(13)(24)", "(14)(23)"):
-        assert invariants.named_variety_check(t1, which)
-    with pytest.raises(ValueError):
-        invariants.named_variety_check(t1, "(11)(22)")
-
-
 def test_hankel_matrix_and_dedup():
     H = invariants.hankel_matrix()
     assert [[str(x) for x in row] for row in H] == [

@@ -169,15 +169,14 @@ def test_accumulated_sum_is_one(tree3):
 
 
 def test_multihomogeneous_per_edge(tree4):
-    from phyloag.exactalg import VARS
     jm = expand_map(make_model(tree4, "jc-dna"))
     for i in (0, 17, 255):
         p = jm.coordinate(i)
         for mono in p.terms:
             # degree per edge symbol family, read off the leading letter
             by_edge = {}
-            for vid, e in mono:
-                letter = VARS.name(vid)[0]
+            for name, e in mono:
+                letter = name[0]
                 by_edge[letter] = by_edge.get(letter, 0) + e
             assert all(v == 1 for v in by_edge.values())
             assert len(by_edge) == tree4.num_edges

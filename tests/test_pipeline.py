@@ -191,11 +191,3 @@ def test_fasta_rejects_ragged(tmp_path):
     with pytest.raises(ValueError):
         pipeline.read_fasta(path)
 
-
-def test_tensor_csv_roundtrip(tmp_path):
-    counts = [5, 0, 3, 2]
-    path = tmp_path / "t.csv"
-    pipeline.write_tensor_csv(counts, path)
-    back_counts, back_freqs = pipeline.read_tensor_csv(path)
-    assert back_counts == counts
-    assert back_freqs == [0.5, 0.0, 0.3, 0.2]

@@ -28,12 +28,30 @@ def test_parse_degree_two_root():
     ("((1,2,3);", "unbalanced"),
     ("(1,,2);", "empty"),
     ("(1,1);", "duplicate"),
-    ("(1,2)x;", "trailing"),
+    ("(1,2)x;", "root label"),
+    ("(1,2));", "trailing"),
+    ("(1:0.1,(2:0.2,3:0.3):0.4);",
+     "branch length ':0.1' is not supported (at position 2)"),
+    ("((1,2)x,3);", "internal node label 'x' is not supported (at position 6)"),
+    ("(1,(2,3))root;", "root label 'root' is not supported (at position 9)"),
 ])
 def test_parse_errors(bad, snippet):
     with pytest.raises(NewickError) as err:
         parse_newick(bad)
     assert snippet in str(err.value)
+
+
+def test_parse_deep_caterpillar():
+    # deeper than the interpreter's recursion limit
+    text = "1"
+    for leaf in range(2, 1500):
+        text = f"({text},{leaf})"
+    t = parse_newick(text + ";")
+    assert t.num_edges == 2996
+    assert t.leaf_labels == [str(i) for i in range(1, 1500)]
+    # pre-order: the root's first edge leads down the spine
+    assert t.edges[:2] == [(0, 1), (1, 2)]
+    assert t.edges[-1] == (0, 2996)
 
 
 def test_edge_id_lookup():
@@ -47,7 +65,7 @@ def test_edge_id_lookup():
 
 def test_newick_file_roundtrip(tmp_path):
     p = tmp_path / "t.nwk"
-    treecore.write_newick(parse_newick("(a,(b,c));"), p)
+    p.write_text("(a,(b,c));\n", encoding="utf-8")
     assert treecore.read_newick(p).leaf_labels == ["a", "b", "c"]
 
 
