@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error (bad input or non-stochastic
-parameters), 3 numeric degeneracy (ties, failed interpolation).
+Exit codes: 0 success (also when the reader of standard output closes it
+early), 2 validation error (bad input or non-stochastic parameters), 3
+numeric degeneracy (ties, failed interpolation).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exactalg import minors, parse_poly, rat
@@ -379,6 +381,11 @@ def main(argv=None):
     except DegeneracyError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader closed stdout; keep the flush at exit from raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -1,19 +1,21 @@
 """The joint-probability map of a (tree, model) pair.
 
-The map is held as one factored sum-product circuit, built by Felsenstein's
-pruning recursion up the tree with memoized factors and messages and
-subexpression sharing by structural hashing.  A single evaluation pass over
-the circuit serves every ring: exact or float values, dual numbers (exact or
-over the ints modulo a prime) for the Jacobian, and polynomials for the
-expanded coordinates (read off lazily, per coordinate).
+The map is held as one factored sum-product circuit with subexpression
+sharing by structural hashing, built by Felsenstein's pruning recursion as
+one post-order pass of per-node integer tables, each sum or product made
+once per distinct table row.  A single evaluation pass over the circuit
+serves every ring: exact or float values, dual numbers (exact or over the
+ints modulo a prime) for the Jacobian, and polynomials for the expanded
+coordinates (read off lazily, per coordinate).
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import reduce
+
+import numpy as np
 
 from .exactalg import Poly, Rat, residue
 from . import models as _models
@@ -266,9 +268,10 @@ def expand_map(model):
 
 def degree_profile(joint_map):
     """Common total degree of the coordinates (edge count plus one with a free
-    root, edge count with a uniform root)."""
-    degs = {joint_map.coordinate(i).degree()
-            for i in range(joint_map.num_coordinates)}
+    root, edge count with a uniform root), read from one coordinate per
+    symmetry class."""
+    degs = {joint_map.coordinate(g[0]).degree()
+            for g in symmetry_classes(joint_map)}
     degs.discard(-1)
     if len(degs) != 1:
         raise ValueError(f"coordinates are not equigraded: {sorted(degs)}")
@@ -276,78 +279,75 @@ def degree_profile(joint_map):
 
 
 def build_circuit(model):
-    """Sum-product circuit by Felsenstein's pruning recursion.
+    """Sum-product circuit by Felsenstein's pruning recursion, as one
+    post-order pass of integer tables over the tree nodes.
 
-    Each coordinate is the root weight times the messages below the root.  An
-    observed node contributes the factors of its one state, a hidden node a
-    sum over its k states.  The factors of a node entered through an edge
-    row are memoized on (row, node, observed states below the node), the
-    message of a hidden node on (node, node state, observed states below the
-    node), and each weight node is made on first use.  A leaf pattern thus
-    stops at every subtree whose observed states an earlier pattern had, and
-    the nodes are created in the same order as by a full walk per pattern.
+    An observed node contributes its weight and its children's factors for
+    its one state, a hidden node a sum over its states of weight times
+    message.  A node's table holds, per node state and per pattern of the
+    observed states below it, the node ids of its children's factors, built
+    from the children's tables with `np.repeat`/`np.tile`.  Messages,
+    weight-times-message products and sums are each made once per distinct
+    sorted row of their tables, never pattern by pattern.  The root's table
+    gives the outputs.
     """
-    tree = model.tree
-    k = model.k
-    circ = Circuit()
+    tree, k, circ = model.tree, model.k, Circuit()
     # without hidden nodes every node is observed and indexes the output
     observed = sorted(tree.children) if model.no_hidden else tree.leaves
-    rows = {None: model.root.weights(k)}   # row key -> weight per state
-    kids = {v: [] for v in tree.children}  # node -> [(edge id, child)]
-    below = {v: [v] if v in observed else [] for v in tree.children}
-    for eid, (p, c) in enumerate(tree.edges):
-        kids[p].append((eid, c))
-        for s, row in enumerate(model.templates[eid]):
-            rows[eid, s] = row
-    for p, c in reversed(tree.edges):      # children before parents
-        below[p] = below[p] + below[c]
-    # observed states below a node, read off the state dict
-    states_below = {v: operator.itemgetter(*b) for v, b in below.items()}
-    weight_ids = {}
-    factor_memo = {}
-    message_memo = {}
+    tables = {}   # node -> (observed nodes below it, (k, patterns, factors))
 
-    def weight(row, t):
-        nid = weight_ids.get((row, t))
-        if nid is None:
-            w = rows[row][t]
-            nid = weight_ids[row, t] = \
-                circ.const(w) if isinstance(w, Rat) else circ.sym(w)
-        return nid
+    def entered(rows, c):
+        """Factors of node c entered through the weight `rows` (parent state
+        by state of c): the observed nodes that index the patterns, and the
+        node ids as an array (parent states, patterns, factors)."""
+        w = np.array([[circ.const(x) if isinstance(x, Rat) else circ.sym(x)
+                       for x in row] for row in rows], dtype=np.int64)
+        below, table = tables.pop(c)
+        ps, patterns, width = len(w), table.shape[1], table.shape[2]
+        if c in observed:
+            out = np.concatenate(
+                [np.broadcast_to(w[:, :, None, None], (ps, k, patterns, 1)),
+                 np.broadcast_to(table, (ps, k, patterns, width))], axis=3)
+            return [c] + below, out.reshape(ps, k * patterns, width + 1)
+        msg = _per_distinct_row(table.reshape(k * patterns, width), circ.mul)
+        pairs = np.stack(np.broadcast_arrays(
+            w[:, :, None], msg.reshape(1, k, patterns)), axis=3)
+        pair = _per_distinct_row(pairs.reshape(-1, 2), circ.mul)
+        sums = _per_distinct_row(pair.reshape(ps, k, patterns)
+                                 .transpose(0, 2, 1).reshape(-1, k), circ.add)
+        return below, sums.reshape(ps, patterns, 1)
 
-    def factors(row, node, state):
-        """Factors for `node` entered through the row of weights `row`
-        (an (edge id, parent state) pair, or None at the root), indexed by
-        the node's state."""
-        key = (row, node, states_below[node](state))
-        out = factor_memo.get(key)
-        if out is None:
-            if node in state:
-                s = state[node]
-                out = [weight(row, s)] + children(node, s, state)
-            else:
-                out = [circ.add([circ.mul([weight(row, t),
-                                           message(node, t, state)])
-                                 for t in range(k)])]
-            factor_memo[key] = out
-        return out
-
-    def children(node, s, state):
-        return [f for eid, c in kids[node] for f in factors((eid, s), c, state)]
-
-    def message(node, s, state):
-        key = (node, s, states_below[node](state))
-        nid = message_memo.get(key)
-        if nid is None:
-            nid = message_memo[key] = circ.mul(children(node, s, state))
-        return nid
-
-    # lexicographic order of the patterns is the order of their flat indices
-    patterns = itertools.product(range(k), repeat=len(observed))
-    for flat, states in enumerate(patterns):
-        state = dict(zip(observed, states))
-        circ.outputs[flat] = circ.mul(factors(None, tree.root, state))
+    for v in tree.postorder():
+        below, table = [], np.zeros((k, 1, 0), dtype=np.int64)
+        for c in tree.children[v]:
+            c_below, factors = entered(
+                model.templates[tree.edge_id(v, c)], c)
+            below += c_below
+            table = np.concatenate(
+                [np.repeat(table, factors.shape[1], axis=1),
+                 np.tile(factors, (1, table.shape[1], 1))], axis=2)
+        tables[v] = below, table
+    below, factors = entered([model.root.weights(k)], tree.root)
+    out = _per_distinct_row(factors[0], circ.mul)
+    # patterns run over `below` lexicographically, flat indices over
+    # `observed`
+    axes = [below.index(v) for v in observed]
+    flat = out.reshape((k,) * len(observed)).transpose(axes).reshape(-1)
+    circ.outputs = dict(enumerate(flat.tolist()))
     return circ
+
+
+def _per_distinct_row(rows, make):
+    """Node ids for the rows of a 2-D array of child ids, made by `make`
+    (Circuit.add or .mul) once per distinct sorted row.  Rows are keyed a
+    column at a time, renumbered densely by `np.unique` so keys stay small."""
+    rows = np.sort(rows, axis=1)
+    key = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        _, first, key = np.unique(key * (int(col.max()) + 1) + col,
+                                  return_index=True, return_inverse=True)
+    made = np.array([make(r) for r in rows[first].tolist()], dtype=np.int64)
+    return made[key]
 
 
 def expanded_op_count(poly):
@@ -366,14 +366,17 @@ def expanded_op_count(poly):
 
 def symmetry_classes(joint_map):
     """Partition of flat coordinate indices by equality of the expanded
-    polynomials, classes ordered by smallest member."""
-    groups = {}
-    for i in range(joint_map.num_coordinates):
-        p = joint_map.coordinate(i)
-        key = frozenset(p.terms.items())
-        groups.setdefault(key, []).append(i)
-    classes = sorted(groups.values(), key=lambda g: g[0])
-    return classes
+    polynomials, classes ordered by smallest member.  Coordinates with the
+    same output node are one polynomial, so one coordinate per node is
+    expanded, and nodes with equal expansions are merged."""
+    nodes = {}
+    for i, key in enumerate(joint_map.coordinate_keys()):
+        nodes.setdefault(key, []).append(i)
+    classes = {}
+    for g in nodes.values():
+        key = frozenset(joint_map.coordinate(g[0]).terms.items())
+        classes.setdefault(key, []).extend(g)
+    return [sorted(c) for c in classes.values()]
 
 
 def accumulate_classes(joint_map, classes=None):

@@ -85,16 +85,22 @@ class Tree:
     def child_of_edge(self, eid):
         return self.edges[eid][1]
 
+    def postorder(self):
+        """All nodes, each child before its parent: the pre-order of the
+        edge ids, reversed."""
+        return [c for _, c in reversed(self.edges)] + [self.root]
+
     def leaves_below(self, v):
         """Set of leaf labels in the subtree under node v (cached)."""
         if v not in self._below:
-            if self.is_leaf(v):
-                self._below[v] = frozenset({self.labels[v]})
-            else:
-                acc = frozenset()
-                for c in self.children[v]:
-                    acc |= self.leaves_below(c)
-                self._below[v] = acc
+            found = []
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                if self.is_leaf(u):
+                    found.append(self.labels[u])
+                stack.extend(self.children[u])
+            self._below[v] = frozenset(found)
         return self._below[v]
 
     # -- layout ------------------------------------------------------------
@@ -102,22 +108,21 @@ class Tree:
     def node_x(self):
         """Horizontal drawing position: leaf index, internal = child mean."""
         x = {v: float(i) for i, v in enumerate(self.leaves)}
-
-        def fill(v):
+        for v in self.postorder():
             if v not in x:
-                x[v] = sum(fill(c) for c in self.children[v]) / len(self.children[v])
-            return x[v]
-
-        fill(self.root)
+                x[v] = sum(x[c] for c in self.children[v]) / \
+                    len(self.children[v])
         return x
 
     def to_newick(self):
-        def fmt(v):
+        text = {}
+        for v in self.postorder():
             if self.is_leaf(v):
-                return self.labels[v]
-            return "(" + ",".join(fmt(c) for c in self.children[v]) + ")"
-
-        return fmt(self.root) + ";"
+                text[v] = self.labels[v]
+            else:
+                text[v] = "(" + ",".join(text.pop(c)
+                                         for c in self.children[v]) + ")"
+        return text[self.root] + ";"
 
 
 def parse_newick(text):

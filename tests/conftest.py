@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -23,6 +25,16 @@ def tree5():
     return parse_newick("((1,2),(3,(4,5)));")
 
 
+def fresh_process_env():
+    """The environment with this checkout's `src` first on PYTHONPATH, for
+    running phyloag in a fresh interpreter."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def draw_newick(draw, min_leaves, max_leaves):
     """Inside a hypothesis composite strategy: a random tree in Newick form
     with leaves 1..n, n in [min_leaves, max_leaves], and a root of degree 2
@@ -39,13 +51,17 @@ def draw_newick(draw, min_leaves, max_leaves):
 
 def _brute_force_terms(model, leaf_states):
     """Per full assignment of the hidden nodes: the root weight and the
-    template symbol of every edge."""
+    template symbol of every edge.  Without hidden nodes `leaf_states` holds
+    the state of every node, in node order."""
     tree = model.tree
     k = model.k
-    hidden = [] if model.no_hidden else [v for v in tree.children
-                                         if tree.children[v]]
+    if model.no_hidden:
+        observed, hidden = sorted(tree.children), []
+    else:
+        observed = tree.leaves
+        hidden = [v for v in tree.children if tree.children[v]]
     weights = model.root.weights(k)
-    state = {leaf: s for leaf, s in zip(tree.leaves, leaf_states)}
+    state = dict(zip(observed, leaf_states))
     for assign in itertools.product(range(k), repeat=len(hidden)):
         state.update(zip(hidden, assign))
         yield weights[state[tree.root]], [
@@ -78,6 +94,20 @@ def brute_force_expand(model, leaf_states):
             term = term * Poly.var(s)
         total = total + term
     return total
+
+
+def expansion_classes(joint_map):
+    """Flat indices grouped by equal expanded polynomials, every coordinate
+    expanded, classes ordered by smallest member.
+
+    Independent oracle for paramap.symmetry_classes, which expands one
+    coordinate per circuit output node.
+    """
+    groups = {}
+    for i in range(joint_map.num_coordinates):
+        key = frozenset(joint_map.coordinate(i).terms.items())
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def random_rat(rng):

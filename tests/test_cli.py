@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag.cli import main
 
-from conftest import draw_newick
+from conftest import draw_newick, fresh_process_env
 
 
 @pytest.fixture
@@ -70,6 +72,24 @@ def test_fourier_binomials(tree_file, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out["binomials"]) == 10
+
+
+def test_closed_output_pipe_exits_quietly(tmp_path):
+    # about 250 kB of binomials, more than a pipe buffers, so the writer
+    # meets the closed pipe while it still has lines to print
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((1,2),(3,(4,5)));\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "phyloag.cli", "fourier", "--tree", str(tree),
+         "--model", "jc-dna", "--binomials", "3"],
+        env=fresh_process_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert all(line.endswith(b"\n") for line in head)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 def test_fourier_rejects_general_markov(tree_file):

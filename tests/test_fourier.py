@@ -1,11 +1,9 @@
 import hashlib
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +12,8 @@ from phyloag import expand_map, make_model
 from phyloag.exactalg import Poly, Rat
 from phyloag import fourier, paramap, treecore
 
-from conftest import (draw_newick, poly_product_binomials,
+from conftest import (draw_newick, fresh_process_env, poly_product_binomials,
                       poly_product_monomial_map, random_rat, support_classes)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_characters_are_plus_minus_one():
@@ -287,11 +283,8 @@ def test_fourier_stdout_is_pinned(tmp_path, newick, kind, extra, digest):
     # from start-up, as a user runs it
     tree = tmp_path / "t.nwk"
     tree.write_text(newick + "\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run(
         [sys.executable, "-m", "phyloag.cli", "fourier", "--tree", str(tree),
          "--model", kind] + extra,
-        env=env, capture_output=True, check=True).stdout
+        env=fresh_process_env(), capture_output=True, check=True).stdout
     assert hashlib.sha256(out).hexdigest() == digest

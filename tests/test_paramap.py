@@ -1,13 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat
 from phyloag import paramap
 
-from conftest import (brute_force_eval, brute_force_expand, random_params,
-                      stochastic_jc_params)
+from conftest import (brute_force_eval, brute_force_expand, draw_newick,
+                      expansion_classes, random_params, stochastic_jc_params)
 
 
 def test_three_leaf_general_markov_terms(tree3):
@@ -113,6 +114,56 @@ def test_circuit_matches_brute_force_oracle():
             assert vec[i] == brute_force_eval(m, params, states)
 
 
+@st.composite
+def oracle_models(draw):
+    """One of the model kinds on a random tree with 3-5 leaves (root of
+    degree 2 or 3).  Models with more than two states stop at 4 leaves: on
+    5 leaves the oracle sums up to k^4 hidden assignments for each of k^5
+    patterns, about 1 s per example for k = 3 and 15 s for k = 4."""
+    kind, root, k, no_hidden = draw(st.sampled_from([
+        ("jc-binary", "uniform", None, False),
+        ("jc-dna", "uniform", None, False),
+        ("kimura2", "uniform", None, False),
+        ("kimura3", "uniform", None, False),
+        ("general-markov", "free", 2, False),
+        ("general-markov", "uniform", 2, True),
+        ("reversible", "uniform", 3, False),
+    ]))
+    two_states = kind in ("jc-binary", "general-markov")
+    nwk = draw_newick(draw, 3, 5 if two_states else 4)
+    return make_model(parse_newick(nwk), kind, root_mode=root, k=k,
+                      no_hidden=no_hidden)
+
+
+@given(oracle_models(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_table_build_matches_brute_force(m, seed):
+    params = random_params(m.symbols, seed)
+    vec = expand_map(m).eval(params)
+    observed = len(m.tree.children) if m.no_hidden else m.tree.num_leaves
+    patterns = itertools.product(range(m.k), repeat=observed)
+    assert len(vec) == m.k ** observed
+    for value, states in zip(vec, patterns):
+        assert value == brute_force_eval(m, params, states)
+
+
+def test_build_makes_one_node_call_per_distinct_row(monkeypatch):
+    # a walk per leaf pattern makes over 70 calls per node on this tree
+    calls = 0
+    node = paramap.Circuit._node
+
+    def counting(self, kind, payload):
+        nonlocal calls
+        calls += 1
+        return node(self, kind, payload)
+
+    monkeypatch.setattr(paramap.Circuit, "_node", counting)
+    circ = paramap.build_circuit(make_model(
+        parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"), "jc-dna"))
+    assert len(circ.outputs) == 4 ** 8
+    assert calls <= 5 * len(circ.ops)
+
+
 def test_float_mode_close(tree3):
     m = make_model(tree3, "jc-binary")
     jm = expand_map(m)
@@ -157,6 +208,22 @@ def test_symmetry_classes_jc_dna(tree3):
 def test_symmetry_classes_generic_are_singletons(tree3):
     jm = expand_map(make_model(tree3, "general-markov", k=2))
     assert all(len(c) == 1 for c in paramap.symmetry_classes(jm))
+
+
+@pytest.mark.parametrize("nwk, kind, root, k, base", [
+    ("(1,(2,3));", "jc-dna", "uniform", None, None),
+    ("((1,2),(3,4));", "jc-dna", "uniform", None, None),
+    ("((1,2),(3,4));", "kimura2", "uniform", None, None),
+    ("((1,2),(3,4));", "kimura3", "uniform", None, None),
+    ("(1,(2,3));", "homogeneous", "free", 2, "general-markov"),
+    # 5 output nodes, 4 distinct polynomials: equal nodes are merged
+    ("((1,2),3,4);", "homogeneous", "uniform", 2, "jc-binary"),
+])
+def test_symmetry_classes_equal_expansion_classes(nwk, kind, root, k, base):
+    m = make_model(parse_newick(nwk), kind, root_mode=root, k=k,
+                   homogeneous_base=base)
+    assert paramap.symmetry_classes(expand_map(m)) == \
+        expansion_classes(expand_map(m))
 
 
 def test_accumulated_sum_is_one(tree3):

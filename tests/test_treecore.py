@@ -41,12 +41,16 @@ def test_parse_errors(bad, snippet):
     assert snippet in str(err.value)
 
 
-def test_parse_deep_caterpillar():
+def _deep_caterpillar():
     # deeper than the interpreter's recursion limit
     text = "1"
     for leaf in range(2, 1500):
         text = f"({text},{leaf})"
-    t = parse_newick(text + ";")
+    return text + ";"
+
+
+def test_parse_deep_caterpillar():
+    t = parse_newick(_deep_caterpillar())
     assert t.num_edges == 2996
     assert t.leaf_labels == [str(i) for i in range(1, 1500)]
     # pre-order: the root's first edge leads down the spine
@@ -87,6 +91,22 @@ def test_is_subforest_brute_force():
         for bits in itertools.product((0, 1), repeat=t.num_edges):
             edges = [e for e, b in enumerate(bits) if b]
             assert is_subforest(t, edges) == (bits in listed)
+
+
+def test_deep_caterpillar_prints_draws_and_splits():
+    text = _deep_caterpillar()
+    t = parse_newick(text)
+    assert t.to_newick() == text
+    again = parse_newick(t.to_newick())
+    assert (again.edges, again.labels) == (t.edges, t.labels)
+    x = t.node_x()
+    assert len(x) == 2997
+    # the root sits between the spine below it and the last leaf
+    assert x[t.root] == (x[1] + 1498) / 2
+    split = edge_split(t, 0)
+    assert split.above == {"1499"}
+    assert split.below == {str(i) for i in range(1, 1499)}
+    assert len(display_edge_order(t)) == 2996
 
 
 def test_subforest_counts_fibonacci():
