@@ -106,9 +106,11 @@ def cmd_param(args):
             lines.append(f"class {_paramap.pattern_label(model, states)} "
                          f"(size {len(cls)}): {p}")
     if args.circuit_stats:
-        stats = {}
-        for i in sorted(jmap.circuit.outputs):
-            m, a = jmap.circuit.op_counts(jmap.circuit.outputs[i])
+        counts, stats = {}, {}
+        for i, node in sorted(jmap.circuit.outputs.items()):
+            if node not in counts:
+                counts[node] = jmap.circuit.op_counts(node)
+            m, a = counts[node]
             stats[i] = {"mul": m, "add": a}
         payload["circuit_stats"] = stats
         for i, st in stats.items():

@@ -9,18 +9,19 @@ evaluated from them modulo the prime at all points together, and the matrix
 is reduced by blocked LU on float64 residues, whose trailing updates are
 BLAS matmuls that stay exact.  Bases from primes with the same pivots are
 combined by CRT and rationally reconstructed, and each form is verified
-exactly at fresh random points.  Exact evaluation and Bareiss elimination
-remain as a path that a caller asks for with max_exact.
+exactly at fresh random points.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb, isqrt
 
-from .exactalg import Poly, Rat, mat_rank_nullspace, normalize_poly, residue
+# mat_rank_nullspace is bound here for callers and tracers that look for it
+# in this module (perfbench's self-test checks that every binding is traced)
+from .exactalg import (Poly, Rat, mat_rank_nullspace,  # noqa: F401
+                       normalize_poly, residue)
 from . import models as _models
 from . import paramap as _paramap
 from . import treecore
@@ -165,10 +166,9 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
 
     Rank of the Jacobian modulo the prime _PRIMES[0] at `tries` random
     rational points, maximum taken; projective dimension is the affine rank
-    minus one.  The rank is taken over the distinct coordinates only, found
-    by circuit node (`coordinate_keys`): coordinates with the same key are
-    the same polynomial, and duplicate rows change neither rank nor
-    nullspace.
+    minus one.  The rank is taken over the rows of the circuit's distinct
+    output nodes: coordinates with the same node are the same polynomial,
+    and duplicate rows change neither rank nor nullspace.
 
     Rigor: the exact rank at a point and the rank modulo p at a point are
     both Monte Carlo lower bounds on the generic rank.  The rank modulo p at
@@ -183,12 +183,11 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
     rng = rng or random.Random(0)
     prime = _PRIMES[0]
     symbols = joint_map.symbols()
-    keys = joint_map.coordinate_keys()
     best = 0
     for _ in range(tries):
         pt = random_point(symbols, rng)
-        distinct = dict(zip(keys, joint_map.jacobian(pt, symbols, prime)))
-        A = np.array(list(distinct.values()), dtype=np.float64)
+        A = np.array(joint_map.circuit.jacobian(pt, symbols, prime),
+                     dtype=np.float64)
         best = max(best, len(_nullspace_mod_p(A, prime)[1]))
         if best == len(symbols):
             break
@@ -199,129 +198,59 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
 # mixtures
 
 
-@dataclass
-class MixtureMap:
-    """Coordinate-wise sum of joint maps with disjoint parameter pools.
+class MixtureMap(_paramap.JointMap):
+    """Coordinate-wise sum of the joint maps of models with disjoint
+    parameter pools, held as one circuit (paramap.build_mixture_circuit).
 
     Components keep their own root vectors; when every component has a
     uniform root an extra global weight symbol per component restores the
     mixing freedom.
     """
 
-    components: list
-    weight_symbols: tuple
-
-    @property
-    def k(self):
-        return self.components[0].k
-
-    @property
-    def n(self):
-        return self.components[0].n
-
-    @property
-    def num_coordinates(self):
-        return self.components[0].num_coordinates
+    def __init__(self, models, weight_symbols):
+        self.models = models
+        self.weight_symbols = weight_symbols
+        self.k = models[0].k
+        self.n = models[0].tree.num_leaves
+        self._polys = {}
+        self.circuit = _paramap.build_mixture_circuit(models, weight_symbols)
 
     def symbols(self):
-        syms = []
-        for c in self.components:
-            syms.extend(c.model.symbols)
-        syms.extend(self.weight_symbols)
-        return syms
-
-    def _weights(self, params):
-        if not self.weight_symbols:
-            return [Rat(1)] * len(self.components)
-        return [Rat(params[w]) for w in self.weight_symbols]
-
-    def eval(self, params, mode="exact"):
-        weights = self._weights(params)
-        acc = None
-        for w, comp in zip(weights, self.components):
-            vec = comp.eval(params, mode=mode)
-            if mode != "exact":
-                w = float(w)
-            vec = [w * v for v in vec]
-            acc = vec if acc is None else [a + b for a, b in zip(acc, vec)]
-        return acc
-
-    def coordinate(self, flat_index):
-        total = Poly()
-        for i, comp in enumerate(self.components):
-            p = comp.coordinate(flat_index)
-            if self.weight_symbols:
-                p = p * Poly.var(self.weight_symbols[i])
-            total = total + p
-        return total
-
-    def coordinate_keys(self):
-        """One key per coordinate: the tuple of the components' keys."""
-        return list(zip(*(c.coordinate_keys() for c in self.components)))
-
-    def jacobian(self, params, symbols=None, prime=None):
-        """One row per coordinate, exact or modulo `prime`; the row of each
-        distinct coordinate key is built once and copied to the coordinates
-        with that key."""
-        symbols = symbols or self.symbols()
-        conv = Rat if prime is None else lambda x: residue(x, prime)
-        pos = {s: j for j, s in enumerate(symbols)}
-        weights = [conv(w) for w in self._weights(params)]
-        keys = self.coordinate_keys()
-        first = {}
-        for i, key in enumerate(keys):
-            first.setdefault(key, i)
-        combined = {key: [conv(0)] * len(symbols) for key in first}
-        for c, comp in enumerate(self.components):
-            comp_syms = comp.model.symbols
-            values, comp_rows = comp.circuit.jacobian(params, comp_syms, prime)
-            w = weights[c]
-            for key, i in first.items():
-                row = combined[key]
-                for s, g in zip(comp_syms, comp_rows[i]):
-                    row[pos[s]] += w * g
-                if self.weight_symbols:
-                    row[pos[self.weight_symbols[c]]] += values[i]
-        if prime is not None:
-            for row in combined.values():
-                row[:] = [x % prime for x in row]
-        return [list(combined[key]) for key in keys]
+        """The components' symbols in order, then the weight symbols."""
+        return [s for m in self.models for s in m.symbols] + \
+            list(self.weight_symbols)
 
 
-def mixture_map(components):
-    """MixtureMap from JointMaps sharing leaf set and k.
+def mixture_map(models):
+    """MixtureMap of ModelSpecs sharing leaf set and k.
 
-    Components should be built with distinct symbol prefixes; global mixing
-    weights s0..s_{m-1} are added when every component has a uniform root.
+    Models should be built with distinct symbol prefixes; global mixing
+    weights s0..s_{m-1} are added when every model has a uniform root.
     """
-    first = components[0]
-    for comp in components[1:]:
-        if comp.k != first.k or \
-                comp.model.tree.leaf_labels != first.model.tree.leaf_labels:
+    first = models[0]
+    for m in models[1:]:
+        if m.k != first.k or m.tree.leaf_labels != first.tree.leaf_labels:
             raise ValueError("mixture components must share leaf set and k")
-    pools = [set(c.model.symbols) for c in components]
+    pools = [set(m.symbols) for m in models]
     for a, b in itertools.combinations(pools, 2):
         if a & b:
             raise ValueError("mixture components share parameter symbols; "
                              "build them with distinct prefixes")
-    if len(components) > 1 and \
-            all(c.model.root.mode == "uniform" for c in components):
-        weights = tuple(f"s{i}" for i in range(len(components)))
+    if len(models) > 1 and all(m.root.mode == "uniform" for m in models):
+        weights = tuple(f"s{i}" for i in range(len(models)))
     else:
         weights = ()
-    return MixtureMap(components=components, weight_symbols=weights)
+    return MixtureMap(models, weights)
 
 
 def make_mixture(tree, kind, m, root_mode="uniform", k=None):
     """Convenience constructor: m copies of a model with disjoint symbols."""
-    comps = []
-    for i in range(m):
-        model = _models.make_model(tree, kind, root_mode=root_mode, k=k,
-                                   prefix=f"x{i}" if m > 1 else "")
-        comps.append(_paramap.expand_map(model))
     if m == 1:
-        return comps[0]
-    return mixture_map(comps)
+        return _paramap.expand_map(_models.make_model(
+            tree, kind, root_mode=root_mode, k=k))
+    return mixture_map([_models.make_model(tree, kind, root_mode=root_mode,
+                                           k=k, prefix=f"x{i}")
+                        for i in range(m)])
 
 
 def quartet_splits(leaf_order):
@@ -345,24 +274,6 @@ def _monomial_exponents(nvars, degree):
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return out
-
-
-def _mono_values_exact(coord_vals, exps):
-    powers = []
-    for j, v in enumerate(coord_vals):
-        maxe = max(e[j] for e in exps)
-        ps = [Rat(1)]
-        for _ in range(maxe):
-            ps.append(ps[-1] * v)
-        powers.append(ps)
-    out = []
-    for e in exps:
-        val = Rat(1)
-        for j, d in enumerate(e):
-            if d:
-                val = val * powers[j][d]
-        out.append(val)
     return out
 
 
@@ -544,34 +455,29 @@ def _nullspace_mod_p(A, prime):
 
 
 def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
-                                verify_points=10, max_exact=0,
-                                max_retries=3):
+                                verify_points=10, max_retries=3):
     """Exact basis of degree-d forms in the given coordinates vanishing on
     the model image.
 
     coords: list of (name, Poly-in-parameters) pairs.  Samples the map at
     #monomials + extra_points random exact rational points, computes an exact
-    nullspace basis by multi-modular elimination and rational reconstruction
-    (exact elimination for at most max_exact monomials), normalizes each
-    form, and re-verifies it at fresh random points before returning.
+    nullspace basis by multi-modular elimination and rational reconstruction,
+    normalizes each form, and re-verifies it at fresh random points before
+    returning.
     """
     rng = rng or random.Random(0)
     names = [nm for nm, _ in coords]
     polys = [p for _, p in coords]
     params = sorted(set().union(*[p.variables() for p in polys]))
     exps = _monomial_exponents(len(coords), degree)
+    if not exps:
+        return []   # no coordinates, so no monomial of positive degree
     nmono = len(exps)
     npoints = nmono + extra_points
 
     for attempt in range(max_retries):
         pts = [random_point(params, rng) for _ in range(npoints)]
-        if nmono <= max_exact:
-            rows = [_mono_values_exact([p.eval(pt) for p in polys], exps)
-                    for pt in pts]
-            candidates = [mat_rank_nullspace(rows)[1]]
-        else:
-            candidates = _modular_nullspace(polys, params, pts, exps)
-        for basis in candidates:
+        for basis in _modular_nullspace(polys, params, pts, exps):
             forms = []
             for vec in basis:
                 form = Poly()

@@ -4,9 +4,9 @@ The map is held as one factored sum-product circuit with subexpression
 sharing by structural hashing, built by Felsenstein's pruning recursion as
 one post-order pass of per-node integer tables, each sum or product made
 once per distinct table row.  A single evaluation pass over the circuit
-serves every ring: exact or float values, dual numbers (exact or over the
-ints modulo a prime) for the Jacobian, and polynomials for the expanded
-coordinates (read off lazily, per coordinate).
+serves every ring: exact or float values, dual numbers over the ints modulo
+a prime for the Jacobian, and polynomials for the expanded coordinates (read
+off lazily, once per output node).
 """
 
 from __future__ import annotations
@@ -159,44 +159,34 @@ class Circuit:
         keys = sorted(self.outputs) if outputs is None else outputs
         return self._pass([self.outputs[i] for i in keys], leaf)
 
-    def jacobian(self, assignment, symbols, prime=None):
-        """Forward-mode derivatives of every output w.r.t. symbols, exact, or
-        modulo `prime` when one is given.
-
-        Returns (values, rows) where rows[i] is the dense gradient of output
-        i in the given symbol order.  The pass and the dense rows are built
-        once per distinct output node; outputs that share a node get copies
-        of its row.  Modulo a prime, every symbol value and constant enters
-        the pass as its residue, a plain int, and values and rows are reduced
-        once at the end.
+    def jacobian(self, assignment, symbols, prime):
+        """Forward-mode derivatives modulo `prime` of the distinct output
+        nodes w.r.t. symbols: one dense row per node, in ascending node id,
+        in the given symbol order.  Every symbol value and constant enters
+        the pass as its residue, a plain int, and each row is reduced once at
+        the end.
         """
         sym_pos = {s: j for j, s in enumerate(symbols)}
-        conv = Rat if prime is None else lambda x: residue(Rat(x), prime)
-        zero, one = conv(0), conv(1)
 
         def leaf(kind, payload):
             if kind == CONST:
-                return _Dual(conv(payload), {})
-            grad = {sym_pos[payload]: one} if payload in sym_pos else {}
-            return _Dual(conv(assignment[payload]), grad)
+                return _Dual(residue(payload, prime), {})
+            grad = {sym_pos[payload]: 1} if payload in sym_pos else {}
+            return _Dual(residue(Rat(assignment[payload]), prime), grad)
 
-        nodes = [self.outputs[i] for i in sorted(self.outputs)]
-        distinct = list(dict.fromkeys(nodes))
-        duals = dict(zip(distinct, self._pass(distinct, leaf)))
-        if prime is not None:
-            for d in duals.values():
-                d.val %= prime
-                for j in d.grad:
-                    d.grad[j] %= prime
-        dense = {v: [d.grad.get(j, zero) for j in range(len(symbols))]
-                 for v, d in duals.items()}
-        return [duals[v].val for v in nodes], [list(dense[v]) for v in nodes]
+        rows = []
+        for d in self._pass(sorted(set(self.outputs.values())), leaf):
+            row = [0] * len(symbols)
+            for j, g in d.grad.items():
+                row[j] = g % prime
+            rows.append(row)
+        return rows
 
 
 @dataclass(slots=True)
 class _Dual:
-    """Value with a sparse gradient {symbol position: derivative}, over Rat
-    or over the ints; the ring in which the circuit pass is forward-mode
+    """Value with a sparse gradient {symbol position: derivative} over the
+    ints; the ring in which the circuit pass is forward-mode
     differentiation."""
 
     val: object
@@ -235,27 +225,18 @@ class JointMap:
         return len(self.circuit.outputs)
 
     def coordinate(self, flat_index):
-        """Expanded polynomial of one coordinate (cached)."""
-        if flat_index not in self._polys:
-            self._polys[flat_index] = self.circuit._pass(
-                [self.circuit.outputs[flat_index]], _poly_leaf)[0]
-        return self._polys[flat_index]
+        """Expanded polynomial of one coordinate, cached by output node, so
+        coordinates that share a node are expanded once."""
+        node = self.circuit.outputs[flat_index]
+        if node not in self._polys:
+            self._polys[node] = self.circuit._pass([node], _poly_leaf)[0]
+        return self._polys[node]
 
     def coordinates(self):
         return [self.coordinate(i) for i in range(self.num_coordinates)]
 
     def eval(self, params, mode="exact"):
         return self.circuit.eval(params, mode=mode)
-
-    def coordinate_keys(self):
-        """One key per coordinate, equal for coordinates that are the same
-        polynomial: the output node of the hash-consed circuit."""
-        return [self.circuit.outputs[i] for i in range(self.num_coordinates)]
-
-    def jacobian(self, params, symbols=None, prime=None):
-        symbols = symbols or self.model.symbols
-        _, rows = self.circuit.jacobian(params, symbols, prime)
-        return rows
 
     def symbols(self):
         return self.model.symbols
@@ -279,8 +260,31 @@ def degree_profile(joint_map):
 
 
 def build_circuit(model):
-    """Sum-product circuit by Felsenstein's pruning recursion, as one
-    post-order pass of integer tables over the tree nodes.
+    """The model's sum-product circuit (see _build_into)."""
+    circ = Circuit()
+    circ.outputs = dict(enumerate(_build_into(circ, model).tolist()))
+    return circ
+
+
+def build_mixture_circuit(models, weight_symbols):
+    """One circuit for the coordinate-wise sum of the models' maps: output i
+    is the sum over j of s_j * (output i of model j) with a weight symbol s_j
+    per model, the plain sum without weight symbols.  Every product and sum
+    is made once per distinct row of component nodes."""
+    circ = Circuit()
+    outs = np.stack([_build_into(circ, m) for m in models], axis=1)
+    for j, w in enumerate(weight_symbols):
+        pairs = np.stack([np.full(len(outs), circ.sym(w)), outs[:, j]], axis=1)
+        outs[:, j] = _per_distinct_row(pairs, circ.mul)
+    circ.outputs = dict(enumerate(_per_distinct_row(outs, circ.add).tolist()))
+    return circ
+
+
+def _build_into(circ, model):
+    """Node ids in `circ` of the model's coordinates, by flat index, built by
+    Felsenstein's pruning recursion as one post-order pass of integer tables
+    over the tree nodes.  Several models built into one circuit share every
+    node they have in common.
 
     An observed node contributes its weight and its children's factors for
     its one state, a hidden node a sum over its states of weight times
@@ -291,7 +295,7 @@ def build_circuit(model):
     sorted row of their tables, never pattern by pattern.  The root's table
     gives the outputs.
     """
-    tree, k, circ = model.tree, model.k, Circuit()
+    tree, k = model.tree, model.k
     # without hidden nodes every node is observed and indexes the output
     observed = sorted(tree.children) if model.no_hidden else tree.leaves
     tables = {}   # node -> (observed nodes below it, (k, patterns, factors))
@@ -332,9 +336,7 @@ def build_circuit(model):
     # patterns run over `below` lexicographically, flat indices over
     # `observed`
     axes = [below.index(v) for v in observed]
-    flat = out.reshape((k,) * len(observed)).transpose(axes).reshape(-1)
-    circ.outputs = dict(enumerate(flat.tolist()))
-    return circ
+    return out.reshape((k,) * len(observed)).transpose(axes).reshape(-1)
 
 
 def _per_distinct_row(rows, make):
@@ -370,8 +372,8 @@ def symmetry_classes(joint_map):
     same output node are one polynomial, so one coordinate per node is
     expanded, and nodes with equal expansions are merged."""
     nodes = {}
-    for i, key in enumerate(joint_map.coordinate_keys()):
-        nodes.setdefault(key, []).append(i)
+    for i, node in sorted(joint_map.circuit.outputs.items()):
+        nodes.setdefault(node, []).append(i)
     classes = {}
     for g in nodes.values():
         key = frozenset(joint_map.coordinate(g[0]).terms.items())

@@ -1,4 +1,6 @@
+import collections
 import itertools
+import math
 import os
 import random
 from pathlib import Path
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import strategies as st
 
 from phyloag import fourier, parse_newick, treecore
-from phyloag.exactalg import Poly, Rat, normalize_poly
+from phyloag.exactalg import (Poly, Rat, mat_rank_nullspace, normalize_poly,
+                              residue)
 
 
 @pytest.fixture
@@ -94,6 +97,93 @@ def brute_force_expand(model, leaf_states):
             term = term * Poly.var(s)
         total = total + term
     return total
+
+
+def first_flat_index(joint_map):
+    """{output node: smallest flat index with that node}, in ascending node
+    id."""
+    first = {}
+    for i, node in sorted(joint_map.circuit.outputs.items()):
+        first.setdefault(node, i)
+    return dict(sorted(first.items()))
+
+
+def brute_force_jacobian(joint_map, params, symbols, prime):
+    """Exact Jacobian rows reduced mod prime, one per distinct output node of
+    the joint map's circuit, in ascending node id: the derivatives of the
+    direct sum that brute_force_expand expands (for a mixture, of the
+    weighted sum over its component models), at a point with nonzero
+    parameters.
+
+    Independent oracle for Circuit.jacobian: the circuit only picks one
+    coordinate per output node.  The sum is evaluated in integers: with each
+    parameter written a_s / L over a common denominator L, the derivative of
+    a term c * x_1 ... x_d in x_i is c * a_1 ... a_d / a_i / L^(d - 1).
+    """
+    models = getattr(joint_map, "models", None) or [joint_map.model]
+    weights = getattr(joint_map, "weight_symbols", ()) or [None] * len(models)
+    L = math.lcm(*(Rat(v).denominator for v in params.values()))
+    a = {s: int(Rat(v) * L) for s, v in params.items()}
+    k, tree = joint_map.k, models[0].tree
+    width = len(tree.children) if models[0].no_hidden else tree.num_leaves
+    rows = []
+    for i in first_flat_index(joint_map).values():
+        states = [i // k ** e % k for e in reversed(range(width))]
+        terms = collections.Counter()
+        for model, weight in zip(models, weights):
+            for w, factors in _brute_force_terms(model, states):
+                if isinstance(w, str):
+                    factors.append(w)
+                    w = 1
+                if weight is not None:
+                    factors.append(weight)
+                coef = w.numerator, w.denominator
+                terms[coef, tuple(sorted(factors))] += 1
+        sums = {}   # (coefficient, degree) -> symbol -> integer numerator
+        for (coef, factors), count in terms.items():
+            total = math.prod(a[f] for f in factors)
+            acc = sums.setdefault((Rat(*coef), len(factors)), {})
+            for f in factors:
+                acc[f] = acc.get(f, 0) + count * (total // a[f])
+        rows.append([residue(sum((coef * Rat(acc.get(s, 0), L ** (d - 1))
+                                  for (coef, d), acc in sums.items()),
+                                 Rat(0)), prime)
+                     for s in symbols])
+    return rows
+
+
+def exact_interpolation(coords, degree, rng=None, extra_points=10):
+    """Degree-d vanishing forms from the exact sample matrix: the coordinates
+    evaluated over Q at #monomials + extra_points random points, the
+    nullspace found by Bareiss elimination, each form normalized.
+
+    Independent oracle for invariants.interpolate_vanishing_forms, which
+    samples and eliminates modulo primes and reconstructs rationally.
+    """
+    rng = rng or random.Random(0)
+    names = [nm for nm, _ in coords]
+    polys = [p for _, p in coords]
+    params = sorted(set().union(*[p.variables() for p in polys]))
+    combos = list(itertools.combinations_with_replacement(range(len(coords)),
+                                                          degree))
+    rows = []
+    for _ in range(len(combos) + extra_points):
+        pt = {s: random_rat(rng) for s in params}
+        values = [p.eval(pt) for p in polys]
+        rows.append([math.prod((values[i] for i in c), start=Rat(1))
+                     for c in combos])
+    forms = []
+    for vec in mat_rank_nullspace(rows)[1]:
+        form = Poly()
+        for c, coef in zip(combos, vec):
+            if coef == 0:
+                continue
+            mono = Poly.const(coef)
+            for i in c:
+                mono = mono * Poly.var(names[i])
+            form = form + mono
+        forms.append(normalize_poly(form))
+    return forms
 
 
 def expansion_classes(joint_map):

@@ -14,7 +14,9 @@ from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
                               normalize_poly, parse_poly, residue)
 from phyloag import invariants, paramap
 
-from conftest import (draw_newick, random_rat, random_params,
+from conftest import (brute_force_eval, brute_force_expand,
+                      brute_force_jacobian, draw_newick, exact_interpolation,
+                      first_flat_index, random_rat, random_params,
                       rref_nullspace_mod_p)
 
 
@@ -145,21 +147,18 @@ def _dimension_map(nwk, kind, root, k, mcount, no_hidden):
                          ids=[f"{c[1]}x{c[4]}:{c[0]}" for c in _DIMENSION_CASES])
 def test_distinct_rows_give_the_full_rank(case):
     jm = _dimension_map(*case)
-    parts = getattr(jm, "components", [jm])
-    circuits = [(list(c.circuit.ops), dict(c.circuit.outputs)) for c in parts]
+    circuit = (list(jm.circuit.ops), dict(jm.circuit.outputs))
     rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(5), tries=1)
     # the same first point that jacobian_dimension drew
     symbols = jm.symbols()
     pt = invariants.random_point(symbols, random.Random(5))
-    rows = jm.jacobian(pt, symbols)
-    assert len(rows) == jm.num_coordinates
-    assert rank == mat_rank_nullspace(rows)[0]
-    keys = jm.coordinate_keys()
-    first = {}
-    for key, row in zip(keys, rows):
-        assert row == first.setdefault(key, row)
-    # ranking the Jacobian leaves the circuits as they were built
-    assert circuits == [(c.circuit.ops, c.circuit.outputs) for c in parts]
+    prime = invariants._PRIMES[0]
+    rows = brute_force_jacobian(jm, pt, symbols, prime)
+    assert len(rows) == len(set(jm.circuit.outputs.values()))
+    assert jm.circuit.jacobian(pt, symbols, prime) == rows
+    assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
+    # ranking the Jacobian leaves the circuit as it was built
+    assert circuit == (jm.circuit.ops, jm.circuit.outputs)
 
 
 def _circuit_digest(circuit, digest):
@@ -181,12 +180,15 @@ def _circuit_digest(circuit, digest):
 def test_dimension_circuits_are_pinned():
     # renumbering-invariant digest of the circuits of the benchmark's
     # dimension cases, recorded from a full walk of the tree per leaf
-    # pattern: the table build must make the same nodes and outputs
+    # pattern: the table build must make the same nodes and outputs.  A
+    # mixture's digest is that of its components, each built on its own.
     digest = hashlib.sha256()
-    for case in _BENCHMARK_CASES:
-        jm = _dimension_map(*case)
-        for part in getattr(jm, "components", [jm]):
-            _circuit_digest(part.circuit, digest)
+    for nwk, kind, root, k, mcount, _ in _BENCHMARK_CASES:
+        prefixes = [f"x{i}" for i in range(mcount)] if mcount > 1 else [""]
+        for prefix in prefixes:
+            model = make_model(parse_newick(nwk), kind, root_mode=root, k=k,
+                               prefix=prefix)
+            _circuit_digest(paramap.build_circuit(model), digest)
     assert digest.hexdigest() == \
         "074bd1bf79d4adde03860e43e935b507d36a53860c7cae4941db7aeed3431d20"
 
@@ -194,7 +196,7 @@ def test_dimension_circuits_are_pinned():
 @st.composite
 def small_dimension_models(draw):
     """A random tree with 3-5 leaves (root of degree 2 or 3) and one of the
-    model kinds, as a _dimension_map case."""
+    model kinds or mixtures, as a _dimension_map case."""
     nwk = draw_newick(draw, 3, 5)
     kind, root, k, mcount, no_hidden = draw(st.sampled_from([
         ("jc-binary", "uniform", None, 1, False),
@@ -204,6 +206,7 @@ def small_dimension_models(draw):
         ("general-markov", "free", 2, 1, False),
         ("general-markov", "uniform", 2, 1, True),
         ("jc-dna", "uniform", None, 2, False),
+        ("general-markov", "free", 2, 2, False),
     ]))
     return nwk, kind, root, k, mcount, no_hidden
 
@@ -211,68 +214,77 @@ def small_dimension_models(draw):
 @given(small_dimension_models(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
-    # uniform roots put the constant 1/k into every coordinate, and the
-    # 2-mixture adds the weight symbols' rows
+    # uniform roots put the constant 1/k into every coordinate, the
+    # 2-mixture with uniform roots adds the weight symbols' rows, and the
+    # free-root 2-mixture has none
     jm = _dimension_map(*case)
+    circuit = (list(jm.circuit.ops), dict(jm.circuit.outputs))
     symbols = jm.symbols()
     prime = invariants._PRIMES[0]
     pt = invariants.random_point(symbols, random.Random(seed))
-    exact = jm.jacobian(pt, symbols)
-    assert jm.jacobian(pt, symbols, prime) == \
-        [[residue(x, prime) for x in row] for row in exact]
+    rows = brute_force_jacobian(jm, pt, symbols, prime)
+    assert jm.circuit.jacobian(pt, symbols, prime) == rows
     rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(seed),
                                             tries=1)
-    distinct = dict(zip(jm.coordinate_keys(), exact))
-    assert rank == mat_rank_nullspace(list(distinct.values()))[0]
+    assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
+    assert circuit == (jm.circuit.ops, jm.circuit.outputs)
 
 
 def test_shared_output_node_is_one_polynomial(tree4):
-    jm = expand_map(make_model(tree4, "jc-dna"))
+    m = make_model(tree4, "jc-dna")
+    jm = expand_map(m)
+    by_node = {}
+    for i, states in enumerate(itertools.product(range(4), repeat=4)):
+        poly = brute_force_expand(m, states)
+        assert jm.coordinate(i) == poly == \
+            by_node.setdefault(jm.circuit.outputs[i], poly)
+    # each output node is expanded once, however many coordinates share it
+    assert len(jm._polys) == len(by_node) < jm.num_coordinates
     params = random_params(jm.symbols(), 4)
-    rows = jm.jacobian(params)
-    seen = {}
-    for i, key in enumerate(jm.coordinate_keys()):
-        j = seen.setdefault(key, i)
-        assert jm.coordinate(i) == jm.coordinate(j)
-        if i == j:
-            poly = jm.coordinate(i)
-            assert rows[i] == [poly.derivative(s).eval(params)
-                               for s in jm.symbols()]
-    assert len(seen) < jm.num_coordinates
+    prime = invariants._PRIMES[0]
+    assert jm.circuit.jacobian(params, jm.symbols(), prime) == \
+        brute_force_jacobian(jm, params, jm.symbols(), prime)
 
 
 def test_mixture_map_eval_and_symbols(tree3):
     mix = invariants.make_mixture(tree3, "jc-binary", 2)
     assert mix.weight_symbols == ("s0", "s1")
+    components = [make_model(tree3, "jc-binary", prefix=f"x{j}")
+                  for j in range(2)]
     syms = mix.symbols()
+    assert syms == components[0].symbols + components[1].symbols + \
+        ["s0", "s1"]
     assert len(syms) == len(set(syms))
     params = random_params(syms, 3)
     vec = mix.eval(params)
-    comp_vecs = [c.eval(params) for c in mix.components]
-    for i, v in enumerate(vec):
-        want = params["s0"] * comp_vecs[0][i] + params["s1"] * comp_vecs[1][i]
-        assert v == want
-    # coordinate polynomials agree with eval
-    for i in (0, 3):
-        assert mix.coordinate(i).eval(params) == vec[i]
+    for i, states in enumerate(itertools.product(range(2), repeat=3)):
+        want = params["s0"] * brute_force_eval(components[0], params, states) \
+            + params["s1"] * brute_force_eval(components[1], params, states)
+        assert vec[i] == want
+        # coordinate polynomials agree with eval
+        assert mix.coordinate(i).eval(params) == want
 
 
 def test_mixture_rejects_shared_symbols(tree3):
-    a = expand_map(make_model(tree3, "jc-binary"))
-    b = expand_map(make_model(tree3, "jc-binary"))
+    a = make_model(tree3, "jc-binary")
+    b = make_model(tree3, "jc-binary")
     with pytest.raises(ValueError):
         invariants.mixture_map([a, b])
+    with pytest.raises(ValueError):
+        invariants.mixture_map([a, make_model(tree3, "jc-dna", prefix="y")])
 
 
 def test_mixture_jacobian_matches_derivatives(tree3):
     mix = invariants.make_mixture(tree3, "jc-binary", 2)
     syms = mix.symbols()
     params = random_params(syms, 8)
-    rows = mix.jacobian(params, syms)
-    for i in (0, 5):
+    prime = invariants._PRIMES[0]
+    rows = mix.circuit.jacobian(params, syms, prime)
+    assert rows == brute_force_jacobian(mix, params, syms, prime)
+    for row, i in zip(rows, first_flat_index(mix).values()):
         poly = mix.coordinate(i)
-        for j, s in enumerate(syms):
-            assert rows[i][j] == poly.derivative(s).eval(params)
+        assert row == [residue(poly.derivative(s).eval(params), prime)
+                       for s in syms]
 
 
 def test_interpolate_linear_relations(tree3):
@@ -312,17 +324,15 @@ def test_interpolation_verifies_on_fresh_points():
 
 
 def test_modular_path_agrees_with_exact():
-    """Force the multi-modular elimination on cases small enough to also be
-    solved directly and compare the resulting forms; the cubic's 35
-    monomials span two elimination panels."""
+    """Compare the multi-modular elimination with exact elimination on cases
+    small enough to be solved directly; the cubic's 35 monomials span two
+    elimination panels."""
     segre = [("p00", parse_poly("u0*v0")), ("p01", parse_poly("u0*v1")),
              ("p10", parse_poly("u1*v0")), ("p11", parse_poly("u1*v1"))]
     for coords, degree in [(segre, 2), (jc3_class_coords(), 3)]:
-        exact = invariants.interpolate_vanishing_forms(coords, degree,
-                                                       max_exact=200)
-        forced = invariants.interpolate_vanishing_forms(coords, degree,
-                                                        max_exact=0)
-        assert [str(f) for f in exact] == [str(f) for f in forced]
+        exact = exact_interpolation(coords, degree)
+        modular = invariants.interpolate_vanishing_forms(coords, degree)
+        assert [str(f) for f in exact] == [str(f) for f in modular]
 
 
 @pytest.mark.parametrize("polys, want", [
@@ -335,8 +345,8 @@ def test_modular_path_survives_unlucky_first_prime(polys, want):
     P = invariants._PRIMES[0]
     coords = [(name, parse_poly(p.format(P=P)))
               for name, p in zip("xyz", polys)]
-    exact = invariants.interpolate_vanishing_forms(coords, 1, max_exact=3)
-    forced = invariants.interpolate_vanishing_forms(coords, 1, max_exact=0)
+    exact = exact_interpolation(coords, 1)
+    forced = invariants.interpolate_vanishing_forms(coords, 1)
     assert [str(f) for f in forced] == [str(f) for f in exact]
     assert forced == [normalize_poly(parse_poly(want.format(P=P)))]
 
@@ -346,9 +356,13 @@ def test_modular_path_skips_a_prime_in_a_denominator():
     # coordinates have no residues modulo it
     P = invariants._PRIMES[0]
     coords = [("x", parse_poly(f"1/{P}*u")), ("y", parse_poly("u"))]
-    exact = invariants.interpolate_vanishing_forms(coords, 1, max_exact=3)
-    forced = invariants.interpolate_vanishing_forms(coords, 1, max_exact=0)
+    exact = exact_interpolation(coords, 1)
+    forced = invariants.interpolate_vanishing_forms(coords, 1)
     assert forced == exact == [normalize_poly(parse_poly(f"{P}*x - y"))]
+
+
+def test_no_coordinates_have_no_forms_of_positive_degree():
+    assert invariants.interpolate_vanishing_forms([], 2) == []
 
 
 def test_modular_primes_keep_float64_exact():

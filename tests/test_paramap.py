@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
-from phyloag.exactalg import Poly, Rat
+from phyloag.exactalg import Poly, Rat, residue
 from phyloag import paramap
+from phyloag.invariants import _PRIMES
 
-from conftest import (brute_force_eval, brute_force_expand, draw_newick,
-                      expansion_classes, random_params, stochastic_jc_params)
+from conftest import (brute_force_eval, brute_force_expand,
+                      brute_force_jacobian, draw_newick, expansion_classes,
+                      first_flat_index, random_params, stochastic_jc_params)
+
+_PRIME = _PRIMES[0]
 
 
 def test_three_leaf_general_markov_terms(tree3):
@@ -92,11 +96,14 @@ def test_jacobian_matches_derivative_of_expansion(tree4):
     m = make_model(tree4, "general-markov", root_mode="free", k=2)
     jm = expand_map(m)
     params = random_params(m.symbols, 7)
-    values, rows = jm.circuit.jacobian(params, m.symbols)
-    for i, states in enumerate(itertools.product(range(2), repeat=4)):
-        poly = brute_force_expand(m, states)
-        assert values[i] == poly.eval(params)
-        assert rows[i] == [poly.derivative(s).eval(params) for s in m.symbols]
+    rows = jm.circuit.jacobian(params, m.symbols, _PRIME)
+    assert rows == brute_force_jacobian(jm, params, m.symbols, _PRIME)
+    first = first_flat_index(jm)
+    assert len(rows) == len(first) == 16
+    for row, i in zip(rows, first.values()):
+        poly = brute_force_expand(m, paramap.pattern_of_flat(i, 4, 2))
+        assert row == [residue(poly.derivative(s).eval(params), _PRIME)
+                       for s in m.symbols]
 
 
 def test_circuit_matches_brute_force_oracle():
