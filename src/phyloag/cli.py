@@ -107,7 +107,7 @@ def cmd_param(args):
                          f"(size {len(cls)}): {p}")
     if args.circuit_stats:
         counts, stats = {}, {}
-        for i, node in sorted(jmap.circuit.outputs.items()):
+        for i, node in enumerate(jmap.circuit.outputs.tolist()):
             if node not in counts:
                 counts[node] = jmap.circuit.op_counts(node)
             m, a = counts[node]
@@ -162,12 +162,8 @@ def _dimension(args, tree, model):
     if args.mixture < 1:
         raise ValidationError(f"--mixture must be at least 1, got "
                               f"{args.mixture}")
-    if args.mixture > 1:
-        jmap = _invariants.make_mixture(tree, model.kind, args.mixture,
-                                        root_mode=args.root, k=model.k)
-    else:
-        jmap = _paramap.expand_map(model)
-    return _invariants.jacobian_dimension(jmap)
+    return _invariants.jacobian_dimension(_invariants.make_mixture(
+        tree, model.kind, args.mixture, root_mode=args.root, k=model.k))
 
 
 def cmd_invariants(args):

@@ -395,9 +395,9 @@ def flattening_minors(tree):
     return out
 
 
-def mixture_monomial_coords(mono_maps, weight_prefix="s"):
+def mixture_monomial_coords(mono_maps):
     """Coordinate polynomials of a sum of monomial maps with fresh mixing
-    weights: q_f = sum_i s_i * (component-i monomial)."""
+    weights s0, s1, ...: q_f = sum_i s_i * (component-i monomial)."""
     names = mono_maps[0].coord_names
     for mm in mono_maps[1:]:
         if [str(k) for k in mm.coord_keys] != \
@@ -407,7 +407,7 @@ def mixture_monomial_coords(mono_maps, weight_prefix="s"):
     for idx, name in enumerate(names):
         total = Poly()
         for i, mm in enumerate(mono_maps):
-            total = total + Poly.var(f"{weight_prefix}{i}") * mm.monomials[idx]
+            total = total + Poly.var(f"s{i}") * mm.monomials[idx]
         coords[name] = total
     return coords
 

@@ -1,6 +1,10 @@
 """Flattenings, rank tests, vanishing checks, Jacobian-based dimensions,
 exact interpolation of vanishing forms, and mixture (secant) maps.
 
+A mixture of models is one paramap.JointMap whose circuit outputs the
+weighted sums of its components' coordinates; a single model is the
+mixture with one component.
+
 Interpolation finds the nullspace of a sample matrix (one row per random
 rational point, one column per monomial).  It never evaluates a coordinate
 over Q to build that matrix: per prime just below 2^23, the points'
@@ -17,6 +21,8 @@ from __future__ import annotations
 import itertools
 import random
 from math import comb, isqrt
+
+import numpy as np
 
 # mat_rank_nullspace is bound here for callers and tracers that look for it
 # in this module (perfbench's self-test checks that every binding is traced)
@@ -35,6 +41,10 @@ _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
 _BLOCK = 64
 # points per block when building the sample matrix
 _ROWS = 256
+# interpolation verifies each form at this many fresh random points, and
+# draws new sample points at most this many times
+_VERIFY_POINTS = 10
+_MAX_RETRIES = 3
 
 
 def random_rat(rng):
@@ -161,6 +171,7 @@ def vanishing_check(form, coords, mode="randomized", rng=None, points=25,
 # dimension via Jacobian rank modulo a prime
 
 
+# tries stays an option: tests pin the first point with tries=1
 def jacobian_dimension(joint_map, rng=None, tries=3):
     """(affine rank, projective dimension) of the map's image.
 
@@ -179,7 +190,6 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
     rank equal to the number of symbols is therefore still a proof of full
     rank.
     """
-    import numpy as np
     rng = rng or random.Random(0)
     prime = _PRIMES[0]
     symbols = joint_map.symbols()
@@ -198,34 +208,14 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
 # mixtures
 
 
-class MixtureMap(_paramap.JointMap):
-    """Coordinate-wise sum of the joint maps of models with disjoint
-    parameter pools, held as one circuit (paramap.build_mixture_circuit).
-
-    Components keep their own root vectors; when every component has a
-    uniform root an extra global weight symbol per component restores the
-    mixing freedom.
-    """
-
-    def __init__(self, models, weight_symbols):
-        self.models = models
-        self.weight_symbols = weight_symbols
-        self.k = models[0].k
-        self.n = models[0].tree.num_leaves
-        self._polys = {}
-        self.circuit = _paramap.build_mixture_circuit(models, weight_symbols)
-
-    def symbols(self):
-        """The components' symbols in order, then the weight symbols."""
-        return [s for m in self.models for s in m.symbols] + \
-            list(self.weight_symbols)
-
-
 def mixture_map(models):
-    """MixtureMap of ModelSpecs sharing leaf set and k.
+    """JointMap of the coordinate-wise sum of ModelSpecs sharing leaf set and
+    k, held as one circuit (paramap.build_circuit).
 
-    Models should be built with distinct symbol prefixes; global mixing
-    weights s0..s_{m-1} are added when every model has a uniform root.
+    Models should be built with distinct symbol prefixes.  Components keep
+    their own root vectors; when there are several and every one has a
+    uniform root, global mixing weights s0..s_{m-1} restore the mixing
+    freedom.
     """
     first = models[0]
     for m in models[1:]:
@@ -240,17 +230,15 @@ def mixture_map(models):
         weights = tuple(f"s{i}" for i in range(len(models)))
     else:
         weights = ()
-    return MixtureMap(models, weights)
+    return _paramap.expand_map(*models, weight_symbols=weights)
 
 
 def make_mixture(tree, kind, m, root_mode="uniform", k=None):
-    """Convenience constructor: m copies of a model with disjoint symbols."""
-    if m == 1:
-        return _paramap.expand_map(_models.make_model(
-            tree, kind, root_mode=root_mode, k=k))
-    return mixture_map([_models.make_model(tree, kind, root_mode=root_mode,
-                                           k=k, prefix=f"x{i}")
-                        for i in range(m)])
+    """Convenience constructor: m copies of a model with disjoint symbols,
+    prefixed x0, x1, ...; a single copy keeps the model's own symbols."""
+    return mixture_map([_models.make_model(
+        tree, kind, root_mode=root_mode, k=k,
+        prefix=f"x{i}" if m > 1 else "") for i in range(m)])
 
 
 def quartet_splits(leaf_order):
@@ -307,7 +295,6 @@ def _coordinate_residues(polys, params, pts, prime):
     reduced to residues once; each polynomial is then evaluated at all points
     together in int64 (Poly.eval_mod).  Raises ValueError when the prime
     divides a denominator."""
-    import numpy as np
     P = np.array([[residue(pt[s], prime) for s in params] for pt in pts],
                  dtype=np.int64).reshape(len(pts), len(params))
     columns = dict(zip(params, P.T))
@@ -329,7 +316,6 @@ def _rows_mod(C, exps, prime):
     monomials of degree d - 1.  So each degree is built from the one below
     by one broadcast product per coordinate, _ROWS points at a time.
     """
-    import numpy as np
     npoints, ncoords = C.shape
     degree = sum(exps[0])
     if degree == 0:
@@ -363,7 +349,6 @@ def _reduce(x, prime, scratch):
     float divmod of np.remainder.  The corrections' masks reuse scratch's
     memory.
     """
-    import numpy as np
     np.multiply(x, 1.0 / prime, out=scratch)
     np.floor(scratch, out=scratch)
     scratch *= prime
@@ -393,7 +378,6 @@ def _nullspace_mod_p(A, prime):
     update L21 @ U12 sums at most _BLOCK such products too, and is reduced
     by _reduce in the buffer that held the product.
     """
-    import numpy as np
     m, n = A.shape
     pivots = []
     r = 0
@@ -454,8 +438,8 @@ def _nullspace_mod_p(A, prime):
     return X.T.tolist(), pivots, free
 
 
-def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
-                                verify_points=10, max_retries=3):
+# extra_points stays an option: perfbench's span counters read it by name
+def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     """Exact basis of degree-d forms in the given coordinates vanishing on
     the model image.
 
@@ -463,7 +447,7 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
     #monomials + extra_points random exact rational points, computes an exact
     nullspace basis by multi-modular elimination and rational reconstruction,
     normalizes each form, and re-verifies it at fresh random points before
-    returning.
+    returning.  Coordinate names must be distinct.
     """
     rng = rng or random.Random(0)
     names = [nm for nm, _ in coords]
@@ -475,7 +459,7 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
     nmono = len(exps)
     npoints = nmono + extra_points
 
-    for attempt in range(max_retries):
+    for attempt in range(_MAX_RETRIES):
         pts = [random_point(params, rng) for _ in range(npoints)]
         for basis in _modular_nullspace(polys, params, pts, exps):
             forms = []
@@ -490,20 +474,11 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10,
                             mono = mono * Poly.var(names[j], d)
                     form = form + mono
                 forms.append(normalize_poly(form))
-            if all(_verify_form(f, dict(coords), params, rng, verify_points)
-                   for f in forms):
+            if all(vanishing_check(f, dict(coords), rng=rng,
+                                   points=_VERIFY_POINTS) for f in forms):
                 return forms
     raise RuntimeError("interpolation failed: insufficient sample rank after "
-                       f"{max_retries} retries")
-
-
-def _verify_form(form, coords, params, rng, points):
-    for _ in range(points):
-        pt = random_point(params, rng)
-        values = {nm: p.eval(pt) for nm, p in coords.items()}
-        if form.eval(values) != 0:
-            return False
-    return True
+                       f"{_MAX_RETRIES} retries")
 
 
 def _modular_nullspace(polys, params, pts, exps):

@@ -1,12 +1,16 @@
-"""The joint-probability map of a (tree, model) pair.
+"""The joint-probability map of a (tree, model) pair, or of a mixture of
+several such models.
 
-The map is held as one factored sum-product circuit with subexpression
-sharing by structural hashing, built by Felsenstein's pruning recursion as
-one post-order pass of per-node integer tables, each sum or product made
-once per distinct table row.  A single evaluation pass over the circuit
-serves every ring: exact or float values, dual numbers over the ints modulo
-a prime for the Jacobian, and polynomials for the expanded coordinates (read
-off lazily, once per output node).
+A mixture's map is the coordinate-wise sum of its models' maps, each
+weighted by a mixing-weight symbol when it has one; a single model is the
+mixture with one component.  Either is held as one factored sum-product
+circuit with subexpression sharing by structural hashing, built by
+Felsenstein's pruning recursion as one post-order pass of per-node integer
+tables per model, each sum or product made once per distinct table row, and
+its outputs are the weighted sums.  A single evaluation pass over the
+circuit serves every ring: exact or float values, dual numbers over the ints
+modulo a prime for the Jacobian, and polynomials for the expanded
+coordinates (read off lazily, once per output node).
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ def parse_pattern(model, text):
 
 
 class Circuit:
-    """DAG of +, x, constant and symbol nodes with one output per coordinate.
+    """DAG of +, x, constant and symbol nodes with one output per coordinate:
+    `outputs` is an int64 array of node ids indexed by flat coordinate.
 
     Nodes are hash-consed: commutative children are sorted, so a0*a0 built
     twice is a single node.  Constants are free in the operation counters.
@@ -65,7 +70,7 @@ class Circuit:
     def __init__(self):
         self.ops = []        # (kind, payload) payload: name | Rat | child ids
         self._memo = {}
-        self.outputs = {}    # flat coordinate index -> node id
+        self.outputs = np.zeros(0, dtype=np.int64)
 
     def _node(self, kind, payload):
         key = (kind, payload)
@@ -145,8 +150,9 @@ class Circuit:
                 mults += max(len(priced) - 1, 0)
         return mults, adds
 
-    def eval(self, assignment, mode="exact", outputs=None):
-        """Evaluate outputs at a symbol assignment; exact mode uses Rat."""
+    def eval(self, assignment, mode="exact"):
+        """Evaluate the outputs at a symbol assignment, in flat index order;
+        exact mode uses Rat."""
         conv = Rat if mode == "exact" else float
 
         def leaf(kind, payload):
@@ -156,8 +162,7 @@ class Circuit:
                 raise KeyError(f"missing symbol {payload!r}")
             return conv(assignment[payload])
 
-        keys = sorted(self.outputs) if outputs is None else outputs
-        return self._pass([self.outputs[i] for i in keys], leaf)
+        return self._pass(self.outputs.tolist(), leaf)
 
     def jacobian(self, assignment, symbols, prime):
         """Forward-mode derivatives modulo `prime` of the distinct output
@@ -175,7 +180,7 @@ class Circuit:
             return _Dual(residue(Rat(assignment[payload]), prime), grad)
 
         rows = []
-        for d in self._pass(sorted(set(self.outputs.values())), leaf):
+        for d in self._pass(sorted(set(self.outputs.tolist())), leaf):
             row = [0] * len(symbols)
             for j, g in d.grad.items():
                 row[j] = g % prime
@@ -210,15 +215,18 @@ def _poly_leaf(kind, payload):
 
 
 class JointMap:
-    """Joint-probability map of a model: the shared circuit plus expanded
-    polynomials per coordinate, read off the circuit on first access."""
+    """Joint-probability map of one model, or of a mixture of models on the
+    same leaves and states: the shared circuit (see build_circuit) plus
+    expanded polynomials per coordinate, read off the circuit on first
+    access."""
 
-    def __init__(self, model):
-        self.model = model
-        self.k = model.k
-        self.n = model.tree.num_leaves
+    def __init__(self, *models, weight_symbols=()):
+        self.models = models
+        self.weight_symbols = tuple(weight_symbols)
+        self.k = models[0].k
+        self.n = models[0].tree.num_leaves
         self._polys = {}
-        self.circuit = build_circuit(model)
+        self.circuit = build_circuit(models, self.weight_symbols)
 
     @property
     def num_coordinates(self):
@@ -227,7 +235,7 @@ class JointMap:
     def coordinate(self, flat_index):
         """Expanded polynomial of one coordinate, cached by output node, so
         coordinates that share a node are expanded once."""
-        node = self.circuit.outputs[flat_index]
+        node = int(self.circuit.outputs[flat_index])
         if node not in self._polys:
             self._polys[node] = self.circuit._pass([node], _poly_leaf)[0]
         return self._polys[node]
@@ -239,12 +247,14 @@ class JointMap:
         return self.circuit.eval(params, mode=mode)
 
     def symbols(self):
-        return self.model.symbols
+        """The models' symbols in order, then the weight symbols."""
+        return [s for m in self.models for s in m.symbols] + \
+            list(self.weight_symbols)
 
 
-def expand_map(model):
-    """JointMap for the model (coordinates expand lazily on access)."""
-    return JointMap(model)
+def expand_map(*models, weight_symbols=()):
+    """JointMap of the models (coordinates expand lazily on access)."""
+    return JointMap(*models, weight_symbols=weight_symbols)
 
 
 def degree_profile(joint_map):
@@ -259,24 +269,20 @@ def degree_profile(joint_map):
     return degs.pop()
 
 
-def build_circuit(model):
-    """The model's sum-product circuit (see _build_into)."""
-    circ = Circuit()
-    circ.outputs = dict(enumerate(_build_into(circ, model).tolist()))
-    return circ
-
-
-def build_mixture_circuit(models, weight_symbols):
-    """One circuit for the coordinate-wise sum of the models' maps: output i
-    is the sum over j of s_j * (output i of model j) with a weight symbol s_j
-    per model, the plain sum without weight symbols.  Every product and sum
-    is made once per distinct row of component nodes."""
+def build_circuit(models, weight_symbols=()):
+    """One circuit for the coordinate-wise sum of the models' maps (see
+    _build_into): output i is the sum over j of s_j * (output i of model j)
+    with a weight symbol s_j per model, the plain sum without weight
+    symbols.  Every product and sum is made once per distinct row of
+    component nodes.  With one model there is nothing to sum: the outputs
+    are that model's (weighted) outputs."""
     circ = Circuit()
     outs = np.stack([_build_into(circ, m) for m in models], axis=1)
     for j, w in enumerate(weight_symbols):
         pairs = np.stack([np.full(len(outs), circ.sym(w)), outs[:, j]], axis=1)
         outs[:, j] = _per_distinct_row(pairs, circ.mul)
-    circ.outputs = dict(enumerate(_per_distinct_row(outs, circ.add).tolist()))
+    circ.outputs = outs[:, 0] if len(models) == 1 else \
+        _per_distinct_row(outs, circ.add)
     return circ
 
 
@@ -372,7 +378,7 @@ def symmetry_classes(joint_map):
     same output node are one polynomial, so one coordinate per node is
     expanded, and nodes with equal expansions are merged."""
     nodes = {}
-    for i, node in sorted(joint_map.circuit.outputs.items()):
+    for i, node in enumerate(joint_map.circuit.outputs.tolist()):
         nodes.setdefault(node, []).append(i)
     classes = {}
     for g in nodes.values():

@@ -26,13 +26,25 @@ class Alignment:
         return len(self.rows[0]) if self.rows else 0
 
 
+# two best split scores closer than this, relative to the largest, are a tie
+_TIE_THRESHOLD = 1e-12
+
+
+def _single_model(joint_map):
+    if len(joint_map.models) != 1:
+        raise ValueError(f"expected the map of a single model, got a mixture "
+                         f"of {len(joint_map.models)} models")
+    return joint_map.models[0]
+
+
 def exact_distribution(joint_map, params, require_stochastic=True):
-    """Exact coordinate vector of the model at stochastic parameters.
+    """Exact coordinate vector of a single model at stochastic parameters.
 
     Rejects parameter values whose rows do not sum to one unless told
-    otherwise; the result is checked to sum to one exactly.
+    otherwise; the result is checked to sum to one exactly.  Raises
+    ValueError on the map of a mixture.
     """
-    report = _models.validate_stochastic(joint_map.model, params)
+    report = _models.validate_stochastic(_single_model(joint_map), params)
     if require_stochastic and not report["stochastic"]:
         bad = [r for r in report["rows"] if not r["row_stochastic"]]
         raise ValueError(f"parameters are not stochastic: {bad[:3]}")
@@ -70,7 +82,7 @@ def sample_alignment(joint_map, params, num_sites, seed):
     probs = exact_distribution(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
     idx = _inverse_cdf(probs, rng.random(num_sites))
-    model = joint_map.model
+    model = _single_model(joint_map)
     n, k = joint_map.n, joint_map.k
     labels = np.array([_models.state_label(model, s) for s in range(k)])
     rows = ["".join(labels[idx // k ** (n - 1 - i) % k].tolist())
@@ -154,15 +166,15 @@ def score_splits(tensor, leaf_order, k, rank):
     return scores
 
 
-def infer_quartet(tensor, leaf_order, k, rank, rel_threshold=1e-12):
+def infer_quartet(tensor, leaf_order, k, rank):
     """Best split by rank-r score, with a confidence gap.
 
     Returns (winner, scores, decisive); decisive is False when the two best
-    scores are within rel_threshold relative to the largest score (ties)."""
+    scores are within _TIE_THRESHOLD relative to the largest score (ties)."""
     scores = score_splits(tensor, leaf_order, k, rank)
     ordered = sorted(scores.items(), key=lambda kv: kv[1])
     scale = max(ordered[-1][1], 1e-300)
-    decisive = (ordered[1][1] - ordered[0][1]) / scale > rel_threshold
+    decisive = (ordered[1][1] - ordered[0][1]) / scale > _TIE_THRESHOLD
     return ordered[0][0], scores, decisive
 
 

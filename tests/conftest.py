@@ -103,7 +103,7 @@ def first_flat_index(joint_map):
     """{output node: smallest flat index with that node}, in ascending node
     id."""
     first = {}
-    for i, node in sorted(joint_map.circuit.outputs.items()):
+    for i, node in enumerate(joint_map.circuit.outputs.tolist()):
         first.setdefault(node, i)
     return dict(sorted(first.items()))
 
@@ -120,8 +120,8 @@ def brute_force_jacobian(joint_map, params, symbols, prime):
     parameter written a_s / L over a common denominator L, the derivative of
     a term c * x_1 ... x_d in x_i is c * a_1 ... a_d / a_i / L^(d - 1).
     """
-    models = getattr(joint_map, "models", None) or [joint_map.model]
-    weights = getattr(joint_map, "weight_symbols", ()) or [None] * len(models)
+    models = joint_map.models
+    weights = joint_map.weight_symbols or [None] * len(models)
     L = math.lcm(*(Rat(v).denominator for v in params.values()))
     a = {s: int(Rat(v) * L) for s, v in params.items()}
     k, tree = joint_map.k, models[0].tree

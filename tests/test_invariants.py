@@ -147,18 +147,18 @@ def _dimension_map(nwk, kind, root, k, mcount, no_hidden):
                          ids=[f"{c[1]}x{c[4]}:{c[0]}" for c in _DIMENSION_CASES])
 def test_distinct_rows_give_the_full_rank(case):
     jm = _dimension_map(*case)
-    circuit = (list(jm.circuit.ops), dict(jm.circuit.outputs))
+    circuit = (list(jm.circuit.ops), jm.circuit.outputs.tolist())
     rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(5), tries=1)
     # the same first point that jacobian_dimension drew
     symbols = jm.symbols()
     pt = invariants.random_point(symbols, random.Random(5))
     prime = invariants._PRIMES[0]
     rows = brute_force_jacobian(jm, pt, symbols, prime)
-    assert len(rows) == len(set(jm.circuit.outputs.values()))
+    assert len(rows) == len(np.unique(jm.circuit.outputs))
     assert jm.circuit.jacobian(pt, symbols, prime) == rows
     assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
     # ranking the Jacobian leaves the circuit as it was built
-    assert circuit == (jm.circuit.ops, jm.circuit.outputs)
+    assert circuit == (jm.circuit.ops, jm.circuit.outputs.tolist())
 
 
 def _circuit_digest(circuit, digest):
@@ -173,8 +173,8 @@ def _circuit_digest(circuit, digest):
             item = (kind, sorted(hashes[c] for c in payload))
         hashes.append(hashlib.sha256(repr(item).encode()).hexdigest())
     digest.update(repr(sorted(hashes)).encode())
-    digest.update(repr([hashes[circuit.outputs[i]]
-                        for i in sorted(circuit.outputs)]).encode())
+    digest.update(repr([hashes[node]
+                        for node in circuit.outputs.tolist()]).encode())
 
 
 def test_dimension_circuits_are_pinned():
@@ -188,7 +188,7 @@ def test_dimension_circuits_are_pinned():
         for prefix in prefixes:
             model = make_model(parse_newick(nwk), kind, root_mode=root, k=k,
                                prefix=prefix)
-            _circuit_digest(paramap.build_circuit(model), digest)
+            _circuit_digest(paramap.build_circuit([model]), digest)
     assert digest.hexdigest() == \
         "074bd1bf79d4adde03860e43e935b507d36a53860c7cae4941db7aeed3431d20"
 
@@ -218,7 +218,7 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
     # 2-mixture with uniform roots adds the weight symbols' rows, and the
     # free-root 2-mixture has none
     jm = _dimension_map(*case)
-    circuit = (list(jm.circuit.ops), dict(jm.circuit.outputs))
+    circuit = (list(jm.circuit.ops), jm.circuit.outputs.tolist())
     symbols = jm.symbols()
     prime = invariants._PRIMES[0]
     pt = invariants.random_point(symbols, random.Random(seed))
@@ -227,7 +227,7 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
     rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(seed),
                                             tries=1)
     assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
-    assert circuit == (jm.circuit.ops, jm.circuit.outputs)
+    assert circuit == (jm.circuit.ops, jm.circuit.outputs.tolist())
 
 
 def test_shared_output_node_is_one_polynomial(tree4):
@@ -263,6 +263,24 @@ def test_mixture_map_eval_and_symbols(tree3):
         assert vec[i] == want
         # coordinate polynomials agree with eval
         assert mix.coordinate(i).eval(params) == want
+
+
+@pytest.mark.parametrize("kind, root, k", [
+    ("jc-dna", "uniform", None), ("general-markov", "free", 2)])
+def test_one_component_mixture_is_the_model(tree4, kind, root, k):
+    mix = invariants.make_mixture(tree4, kind, 1, root_mode=root, k=k)
+    jm = expand_map(make_model(tree4, kind, root_mode=root, k=k))
+    assert mix.circuit.ops == jm.circuit.ops
+    assert np.array_equal(mix.circuit.outputs, jm.circuit.outputs)
+    assert mix.symbols() == jm.symbols()
+
+
+@pytest.mark.parametrize("mcount", [1, 2])
+def test_outputs_are_an_int64_array_by_flat_index(tree4, mcount):
+    jm = invariants.make_mixture(tree4, "jc-dna", mcount)
+    outputs = jm.circuit.outputs
+    assert isinstance(outputs, np.ndarray) and outputs.dtype == np.int64
+    assert outputs.shape == (4 ** 4,) == (jm.num_coordinates,)
 
 
 def test_mixture_rejects_shared_symbols(tree3):

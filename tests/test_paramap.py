@@ -165,8 +165,8 @@ def test_build_makes_one_node_call_per_distinct_row(monkeypatch):
         return node(self, kind, payload)
 
     monkeypatch.setattr(paramap.Circuit, "_node", counting)
-    circ = paramap.build_circuit(make_model(
-        parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"), "jc-dna"))
+    circ = paramap.build_circuit([make_model(
+        parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"), "jc-dna")])
     assert len(circ.outputs) == 4 ** 8
     assert calls <= 5 * len(circ.ops)
 

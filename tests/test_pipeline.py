@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Rat
-from phyloag import pipeline
+from phyloag import invariants, pipeline
 
 from conftest import rational_scan_inverse_cdf, stochastic_jc_params
 
@@ -31,6 +31,15 @@ def test_exact_distribution_rejects_bad_params(quartet_setup):
         pipeline.exact_distribution(jmap, bad)
     # explicit opt-out skips the check
     pipeline.exact_distribution(jmap, bad, require_stochastic=False)
+
+
+def test_exact_distribution_rejects_a_mixture(tree4):
+    mix = invariants.make_mixture(tree4, "jc-dna", 2)
+    params = {s: Rat(1, 4) for s in mix.symbols()}
+    with pytest.raises(ValueError, match="mixture of 2 models"):
+        pipeline.exact_distribution(mix, params)
+    with pytest.raises(ValueError, match="mixture of 2 models"):
+        pipeline.sample_alignment(mix, params, 10, seed=1)
 
 
 def test_sampling_deterministic(quartet_setup):
