@@ -3,6 +3,10 @@
 Exit codes: 0 success (also when the reader of standard output closes it
 early), 2 validation error (bad input or non-stochastic parameters), 3
 numeric degeneracy (ties, failed interpolation).
+
+The library makes the input checks: any ValueError, KeyError or OSError it
+raises exits 2 with its message, caught once in `main`.  ValidationError is
+for the checks that only concern the command line itself.
 """
 
 from __future__ import annotations
@@ -29,27 +33,14 @@ class DegeneracyError(Exception):
     pass
 
 
-def _load_tree(path):
-    try:
-        return treecore.read_newick(path)
-    except (OSError, treecore.NewickError) as exc:
-        raise ValidationError(f"cannot read tree: {exc}")
+def _load_model(args):
+    return _models.make_model(treecore.read_newick(args.tree), args.model,
+                              root_mode=args.root, k=args.k)
 
 
-def _build_model(args, tree):
-    try:
-        return _models.make_model(tree, args.model, root_mode=args.root,
-                                  k=args.k)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
-
-
-def _load_json(path, what):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(f"cannot read {what}: {exc}")
+def _load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _mapping(raw, what):
@@ -81,18 +72,12 @@ def _add_model_args(sp, root_default="uniform"):
 
 
 def cmd_param(args):
-    tree = _load_tree(args.tree)
-    model = _build_model(args, tree)
+    model = _load_model(args)
     jmap = _paramap.expand_map(model)
-    payload = {"tree": tree.to_newick(), "model": model.kind}
+    payload = {"tree": model.tree.to_newick(), "model": model.kind}
     lines = []
     if args.coordinate is not None:
-        try:
-            states = _paramap.parse_pattern(model, args.coordinate)
-        except (ValueError, IndexError):
-            raise ValidationError(f"bad pattern {args.coordinate!r}")
-        if len(states) != tree.num_leaves:
-            raise ValidationError("pattern length != leaf count")
+        states = _paramap.parse_pattern(model, args.coordinate)
         poly = jmap.coordinate(_paramap.LeafPattern(states).flat_index(model.k))
         payload["coordinate"] = {args.coordinate: str(poly)}
         lines.append(f"p_{args.coordinate} = {poly}")
@@ -126,16 +111,9 @@ def cmd_param(args):
 
 
 def cmd_fourier(args):
-    tree = _load_tree(args.tree)
-    model = _build_model(args, tree)
-    if not model.is_group_based():
-        raise ValidationError(f"model {model.kind!r} is not group-based")
-    mm = _fourier.monomial_map(model)
+    mm = _fourier.monomial_map(_load_model(args))
     if args.binomials is not None:
-        try:
-            forms = _fourier.binomials_up_to_degree(mm, args.binomials)
-        except ValueError as exc:
-            raise ValidationError(str(exc))
+        forms = _fourier.binomials_up_to_degree(mm, args.binomials)
         _emit(args, {"binomials": [str(f) for f in forms]},
               [str(f) for f in forms])
     elif args.map:
@@ -146,54 +124,47 @@ def cmd_fourier(args):
               [f"{nm} = {p}" for nm, p in pairs])
 
 
-def _parse_split(text, leaf_order):
+def _parse_split(text):
     parts = text.split("|")
     if len(parts) != 2:
         raise ValidationError("split must look like '1,2|3,4'")
-    below = [s for s in parts[0].replace(",", " ").split() if s]
-    above = [s for s in parts[1].replace(",", " ").split() if s]
-    if set(below) | set(above) != set(leaf_order) or set(below) & set(above):
-        raise ValidationError("split is not a bipartition of the leaves")
-    return below, above
+    return [part.replace(",", " ").split() for part in parts]
 
 
-def _dimension(args, tree, model):
+def _dimension(args, model):
     """(affine rank, projective dimension) of the model or its mixture."""
     if args.mixture < 1:
         raise ValidationError(f"--mixture must be at least 1, got "
                               f"{args.mixture}")
     return _invariants.jacobian_dimension(_invariants.make_mixture(
-        tree, model.kind, args.mixture, root_mode=args.root, k=model.k))
+        model.tree, model.kind, args.mixture, root_mode=args.root, k=model.k))
 
 
 def cmd_invariants(args):
-    tree = _load_tree(args.tree)
-    model = _build_model(args, tree)
+    model = _load_model(args)
     payload = {}
     lines = []
     if args.dim:
-        rank, dim = _dimension(args, tree, model)
+        rank, dim = _dimension(args, model)
         payload["affine_rank"] = rank
         payload["projective_dimension"] = dim
         lines.append(f"affine rank {rank}, projective dimension {dim}")
     if args.flatten is not None:
-        split = _parse_split(args.flatten, tree.leaf_labels)
-        tensor = _invariants.symbolic_tensor(tree.num_leaves, model.k,
+        split = _parse_split(args.flatten)
+        tensor = _invariants.symbolic_tensor(model.tree.num_leaves, model.k,
                                              dna=(model.k == 4))
-        mat = _invariants.flatten(tensor, tree.leaf_labels, split, k=model.k)
+        mat = _invariants.flatten(tensor, model.tree.leaf_labels, split,
+                                  k=model.k)
         payload["flattening"] = [[str(x) for x in row] for row in mat]
         lines += [" ".join(str(x) for x in row) for row in mat]
         if args.minors is not None:
-            try:
-                forms = minors(mat, args.minors)
-            except ValueError as exc:
-                raise ValidationError(str(exc))
+            forms = minors(mat, args.minors)
             payload["minors"] = [str(f) for f in forms]
             lines += [str(f) for f in forms]
     if args.interpolate is not None:
         if not args.coords:
             raise ValidationError("--interpolate needs --coords FILE")
-        raw = _mapping(_load_json(args.coords, "coords"), "coords")
+        raw = _mapping(_load_json(args.coords), "coords")
         try:
             coords = [(nm, parse_poly(str(tx))) for nm, tx in raw.items()]
         except ValueError as exc:
@@ -206,23 +177,20 @@ def cmd_invariants(args):
         payload["forms"] = [str(f) for f in forms]
         lines += [str(f) for f in forms]
     if args.check is not None:
-        try:
-            with open(args.check, encoding="utf-8") as fh:
-                form_texts = [l.strip() for l in fh if l.strip()]
-        except OSError as exc:
-            raise ValidationError(f"cannot read forms: {exc}")
+        with open(args.check, encoding="utf-8") as fh:
+            form_texts = [l.strip() for l in fh if l.strip()]
         jmap = _paramap.expand_map(model)
-        coords = {}
-        for i in range(jmap.num_coordinates):
-            states = _paramap.pattern_of_flat(i, jmap.n, model.k)
-            coords["p" + _paramap.pattern_label(model, states)] = \
-                jmap.coordinate(i)
+        # name -> flat index for every pattern; only the coordinates that a
+        # form uses are expanded
+        index = {"p" + _paramap.pattern_label(
+            model, _paramap.pattern_of_flat(i, jmap.n, model.k)): i
+            for i in range(jmap.num_coordinates)}
         results = []
         for tx in form_texts:
-            try:
-                ok = _invariants.vanishing_check(parse_poly(tx), coords)
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(str(exc))
+            form = parse_poly(tx)
+            coords = {nm: jmap.coordinate(index[nm])
+                      for nm in form.variables() if nm in index}
+            ok = _invariants.vanishing_check(form, coords)
             results.append({"form": tx, "vanishes": ok})
             lines.append(f"{'vanishes' if ok else 'NONZERO'}: {tx}")
         payload["checks"] = results
@@ -230,36 +198,23 @@ def cmd_invariants(args):
 
 
 def cmd_simulate(args):
-    tree = _load_tree(args.tree)
-    model = _build_model(args, tree)
-    raw = _mapping(_load_json(args.params, "params"), "params")
-    try:
-        params = {sym: rat(val) for sym, val in raw.items()}
-    except ValueError as exc:
-        raise ValidationError(f"cannot read params: {exc}")
+    model = _load_model(args)
+    raw = _mapping(_load_json(args.params), "params")
+    params = {sym: rat(val) for sym, val in raw.items()}
     jmap = _paramap.expand_map(model)
-    try:
-        aln = _pipeline.sample_alignment(jmap, params, args.length, args.seed)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(str(exc))
+    aln = _pipeline.sample_alignment(jmap, params, args.length, args.seed)
     _pipeline.write_fasta(aln, args.out)
     _emit(args, {"sites": aln.num_sites, "out": args.out},
           [f"wrote {aln.num_sites} sites to {args.out}"])
 
 
 def cmd_infer_quartet(args):
-    try:
-        aln = _pipeline.read_fasta(args.alignment)
-    except (OSError, ValueError) as exc:
-        raise ValidationError(str(exc))
+    aln = _pipeline.read_fasta(args.alignment)
     if len(aln.names) != 4:
         raise ValidationError("quartet inference needs exactly 4 sequences")
     # binary digits mark a 0/1 alignment, anything else is read as DNA
     k = 2 if set("".join(aln.rows)) & set("01") else 4
-    try:
-        counts = _pipeline.pattern_counts(aln, k)
-    except ValueError as exc:
-        raise ValidationError(str(exc))
+    counts = _pipeline.pattern_counts(aln, k)
     freqs = [c / aln.num_sites for c in counts]
     winner, scores, decisive = _pipeline.infer_quartet(freqs, aln.names, k,
                                                        args.rank)
@@ -276,7 +231,7 @@ _CONFIG_FIELDS = {"newick": str, "kind": str, "root": str,
 
 
 def cmd_check(args):
-    cfg = _load_json(args.config, "config")
+    cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     for field, kind in _CONFIG_FIELDS.items():
@@ -286,16 +241,10 @@ def cmd_check(args):
             raise ValidationError(f"config: {field!r} must be {what}, got "
                                   f"{json.dumps(val)}")
     _mapping(cfg.get("params", {}), "params")
-    try:
-        model, params = _models.load_model_config(cfg)
-    except (ValueError, KeyError, treecore.NewickError) as exc:
-        raise ValidationError(f"bad config: {exc}")
+    model, params = _models.load_model_config(cfg)
     if params is None:
         raise ValidationError("config has no params to check")
-    try:
-        report = _models.validate_stochastic(model, params)
-    except KeyError as exc:
-        raise ValidationError(str(exc))
+    report = _models.validate_stochastic(model, params)
     payload = {"stochastic": report["stochastic"],
                "rows": [{**r, "sum": str(r["sum"])} for r in report["rows"]]}
     lines = [f"stochastic: {report['stochastic']}"]
@@ -305,9 +254,7 @@ def cmd_check(args):
 
 
 def cmd_dim(args):
-    tree = _load_tree(args.tree)
-    model = _build_model(args, tree)
-    rank, dim = _dimension(args, tree, model)
+    rank, dim = _dimension(args, _load_model(args))
     _emit(args, {"affine_rank": rank, "projective_dimension": dim},
           [f"affine rank {rank}, projective dimension {dim}"])
 
@@ -373,17 +320,21 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
+    except BrokenPipeError:
+        # the reader closed stdout; keep the flush at exit from raising.
+        # An OSError, so this clause must come before the one below.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (ValidationError, ValueError, KeyError, OSError) as exc:
+        # ValueError covers NewickError, JSONDecodeError and
+        # UnicodeDecodeError; other exceptions are bugs and keep their
+        # traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return 3
-    except BrokenPipeError:
-        # the reader closed stdout; keep the flush at exit from raising
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return 0
 
 

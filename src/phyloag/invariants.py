@@ -84,12 +84,13 @@ def flatten(tensor, leaf_order, split, k=None):
         below, above = split.below, split.above
     else:
         below, above = split
-    below = [l for l in leaf_order if l in set(below)]
-    above = [l for l in leaf_order if l in set(above)]
+    below, above = set(below), set(above)
     if not below or not above:
         raise ValueError("trivial split")
-    if set(below) | set(above) != set(leaf_order) or set(below) & set(above):
+    if below | above != set(leaf_order) or below & above:
         raise ValueError("split is not a bipartition of the leaves")
+    below = [l for l in leaf_order if l in below]
+    above = [l for l in leaf_order if l in above]
     n = len(leaf_order)
     if k is None:
         k = round(len(tensor) ** (1.0 / n))
@@ -145,19 +146,23 @@ def vanishing_check(form, coords, mode="randomized", rng=None, points=25,
                     return_witness=False):
     """Does a form in coordinate variables vanish on the image of the map?
 
-    coords maps coordinate names to polynomials in the model parameters.
-    Symbolic mode substitutes and expands (certain); randomized mode evaluates
-    at `points` independent random exact rational parameter points and rejects
-    with a witness on any nonzero value.
+    coords maps coordinate names to polynomials in the model parameters; only
+    the coordinates the form uses are read, and the others are never
+    evaluated.  Symbolic mode substitutes and expands (certain); randomized
+    mode evaluates at `points` independent random exact rational points and
+    rejects with a witness on any nonzero value.  A point draws values, in
+    sorted name order, for the parameters of the used coordinates only.
     """
-    missing = form.variables() - set(coords)
+    used = form.variables()
+    missing = used - set(coords)
     if missing:
         raise KeyError(f"form uses unknown coordinates {sorted(missing)}")
+    coords = {name: coords[name] for name in used}
     if mode == "symbolic":
         ok = form.substitute(coords).is_zero()
         return (ok, None) if return_witness else ok
     rng = rng or random.Random(0)
-    params = sorted(set().union(*[p.variables() for p in coords.values()]) or set())
+    params = sorted(set().union(*[p.variables() for p in coords.values()]))
     for _ in range(points):
         pt = random_point(params, rng)
         values = {name: p.eval(pt) for name, p in coords.items()}

@@ -70,9 +70,6 @@ class ModelSpec:
                     seen.append(s)
         return seen
 
-    def is_group_based(self):
-        return self.kind in ("jc-binary", "jc-dna", "kimura2", "kimura3")
-
 
 def _template(kind, k, letter):
     if kind == "general-markov":
@@ -190,6 +187,9 @@ def load_model_config(path_or_dict):
     else:
         with open(path_or_dict, encoding="utf-8") as fh:
             cfg = json.load(fh)
+    for field in ("newick", "kind"):
+        if field not in cfg:
+            raise ValueError(f"config has no {field!r}")
     tree = treecore.parse_newick(cfg["newick"])
     model = make_model(tree, cfg["kind"], root_mode=cfg.get("root", "uniform"),
                        k=cfg.get("k"),

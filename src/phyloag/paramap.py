@@ -55,6 +55,10 @@ def pattern_label(model, states):
 
 
 def parse_pattern(model, text):
+    """Leaf states of a pattern such as 'ACGT': one state label per leaf."""
+    labels = {_models.state_label(model, s) for s in range(model.k)}
+    if len(text) != model.tree.num_leaves or not set(text) <= labels:
+        raise ValueError(f"bad pattern {text!r}")
     return tuple(_models.state_index(model, ch) for ch in text)
 
 

@@ -35,9 +35,6 @@ class Subforest:
 
     indicator: tuple
 
-    def edges(self):
-        return [i for i, b in enumerate(self.indicator) if b]
-
     def __str__(self):
         return "".join(str(b) for b in self.indicator)
 
@@ -52,7 +49,6 @@ class Tree:
     edges: list            # list of (parent, child); index = edge id
     leaves: list           # leaf node ids in source order
     labels: dict           # leaf node id -> label
-    source: str = ""
     _below: dict = field(default_factory=dict, repr=False)
     _edge_ids: dict = field(init=False, repr=False)   # (parent, child) -> id
 
@@ -197,7 +193,7 @@ def parse_newick(text):
     # pre-order edge ids: a child's id is its pre-order number
     edges = [(parent[c], c) for c in range(1, len(children))]
     return Tree(root=0, children=children, parent=parent, edges=edges,
-                leaves=list(labels), labels=labels, source=text.strip())
+                leaves=list(labels), labels=labels)
 
 
 def read_newick(path):

@@ -58,6 +58,15 @@ def test_param_bad_pattern(tree_file, capsys):
                  "--coordinate", "AA"]) == 2
 
 
+def test_param_rejects_a_state_outside_the_model(tree_file, capsys):
+    # state 2 does not exist for k=2, though its flat index is in range
+    assert main(["param", "--tree", tree_file, "--model", "jc-binary",
+                 "--coordinate", "0002"]) == 2
+    captured = capsys.readouterr()
+    assert "bad pattern '0002'" in captured.err
+    assert captured.out == ""
+
+
 def test_fourier_map_csv(tree_file, capsys):
     rc = main(["fourier", "--tree", tree_file, "--model", "jc-dna", "--map"])
     assert rc == 0
@@ -95,6 +104,13 @@ def test_closed_output_pipe_exits_quietly(tmp_path):
 def test_fourier_rejects_general_markov(tree_file):
     assert main(["fourier", "--tree", tree_file, "--model", "general-markov",
                  "--k", "2"]) == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--binomials", "2"]])
+def test_fourier_rejects_a_free_root(tree_file, capsys, extra):
+    assert main(["fourier", "--tree", tree_file, "--model", "jc-dna",
+                 "--root", "free"] + extra) == 2
+    assert "monomial map requires a uniform root" in capsys.readouterr().err
 
 
 def test_invariants_flatten_minors(tree_file, capsys):
@@ -312,8 +328,10 @@ def test_invariants_integer_coordinate_is_a_constant(tree_file, tmp_path,
       "params": {}}, "config: 'k' must be an int, got true"),
     ({"newick": "((1,2),(3,4));", "kind": "general-markov", "k": "2",
       "params": {}}, "config: 'k' must be an int, got \"2\""),
+    ({"kind": "jc-dna", "params": {}}, "config has no 'newick'"),
 ], ids=["float-param", "list-params", "list-config", "int-newick",
-        "list-kind", "int-root", "null-base", "bool-k", "string-k"])
+        "list-kind", "int-root", "null-base", "bool-k", "string-k",
+        "no-newick"])
 def test_check_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -341,9 +359,11 @@ def _tree_texts(draw):
 
 @st.composite
 def _cli_runs(draw):
-    """(tree file text, JSON file value, command, model kind)."""
+    """(tree file text, JSON file value, command, model kind, root mode,
+    pattern text)."""
     tree = draw(_tree_texts())
-    command = draw(st.sampled_from(["check", "simulate", "interpolate"]))
+    command = draw(st.sampled_from(["check", "simulate", "interpolate",
+                                    "fourier", "param"]))
     if command == "check" and draw(st.booleans()):
         value = draw(st.fixed_dictionaries({
             "newick": st.one_of(_tree_texts(), _json_values),
@@ -357,13 +377,15 @@ def _cli_runs(draw):
     else:
         value = draw(_json_values)
     model = draw(st.sampled_from(["jc-binary", "jc-dna"]))
-    return tree, value, command, model
+    root = draw(st.sampled_from(["uniform", "free"]))
+    pattern = draw(st.text(alphabet="0123ACGTa ", max_size=5))
+    return tree, value, command, model, root, pattern
 
 
 @given(_cli_runs())
 @settings(max_examples=60, deadline=None)
 def test_cli_fuzz_exits_with_a_documented_code(run):
-    tree, value, command, model = run
+    tree, value, command, model, root, pattern = run
     with tempfile.TemporaryDirectory() as tmp:
         tree_file, json_file = Path(tmp, "t.nwk"), Path(tmp, "in.json")
         tree_file.write_text(tree)
@@ -376,6 +398,10 @@ def test_cli_fuzz_exits_with_a_documented_code(run):
             "interpolate": ["invariants", "--tree", str(tree_file),
                             "--model", model, "--interpolate", "1",
                             "--coords", str(json_file)],
+            "fourier": ["fourier", "--tree", str(tree_file), "--model", model,
+                        "--root", root],
+            "param": ["param", "--tree", str(tree_file), "--model", model,
+                      "--coordinate", pattern],
         }[command]
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):

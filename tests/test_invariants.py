@@ -61,6 +61,10 @@ def test_flatten_validates_split():
         invariants.flatten(tensor, list("123"), (("1",), ("2",)), k=2)
     with pytest.raises(ValueError):
         invariants.flatten(tensor, list("123"), ((), ("1", "2", "3")), k=2)
+    # a label outside the leaf set is an error, not silently dropped
+    with pytest.raises(ValueError, match="not a bipartition"):
+        invariants.flatten(tensor, list("123"), (("1", "9"), ("2", "3")),
+                           k=2)
 
 
 def test_flattening_rank_of_low_rank_tensors():
@@ -104,6 +108,30 @@ def test_vanishing_check_modes(tree3):
     assert not ok and witness is not None
     with pytest.raises(KeyError):
         invariants.vanishing_check(parse_poly("nope"), coords)
+
+
+class _Unevaluable(Poly):
+    def eval(self, point):
+        raise AssertionError("an unused coordinate was evaluated")
+
+
+def test_vanishing_check_reads_only_the_coordinates_it_uses(tree3):
+    jm = expand_map(make_model(tree3, "jc-binary"))
+    classes = paramap.symmetry_classes(jm)
+    a, b = next((c[0], c[1]) for c in classes if len(c) > 1)
+    form = Poly.var(f"p{a}") - Poly.var(f"p{b}")
+    used = {f"p{i}": jm.coordinate(i) for i in (a, b)}
+    # an unused coordinate in other parameters: it is never evaluated, and
+    # its parameters take no draws, so the points are those of `used` alone
+    coords = dict(used, pspare=_Unevaluable(Poly.var("z9").terms))
+    for mode in ("randomized", "symbolic"):
+        assert invariants.vanishing_check(form, coords, mode=mode)
+    nonzero = Poly.var(f"p{a}") - Poly.const(2) * Poly.var(f"p{b}")
+    ok, witness = invariants.vanishing_check(nonzero, coords,
+                                             return_witness=True)
+    assert not ok
+    assert witness == invariants.vanishing_check(nonzero, used,
+                                                 return_witness=True)[1]
 
 
 def test_jacobian_dimension_monomial():

@@ -104,3 +104,11 @@ def test_config_roundtrip(tmp_path):
     assert model.kind == "jc-dna"
     assert model.tree.to_newick() == "(1,(2,3));"
     assert params == {"a0": Rat(1, 4), "a1": Rat(1, 4)}
+
+
+@pytest.mark.parametrize("field", ["newick", "kind"])
+def test_config_without_a_required_field(field):
+    cfg = {"newick": "(1,(2,3));", "kind": "jc-dna"}
+    del cfg[field]
+    with pytest.raises(ValueError, match=f"config has no '{field}'"):
+        models.load_model_config(cfg)

@@ -270,3 +270,17 @@ def test_pattern_helpers(tree3):
     assert paramap.parse_pattern(m, "ACT") == (0, 1, 3)
     assert paramap.pattern_of_flat(paramap.LeafPattern((0, 1, 3)).flat_index(4),
                                    3, 4) == (0, 1, 3)
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("jc-binary", "002"),     # state 2 does not exist for k=2
+    ("jc-binary", "0a1"),
+    ("jc-dna", "ACN"),
+    ("jc-dna", "acg"),        # labels are upper case
+    ("jc-dna", "AC"),         # one leaf short
+    ("jc-dna", "ACGT"),       # one leaf too many
+    ("jc-dna", ""),
+])
+def test_parse_pattern_rejects_bad_text(tree3, kind, text):
+    with pytest.raises(ValueError, match=f"bad pattern '{text}'"):
+        paramap.parse_pattern(make_model(tree3, kind), text)
