@@ -18,7 +18,7 @@ print(f"parameters: {len(model.symbols)}  coordinates: {jm.num_coordinates}")
 print(f"degree of each coordinate: {paramap.degree_profile(jm)}")
 print()
 
-flat = paramap.LeafPattern((0, 0, 0)).flat_index(2)
+flat = paramap.flat_index((0, 0, 0), 2)
 print("p_000 =", jm.coordinate(flat))
 print()
 

@@ -12,6 +12,7 @@ for the checks that only concern the command line itself.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -77,8 +78,8 @@ def cmd_param(args):
     payload = {"tree": model.tree.to_newick(), "model": model.kind}
     lines = []
     if args.coordinate is not None:
-        states = _paramap.parse_pattern(model, args.coordinate)
-        poly = jmap.coordinate(_paramap.LeafPattern(states).flat_index(model.k))
+        poly = jmap.coordinate(_paramap.flat_index(_paramap.parse_pattern(
+            args.coordinate, jmap.n, model.k), model.k))
         payload["coordinate"] = {args.coordinate: str(poly)}
         lines.append(f"p_{args.coordinate} = {poly}")
     if args.accumulated:
@@ -87,9 +88,9 @@ def cmd_param(args):
         payload["classes"] = [len(c) for c in classes]
         payload["accumulated"] = [str(p) for p in acc]
         for cls, p in zip(classes, acc):
-            states = _paramap.pattern_of_flat(cls[0], jmap.n, model.k)
-            lines.append(f"class {_paramap.pattern_label(model, states)} "
-                         f"(size {len(cls)}): {p}")
+            label = _paramap.pattern_label(
+                _paramap.pattern_of_flat(cls[0], jmap.n, model.k), model.k)
+            lines.append(f"class {label} (size {len(cls)}): {p}")
     if args.circuit_stats:
         counts, stats = {}, {}
         for i, node in enumerate(jmap.circuit.outputs.tolist()):
@@ -151,8 +152,7 @@ def cmd_invariants(args):
         lines.append(f"affine rank {rank}, projective dimension {dim}")
     if args.flatten is not None:
         split = _parse_split(args.flatten)
-        tensor = _invariants.symbolic_tensor(model.tree.num_leaves, model.k,
-                                             dna=(model.k == 4))
+        tensor = _invariants.symbolic_tensor(model.tree.num_leaves, model.k)
         mat = _invariants.flatten(tensor, model.tree.leaf_labels, split,
                                   k=model.k)
         payload["flattening"] = [[str(x) for x in row] for row in mat]
@@ -180,16 +180,15 @@ def cmd_invariants(args):
         with open(args.check, encoding="utf-8") as fh:
             form_texts = [l.strip() for l in fh if l.strip()]
         jmap = _paramap.expand_map(model)
-        # name -> flat index for every pattern; only the coordinates that a
-        # form uses are expanded
-        index = {"p" + _paramap.pattern_label(
-            model, _paramap.pattern_of_flat(i, jmap.n, model.k)): i
-            for i in range(jmap.num_coordinates)}
         results = []
         for tx in form_texts:
             form = parse_poly(tx)
-            coords = {nm: jmap.coordinate(index[nm])
-                      for nm in form.variables() if nm in index}
+            # vanishing_check reports the names that are not coordinates
+            coords = {}
+            for nm in form.variables():
+                with contextlib.suppress(ValueError):
+                    coords[nm] = jmap.coordinate(_paramap.coordinate_index(
+                        nm, jmap.n, model.k))
             ok = _invariants.vanishing_check(form, coords)
             results.append({"form": tx, "vanishes": ok})
             lines.append(f"{'vanishes' if ok else 'NONZERO'}: {tx}")
@@ -330,7 +329,9 @@ def main(argv=None):
         # ValueError covers NewickError, JSONDecodeError and
         # UnicodeDecodeError; other exceptions are bugs and keep their
         # traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)

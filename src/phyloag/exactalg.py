@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import gcd
 
 try:
     from gmpy2 import mpq as Rat
@@ -331,7 +332,6 @@ def normalize_poly(p):
     (canonical order) positive."""
     if p.is_zero():
         return p
-    from math import gcd
     dens = [c.denominator for c in p.terms.values()]
     lcm = 1
     for d in dens:
@@ -403,7 +403,6 @@ def _bareiss_echelon(rows):
 def _clear_rows(mat):
     """Scale each rational row to integers; returns the integer rows and the
     product of the row multipliers."""
-    from math import gcd
     out = []
     scale = 1
     for row in mat:

@@ -18,6 +18,7 @@ import numpy as np
 from .exactalg import Poly, Rat, binomial
 from . import treecore
 from .models import edge_letter
+from .paramap import pattern_of_flat
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class GroupSpec:
 
     def add(self, g, h):
         return g ^ h
+
+    def characters(self):
+        """The character table chi_g(h) as a k x k int64 array, rows g."""
+        return np.array([[self.char(g, h) for h in range(self.k)]
+                         for g in range(self.k)])
 
 
 Z2 = GroupSpec("Z2", ((0,), (1,)))
@@ -71,25 +77,19 @@ class FourierIndex:
 def transform_tensor(p, group, n):
     """q[(g_1..g_n)] = sum_sigma p[sigma] * prod_i chi_{g_i}(sigma_i).
 
-    p has length k^n with leaf-major flat indexing; exact when the input is
-    exact.
+    p has length k^n with leaf-major flat indexing (paramap.flat_index), so
+    it is the (k,)*n tensor of the leaf axes, and the character table acts
+    on each axis in turn; exact when the input is exact.
     """
     k = group.k
     if len(p) != k ** n:
         raise ValueError(f"tensor length {len(p)} != {k}^{n}")
-    out = list(p)
-    # transform one axis at a time
+    # Python int entries keep Rat and Poly arithmetic exact
+    chars = group.characters().astype(object)
+    q = np.array(p, dtype=object).reshape((k,) * n)
     for axis in range(n):
-        stride = k ** (n - 1 - axis)
-        nxt = list(out)
-        for base in range(0, k ** n, stride * k):
-            for off in range(stride):
-                vals = [out[base + s * stride + off] for s in range(k)]
-                for g in range(k):
-                    nxt[base + g * stride + off] = sum(
-                        group.char(g, s) * vals[s] for s in range(k))
-        out = nxt
-    return out
+        q = np.moveaxis(np.tensordot(chars, q, axes=(1, axis)), 0, axis)
+    return q.reshape(-1).tolist()
 
 
 def inverse_transform(q, group, n):
@@ -279,19 +279,12 @@ def accumulated_combination(tree, subforest, classes, group, n, k):
     classes is a partition of flat pattern indices; coefficient for class C is
     (sum over C of the character product) / |C|.
     """
-    from .paramap import pattern_of_flat
     leaf_labels = subforest_leaf_labeling(tree, subforest, group)
-    coeffs = []
-    for cls in classes:
-        total = 0
-        for flat in cls:
-            states = pattern_of_flat(flat, n, k)
-            prod = 1
-            for g, s in zip(leaf_labels, states):
-                prod *= group.char(g, s)
-            total += prod
-        coeffs.append(Rat(total, len(cls)))
-    return coeffs
+    chars = group.characters()
+    states = pattern_of_flat(np.arange(k ** n), n, k)
+    # the character product of every pattern, by flat index
+    chi = np.prod([chars[g, s] for g, s in zip(leaf_labels, states)], axis=0)
+    return [Rat(int(chi[cls].sum()), len(cls)) for cls in classes]
 
 
 # ---------------------------------------------------------------------------

@@ -61,24 +61,20 @@ def random_point(symbols, rng):
 # flattenings
 
 
-def symbolic_tensor(n, k, prefix="p", dna=False):
-    """Coordinate symbols p_sigma as a flat list of Polys, leaf-major order."""
-    out = []
-    for states in itertools.product(range(k), repeat=n):
-        if dna:
-            name = prefix + "".join(_models.DNA[s] for s in states)
-        else:
-            name = prefix + "".join(str(s) for s in states)
-        out.append(Poly.var(name))
-    return out
+def symbolic_tensor(n, k):
+    """The coordinate symbols (paramap.coordinate_name) by flat index."""
+    return [Poly.var(_paramap.coordinate_name(
+        _paramap.pattern_of_flat(i, n, k), k)) for i in range(k ** n)]
 
 
-def flatten(tensor, leaf_order, split, k=None):
+def flatten(tensor, leaf_order, split, k):
     """Flattening matrix of a k^n tensor induced by a split of the leaf set.
 
     split is a (below, above) pair of leaf-label collections (or a
     treecore.Split); rows are indexed lexicographically by the states of the
-    below leaves, columns by the above leaves, both in leaf order.
+    below leaves, columns by the above leaves, both in leaf order.  The flat
+    tensor is leaf-major (paramap.flat_index), so the matrix is its (k,)*n
+    reshape with the below leaves' axes moved first.
     """
     if isinstance(split, treecore.Split):
         below, above = split.below, split.above
@@ -89,27 +85,11 @@ def flatten(tensor, leaf_order, split, k=None):
         raise ValueError("trivial split")
     if below | above != set(leaf_order) or below & above:
         raise ValueError("split is not a bipartition of the leaves")
-    below = [l for l in leaf_order if l in below]
-    above = [l for l in leaf_order if l in above]
     n = len(leaf_order)
-    if k is None:
-        k = round(len(tensor) ** (1.0 / n))
-    pos = {l: i for i, l in enumerate(leaf_order)}
-    mat = []
-    for rstates in itertools.product(range(k), repeat=len(below)):
-        row = []
-        for cstates in itertools.product(range(k), repeat=len(above)):
-            states = [0] * n
-            for l, s in zip(below, rstates):
-                states[pos[l]] = s
-            for l, s in zip(above, cstates):
-                states[pos[l]] = s
-            flat = 0
-            for s in states:
-                flat = flat * k + s
-            row.append(tensor[flat])
-        mat.append(row)
-    return mat
+    axes = [i for i, l in enumerate(leaf_order) if l in below] + \
+        [i for i, l in enumerate(leaf_order) if l in above]
+    t = np.array(tensor, dtype=object).reshape((k,) * n).transpose(axes)
+    return t.reshape(k ** len(below), -1).tolist()
 
 
 def dedup_matrix(mat):
@@ -132,9 +112,9 @@ def dedup_matrix(mat):
     return [[r[j] for j in cols] for r in rows]
 
 
-def hankel_matrix(prefix="p"):
+def hankel_matrix():
     """The 3x3 symmetric-tensor matrix [[p0,p1,p2],[p1,p2,p3],[p2,p3,p4]]."""
-    v = [Poly.var(f"{prefix}{i}") for i in range(5)]
+    v = [Poly.var(f"p{i}") for i in range(5)]
     return [[v[0], v[1], v[2]], [v[1], v[2], v[3]], [v[2], v[3], v[4]]]
 
 

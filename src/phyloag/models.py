@@ -4,6 +4,12 @@ and a root-distribution mode.
 A template is a k x k array of parameter symbol names; repeating a symbol
 encodes a tie.  The group element <-> state bijection for DNA is fixed as
 A=(0,0), C=(0,1), G=(1,0), T=(1,1).
+
+This module owns the state alphabet: each state is one character, the
+digits then the lower-case letters (`STATES`, so k <= 36).  Symbols that
+name states (general Markov and reversible cells, free root weights) write
+them from `STATES`; pattern labels and coordinate names (see paramap) from
+`alphabet`, which reads the four states as ACGT when k = 4.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from .exactalg import Rat, rat
 from . import treecore
 
 DNA = "ACGT"
+# one character per state, state i the i-th
+STATES = "0123456789abcdefghijklmnopqrstuvwxyz"
 KINDS = ("general-markov", "jc-binary", "jc-dna", "kimura2", "kimura3",
          "reversible", "homogeneous")
 
@@ -73,7 +81,8 @@ class ModelSpec:
 
 def _template(kind, k, letter):
     if kind == "general-markov":
-        return [[f"{letter}{i}{j}" for j in range(k)] for i in range(k)]
+        return [[f"{letter}{STATES[i]}{STATES[j]}" for j in range(k)]
+                for i in range(k)]
     if kind == "jc-binary":
         return [[f"{letter}0", f"{letter}1"], [f"{letter}1", f"{letter}0"]]
     if kind == "jc-dna":
@@ -89,8 +98,8 @@ def _template(kind, k, letter):
             return i
         return [[f"{letter}{idx(g, h)}" for h in GROUP_Z2Z2] for g in GROUP_Z2Z2]
     if kind == "reversible":
-        return [[f"{letter}{min(i, j)}{max(i, j)}" for j in range(k)]
-                for i in range(k)]
+        return [[f"{letter}{STATES[min(i, j)]}{STATES[max(i, j)]}"
+                 for j in range(k)] for i in range(k)]
     raise ValueError(f"unsupported model kind {kind!r}")
 
 
@@ -115,6 +124,8 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
         raise ValueError(f"kind {base!r} needs an explicit k")
     elif k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    elif k > len(STATES):
+        raise ValueError(f"k must be at most {len(STATES)}, got {k}")
     if base not in KINDS or base == "homogeneous":
         raise ValueError(f"unsupported model kind {kind!r}")
 
@@ -126,7 +137,8 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
                      for i in range(tree.num_edges)]
 
     if root_mode == "free":
-        root = RootSpec("free", tuple(f"{prefix}pi{s}" for s in range(k)))
+        root = RootSpec("free",
+                        tuple(f"{prefix}pi{STATES[s]}" for s in range(k)))
     elif root_mode == "uniform":
         root = RootSpec("uniform")
     else:
@@ -167,15 +179,10 @@ def validate_stochastic(model, params):
     return report
 
 
-def state_index(model, symbol):
-    """State index of a one-character state label ('0'/'1' or A/C/G/T)."""
-    if model.k == 4:
-        return DNA.index(symbol)
-    return int(symbol)
-
-
-def state_label(model, idx):
-    return DNA[idx] if model.k == 4 else str(idx)
+def alphabet(k):
+    """The k states' labels as one string, state i the i-th character: ACGT
+    for k = 4, else the first k characters of STATES."""
+    return DNA if k == 4 else STATES[:k]
 
 
 # -- model config JSON ------------------------------------------------------

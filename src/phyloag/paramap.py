@@ -11,6 +11,12 @@ its outputs are the weighted sums.  A single evaluation pass over the
 circuit serves every ring: exact or float values, dual numbers over the ints
 modulo a prime for the Jacobian, and polynomials for the expanded
 coordinates (read off lazily, once per output node).
+
+This module also owns the site-pattern format.  A pattern is one state per
+leaf, in tree leaf order; its flat index is leaf-major (the first leaf's
+state is the most significant digit in base k), its label is one character
+of models.alphabet per state, and the coordinate it indexes is named "p"
+and the label.
 """
 
 from __future__ import annotations
@@ -31,35 +37,61 @@ MUL = "mul"
 _RING_OPS = {ADD: operator.add, MUL: operator.mul}
 
 
-@dataclass(frozen=True)
-class LeafPattern:
-    states: tuple
-
-    def flat_index(self, k):
-        idx = 0
-        for s in self.states:
-            idx = idx * k + s
-        return idx
+def flat_index(states, k):
+    """Flat index of leaf states: an int from n ints, an int64 array from n
+    int arrays of equal shape."""
+    idx = np.ravel_multi_index(tuple(states), (k,) * len(states))
+    return int(idx) if np.ndim(idx) == 0 else idx
 
 
 def pattern_of_flat(idx, n, k):
-    states = []
-    for _ in range(n):
-        states.append(idx % k)
-        idx //= k
-    return tuple(reversed(states))
+    """Leaf states of a flat index, the inverse of flat_index: a tuple of n
+    ints from an int, of n int64 arrays from an int array."""
+    states = np.unravel_index(idx, (k,) * n)
+    return tuple(map(int, states)) if np.ndim(idx) == 0 else states
 
 
-def pattern_label(model, states):
-    return "".join(_models.state_label(model, s) for s in states)
+def pattern_label(states, k):
+    """Text of a sequence of states (ints or an int array), one alphabet
+    character each: a pattern's label, or one leaf's alignment row."""
+    chars = np.frombuffer(_models.alphabet(k).encode("ascii"), dtype=np.uint8)
+    return chars[np.asarray(states, dtype=np.int64)].tobytes().decode("ascii")
 
 
-def parse_pattern(model, text):
-    """Leaf states of a pattern such as 'ACGT': one state label per leaf."""
-    labels = {_models.state_label(model, s) for s in range(model.k)}
-    if len(text) != model.tree.num_leaves or not set(text) <= labels:
+def parse_states(text, k):
+    """States of the characters of a text, the inverse of pattern_label, as
+    an int8 array; raises ValueError on the first character outside the
+    k-state alphabet."""
+    alphabet = _models.alphabet(k)
+    table = np.full(256, -1, dtype=np.int8)
+    table[list(alphabet.encode("ascii"))] = np.arange(k)
+    # a character outside ASCII encodes to bytes >= 128, which map to -1
+    states = table[np.frombuffer(text.encode("utf-8"), dtype=np.uint8)]
+    if (states < 0).any():
+        ch = next(ch for ch in text if ch not in alphabet)
+        raise ValueError(f"character {ch!r} is not in the {k}-state "
+                         f"alphabet {alphabet}")
+    return states
+
+
+def parse_pattern(text, n, k):
+    """Leaf states of a pattern label such as 'ACGT': n characters of the
+    k-state alphabet, as a tuple of ints."""
+    if len(text) != n or not set(text) <= set(_models.alphabet(k)):
         raise ValueError(f"bad pattern {text!r}")
-    return tuple(_models.state_index(model, ch) for ch in text)
+    return tuple(parse_states(text, k).tolist())
+
+
+def coordinate_name(states, k):
+    return "p" + pattern_label(states, k)
+
+
+def coordinate_index(name, n, k):
+    """Flat index of a coordinate name such as 'pACGT'; raises ValueError
+    unless the name is "p" and the label of a pattern of n leaves."""
+    if not name.startswith("p"):
+        raise ValueError(f"bad coordinate name {name!r}")
+    return flat_index(parse_pattern(name[1:], n, k), k)
 
 
 class Circuit:

@@ -11,6 +11,7 @@ import numpy as np
 from .exactalg import Rat, mat_rank_nullspace
 from . import models as _models
 from . import invariants as _invariants
+from . import paramap as _paramap
 
 
 @dataclass
@@ -82,41 +83,25 @@ def sample_alignment(joint_map, params, num_sites, seed):
     probs = exact_distribution(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
     idx = _inverse_cdf(probs, rng.random(num_sites))
-    model = _single_model(joint_map)
-    n, k = joint_map.n, joint_map.k
-    labels = np.array([_models.state_label(model, s) for s in range(k)])
-    rows = ["".join(labels[idx // k ** (n - 1 - i) % k].tolist())
-            for i in range(n)]
-    return Alignment(names=list(model.tree.leaf_labels), rows=rows)
+    states = _paramap.pattern_of_flat(idx, joint_map.n, joint_map.k)
+    return Alignment(names=list(_single_model(joint_map).tree.leaf_labels),
+                     rows=[_paramap.pattern_label(s, joint_map.k)
+                           for s in states])
 
 
 def pattern_counts(alignment, k):
     """Pattern counts as a flat int list of length k^n.
 
-    Sites are read in the k-state alphabet (ACGT for k = 4, else the digits
-    0..k-1); raises ValueError on any other character, on rows of unequal
-    length and on an alignment without sites.
+    Sites are read in the k-state alphabet (models.alphabet); raises
+    ValueError on any other character, on rows of unequal length and on an
+    alignment without sites.
     """
     if len({len(r) for r in alignment.rows}) > 1:
         raise ValueError("alignment rows have unequal lengths")
     if alignment.num_sites == 0:
         raise ValueError("alignment has no sites")
-    alphabet = _models.DNA if k == 4 else "".join(map(str, range(k)))
-    # code point -> state, with one trailing -1 for every code point past it
-    table = np.full(max(map(ord, alphabet)) + 2, -1, dtype=np.int64)
-    table[[ord(ch) for ch in alphabet]] = np.arange(k)
-    flat = np.zeros(alignment.num_sites, dtype=np.int64)
-    for row in alignment.rows:
-        codes = np.frombuffer(row.encode("utf-32-le"), dtype="<u4")
-        states = table[np.minimum(codes, len(table) - 1)]
-        if (states < 0).any():
-            # report the first foreign character in site order
-            ch = next(ch for column in zip(*alignment.rows) for ch in column
-                      if ch not in alphabet)
-            raise ValueError(f"character {ch!r} is not in the "
-                             f"{k}-state alphabet {alphabet}")
-        flat *= k
-        flat += states
+    flat = _paramap.flat_index(
+        [_paramap.parse_states(row, k) for row in alignment.rows], k)
     return np.bincount(flat, minlength=k ** len(alignment.rows)).tolist()
 
 

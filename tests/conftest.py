@@ -200,6 +200,62 @@ def expansion_classes(joint_map):
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+def stride_flatten(tensor, leaf_order, split, k):
+    """Flattening matrix of a leaf-major k^n tensor, one cell at a time:
+    each cell's flat index is accumulated digit by digit from its states.
+
+    Independent oracle for invariants.flatten, which reshapes and transposes
+    the tensor.  split is a (below, above) pair of leaf-label collections.
+    """
+    below = [l for l in leaf_order if l in set(split[0])]
+    above = [l for l in leaf_order if l in set(split[1])]
+    n = len(leaf_order)
+    pos = {l: i for i, l in enumerate(leaf_order)}
+    mat = []
+    for rstates in itertools.product(range(k), repeat=len(below)):
+        row = []
+        for cstates in itertools.product(range(k), repeat=len(above)):
+            states = [0] * n
+            for l, s in zip(below, rstates):
+                states[pos[l]] = s
+            for l, s in zip(above, cstates):
+                states[pos[l]] = s
+            flat = 0
+            for s in states:
+                flat = flat * k + s
+            row.append(tensor[flat])
+        mat.append(row)
+    return mat
+
+
+def stride_transform(p, group, n):
+    """Character transform of a leaf-major k^n tensor, one leaf axis at a
+    time, walking each axis by its stride k^(n - 1 - axis).
+
+    Independent oracle for fourier.transform_tensor, which contracts the
+    character table with each axis of the reshaped tensor.
+    """
+    k = group.k
+    out = list(p)
+    for axis in range(n):
+        stride = k ** (n - 1 - axis)
+        nxt = list(out)
+        for base in range(0, k ** n, stride * k):
+            for off in range(stride):
+                vals = [out[base + s * stride + off] for s in range(k)]
+                for g in range(k):
+                    nxt[base + g * stride + off] = sum(
+                        group.char(g, s) * vals[s] for s in range(k))
+        out = nxt
+    return out
+
+
+def stride_pattern(idx, n, k):
+    """Leaf states of a leaf-major flat index, digit by digit (independent
+    oracle for paramap.pattern_of_flat)."""
+    return tuple(idx // k ** (n - 1 - i) % k for i in range(n))
+
+
 def random_rat(rng):
     return Rat(rng.randint(1, 97), rng.randint(1, 97))
 

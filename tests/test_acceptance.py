@@ -59,7 +59,7 @@ def test_criterion_02_three_leaf_map_and_homogeneous_restriction():
                                        * Poly.var(f"b{u}{v}")
                                        * Poly.var(f"c{v}{j}")
                                        * Poly.var(f"d{v}{k}"))
-        flat = paramap.LeafPattern((i, j, k)).flat_index(2)
+        flat = paramap.flat_index((i, j, k), 2)
         got = jm.coordinate(flat)
         assert got == expected and got.num_terms() == 4
     assert paramap.degree_profile(jm) == 5

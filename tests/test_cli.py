@@ -406,3 +406,50 @@ def test_cli_fuzz_exits_with_a_documented_code(run):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 2, 3)
+
+
+def test_flatten_beyond_ten_states_has_distinct_cells(tmp_path, capsys):
+    tree = tmp_path / "t3.nwk"
+    tree.write_text("(1,(2,3));\n")
+    assert main(["invariants", "--tree", str(tree), "--model",
+                 "general-markov", "--k", "11", "--flatten", "1|2,3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 11 and all(len(row) == 121 for row in rows)
+    assert len({cell for row in rows for cell in row}) == 11 ** 3
+
+
+@pytest.mark.parametrize("command", ["param", "dim"])
+def test_k_above_36_is_validation_error(tree_file, capsys, command):
+    assert main([command, "--tree", tree_file, "--model", "general-markov",
+                 "--k", "37"]) == 2
+    assert "k must be at most 36, got 37" in capsys.readouterr().err
+
+
+def test_check_reads_the_coordinates_a_form_names(tree_file, tmp_path,
+                                                  capsys):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("pAAAA - pCCCC\npAAAA - pAAAC\n")
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--check", str(forms)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "vanishes: pAAAA - pCCCC", "NONZERO: pAAAA - pAAAC"]
+
+
+def test_check_reports_an_unknown_coordinate(tree_file, tmp_path, capsys):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("pAAAA - pXXXXX\n")
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--check", str(forms)]) == 2
+    assert capsys.readouterr().err == \
+        "error: form uses unknown coordinates ['pXXXXX']\n"
+
+
+def test_simulate_reports_a_missing_symbol(tree_file, params_file, tmp_path,
+                                           capsys):
+    path, params = params_file
+    Path(path).write_text(json.dumps(
+        {s: v for s, v in params.items() if s != "a0"}))
+    assert main(["simulate", "--tree", tree_file, "--model", "jc-dna",
+                 "--params", path, "--length", "10", "--seed", "1",
+                 "--out", str(tmp_path / "aln.fasta")]) == 2
+    assert capsys.readouterr().err == "error: missing symbol 'a0'\n"

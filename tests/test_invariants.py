@@ -38,7 +38,7 @@ def tensor_sum(a, b):
 def test_symbolic_tensor_names():
     t = invariants.symbolic_tensor(2, 2)
     assert [str(x) for x in t] == ["1*p00", "1*p01", "1*p10", "1*p11"]
-    t4 = invariants.symbolic_tensor(1, 4, dna=True)
+    t4 = invariants.symbolic_tensor(1, 4)
     assert [str(x) for x in t4] == ["1*pA", "1*pC", "1*pG", "1*pT"]
 
 
@@ -536,3 +536,11 @@ def test_rational_reconstruction_roundtrip():
         a = num * pow(den, -1, m) % m
         r = _rat_reconstruct(a, m)
         assert r == Rat(num, den)
+
+
+def test_symbolic_tensor_names_are_distinct_beyond_ten_states():
+    # with two-digit states, (1, 0, 10) and (10, 1, 0) were both "p1010"
+    t = [str(x) for x in invariants.symbolic_tensor(3, 11)]
+    assert len(set(t)) == len(t) == 11 ** 3
+    assert t[paramap.flat_index((1, 0, 10), 11)] == "1*p10a"
+    assert t[paramap.flat_index((10, 1, 0), 11)] == "1*pa10"

@@ -74,10 +74,10 @@ def test_prefix_disjoint(tree3):
 
 def test_state_labels(tree3):
     m = make_model(tree3, "jc-dna")
-    assert [models.state_label(m, i) for i in range(4)] == list("ACGT")
-    assert models.state_index(m, "G") == 2
+    assert [models.alphabet(m.k)[i] for i in range(4)] == list("ACGT")
+    assert models.alphabet(m.k).index("G") == 2
     mb = make_model(tree3, "jc-binary")
-    assert models.state_label(mb, 1) == "1"
+    assert models.alphabet(mb.k)[1] == "1"
 
 
 def test_validate_stochastic(tree3):
@@ -112,3 +112,30 @@ def test_config_without_a_required_field(field):
     del cfg[field]
     with pytest.raises(ValueError, match=f"config has no '{field}'"):
         models.load_model_config(cfg)
+
+
+@pytest.mark.parametrize("k", [12, 20])
+def test_general_markov_symbols_are_distinct_beyond_ten_states(tree3, k):
+    # with two-digit states, a[1][10] and a[11][0] were both "a110"
+    m = make_model(tree3, "general-markov", root_mode="free", k=k)
+    for tpl in m.templates:
+        assert len({s for row in tpl for s in row}) == k * k
+    assert len(m.symbols) == m.tree.num_edges * k * k + k
+    assert m.templates[0][1][10] == "a1a" and m.templates[0][11][0] == "ab0"
+    assert m.root.symbols[10] == "pia"
+
+
+def test_symbols_up_to_ten_states_keep_their_names(tree3):
+    m = make_model(tree3, "general-markov", root_mode="free", k=10)
+    assert m.templates[1] == [[f"b{i}{j}" for j in range(10)]
+                              for i in range(10)]
+    assert m.root.symbols == tuple(f"pi{s}" for s in range(10))
+    r = make_model(tree3, "reversible", k=10)
+    assert r.templates[0][9][3] == "a39"
+
+
+def test_make_model_rejects_more_than_36_states(tree3):
+    assert make_model(tree3, "general-markov", k=36).templates[0][35][0] \
+        == "az0"
+    with pytest.raises(ValueError, match="k must be at most 36, got 37"):
+        make_model(tree3, "general-markov", k=37)

@@ -1,16 +1,20 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat, residue
-from phyloag import paramap
+from phyloag import fourier, invariants, paramap, pipeline
 from phyloag.invariants import _PRIMES
 
 from conftest import (brute_force_eval, brute_force_expand,
                       brute_force_jacobian, draw_newick, expansion_classes,
-                      first_flat_index, random_params, stochastic_jc_params)
+                      first_flat_index, random_params, random_rat,
+                      stochastic_jc_params, stride_flatten, stride_pattern,
+                      stride_transform)
 
 _PRIME = _PRIMES[0]
 
@@ -29,7 +33,7 @@ def test_three_leaf_general_markov_terms(tree3):
                                        * Poly.var(f"b{r}{t}")
                                        * Poly.var(f"c{t}{j}")
                                        * Poly.var(f"d{t}{k}"))
-        flat = paramap.LeafPattern((i, j, k)).flat_index(2)
+        flat = paramap.flat_index((i, j, k), 2)
         assert jm.coordinate(flat) == expected
         assert jm.coordinate(flat).num_terms() == 4
 
@@ -266,9 +270,9 @@ def test_no_hidden_monomial_map(tree3):
 
 def test_pattern_helpers(tree3):
     m = make_model(tree3, "jc-dna")
-    assert paramap.pattern_label(m, (0, 1, 3)) == "ACT"
-    assert paramap.parse_pattern(m, "ACT") == (0, 1, 3)
-    assert paramap.pattern_of_flat(paramap.LeafPattern((0, 1, 3)).flat_index(4),
+    assert paramap.pattern_label((0, 1, 3), m.k) == "ACT"
+    assert paramap.parse_pattern("ACT", 3, m.k) == (0, 1, 3)
+    assert paramap.pattern_of_flat(paramap.flat_index((0, 1, 3), 4),
                                    3, 4) == (0, 1, 3)
 
 
@@ -283,4 +287,55 @@ def test_pattern_helpers(tree3):
 ])
 def test_parse_pattern_rejects_bad_text(tree3, kind, text):
     with pytest.raises(ValueError, match=f"bad pattern '{text}'"):
-        paramap.parse_pattern(make_model(tree3, kind), text)
+        paramap.parse_pattern(text, tree3.num_leaves,
+                              make_model(tree3, kind).k)
+
+
+# state alphabets written out here, independent of models.alphabet
+_ALPHABETS = {2: "01", 3: "012", 4: "ACGT"}
+
+
+@st.composite
+def _pattern_cases(draw):
+    """(n, k, leaves, below, seed, flat indices): a bipartition of n <= 5
+    leaves, k in {2, 3, 4}, a seed for a random tensor and some sites."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.sampled_from(sorted(_ALPHABETS)))
+    leaves = [str(i + 1) for i in range(n)]
+    below = draw(st.lists(st.sampled_from(leaves), min_size=1,
+                          max_size=n - 1, unique=True))
+    sites = draw(st.lists(st.integers(0, k ** n - 1), min_size=1,
+                          max_size=40))
+    return n, k, leaves, below, draw(st.integers(0, 2 ** 32 - 1)), sites
+
+
+@given(_pattern_cases())
+@settings(max_examples=40, deadline=None)
+def test_pattern_format_matches_the_oracles(case):
+    n, k, leaves, below, seed, sites = case
+    rng = random.Random(seed)
+    tensor = [random_rat(rng) for _ in range(k ** n)]
+    split = (below, [l for l in leaves if l not in below])
+    assert invariants.flatten(tensor, leaves, split, k=k) == \
+        stride_flatten(tensor, leaves, split, k)
+    # the character transform exists for the groups Z2 (k = 2) and Z2 x Z2
+    group = {2: fourier.Z2, 4: fourier.Z2xZ2}.get(k)
+    if group is not None:
+        q = fourier.transform_tensor(tensor, group, n)
+        assert q == stride_transform(tensor, group, n)
+        back = fourier.inverse_transform(q, group, n)
+        assert back == [Rat(1, k ** n) * v
+                        for v in stride_transform(q, group, n)]
+        assert back == tensor
+    expected = [stride_pattern(i, n, k) for i in sites]
+    for i, states in zip(sites, expected):
+        assert paramap.pattern_of_flat(i, n, k) == states
+        assert paramap.flat_index(states, k) == i
+    idx = np.array(sites)
+    arrays = paramap.pattern_of_flat(idx, n, k)
+    assert np.array(arrays).T.tolist() == [list(s) for s in expected]
+    assert paramap.flat_index(arrays, k).tolist() == sites
+    rows = ["".join(_ALPHABETS[k][s[leaf]] for s in expected)
+            for leaf in range(n)]
+    counts = pipeline.pattern_counts(pipeline.Alignment(leaves, rows), k)
+    assert counts == np.bincount(idx, minlength=k ** n).tolist()

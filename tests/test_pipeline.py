@@ -200,3 +200,14 @@ def test_fasta_rejects_ragged(tmp_path):
     with pytest.raises(ValueError):
         pipeline.read_fasta(path)
 
+
+def test_pattern_counts_beyond_ten_states():
+    # states 10 and 11 are the characters a and b
+    aln = pipeline.Alignment(names=["1", "2"], rows=["0ab", "b0a"])
+    counts = pipeline.pattern_counts(aln, 12)
+    assert len(counts) == 144 and sum(counts) == 3
+    assert counts[0 * 12 + 11] == counts[10 * 12 + 0] == \
+        counts[11 * 12 + 10] == 1
+    with pytest.raises(ValueError, match="'c' is not in the 12-state"):
+        pipeline.pattern_counts(
+            pipeline.Alignment(names=["1", "2"], rows=["0c", "00"]), 12)
