@@ -1,15 +1,20 @@
 """Group-based change of coordinates: character transforms of parameters and
-probability tensors, subforest-indexed coordinates, the toric monomial map,
-and degree-bounded binomial invariants.
+probability tensors, the Fourier index, the toric monomial map, and
+degree-bounded binomial invariants.
 
 Supported groups are Z2 (binary states) and Z2 x Z2 (DNA states with the
-fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1)).  The monomial map and
-the binomial search work on integer exponent data (edge labels, packed
+fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1), so state i is the
+element whose bit tuple is i in binary).  A coordinate is indexed by its
+edge labels, the group sums of the leaf labels below each edge; under the
+Jukes-Cantor DNA reduction only whether a label is the identity matters,
+and coordinates are indexed by subforests.  The monomial map and the
+binomial search work on integer exponent data (edge labels, packed
 exponent-matrix columns), not on polynomial products.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -69,6 +74,9 @@ class FourierIndex:
     def indicator(self):
         return tuple(1 if l else 0 for l in self.labels)
 
+    def __str__(self):
+        return "".join(map(str, self.labels))
+
 
 # ---------------------------------------------------------------------------
 # tensor transforms
@@ -100,24 +108,38 @@ def inverse_transform(q, group, n):
     return [scale * v for v in p]
 
 
+def edge_leaf_positions(tree):
+    """Per edge id, the positions in tree.leaves of the leaves below it."""
+    pos = {tree.labels[v]: i for i, v in enumerate(tree.leaves)}
+    return [sorted(pos[l] for l in tree.leaves_below(tree.child_of_edge(e)))
+            for e in range(tree.num_edges)]
+
+
+def zero_sum_labelings(tree, group):
+    """Every leaf labeling whose labels sum to the identity, in lex order,
+    and its edge labels: int arrays of shape (k^(n-1), n) and (k^(n-1), E).
+
+    The group addition is XOR on element indices.  The last leaf's label is
+    the XOR of the others, so the rows follow the lex order of the first
+    n - 1 labels, which is the lex order of the whole labelings.
+    """
+    heads = np.array(list(itertools.product(
+        range(group.k), repeat=tree.num_leaves - 1)), dtype=np.int64)
+    leaf = np.column_stack([heads, np.bitwise_xor.reduce(heads, axis=1)])
+    edge = np.zeros((len(leaf), tree.num_edges), dtype=np.int64)
+    for e, below in enumerate(edge_leaf_positions(tree)):
+        edge[:, e] = np.bitwise_xor.reduce(leaf[:, below], axis=1)
+    return leaf, edge
+
+
 def leaf_to_edge_labels(tree, leaf_labels, group):
     """Edge labels h_e = sum of leaf labels below e, or None when the labels
     do not sum to the identity (the coordinate vanishes on the model)."""
-    total = 0
-    for g in leaf_labels:
-        total = group.add(total, g)
-    if total != 0:
+    if functools.reduce(group.add, leaf_labels, 0):
         return None
-    by_leaf = dict(zip(tree.leaves, leaf_labels))
-    labels = []
-    for eid in range(tree.num_edges):
-        below = tree.leaves_below(tree.child_of_edge(eid))
-        h = 0
-        for v in tree.leaves:
-            if tree.labels[v] in below:
-                h = group.add(h, by_leaf[v])
-        labels.append(h)
-    return FourierIndex(tuple(labels))
+    return FourierIndex(tuple(
+        functools.reduce(group.add, (leaf_labels[i] for i in below), 0)
+        for below in edge_leaf_positions(tree)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +150,31 @@ def transformed_symbol(model, eid, idx):
     return f"u{model.prefix}{edge_letter(eid)}{idx}"
 
 
+def jc_reduced(model):
+    """The Jukes-Cantor reduction, for jc-dna only: its three non-identity
+    characters agree on every edge, so index 1 stands for all of them and
+    coordinates are indexed by subforests.  Other models keep all k indices
+    and coordinates indexed by edge labels."""
+    return model.kind == "jc-dna"
+
+
+def transformed_indices(model, group):
+    return range(2 if jc_reduced(model) else group.k)
+
+
 def transform_params(model):
     """Linear forms u_e(g) = sum_h chi_g(h) * (template row-0 cell for h).
 
-    Returns {transformed symbol: Poly in the original edge symbols}.  For
-    Jukes-Cantor models only indices 0 and 1 are used (the non-identity
-    characters coincide).
+    Returns {transformed symbol: Poly in the original edge symbols}, for g
+    over transformed_indices.
     """
     group = group_for_model(model)
     out = {}
-    reduced = model.kind in ("jc-binary", "jc-dna")
     for eid, tpl in enumerate(model.templates):
-        indices = range(2) if reduced else range(group.k)
-        for g in indices:
-            # for the reduced convention index 1 stands for any non-identity g
-            gg = g if not reduced or g == 0 else 1
+        for g in transformed_indices(model, group):
             form = Poly()
             for h in range(group.k):
-                form = form + Poly.var(tpl[0][h]) * group.char(gg, h)
+                form = form + Poly.var(tpl[0][h]) * group.char(g, h)
             out[transformed_symbol(model, eid, g)] = form
     return out
 
@@ -157,7 +186,7 @@ class MonomialMap:
 
     model: object
     group: GroupSpec
-    reduced: bool            # True: coordinates indexed by subforests
+    reduced: bool            # jc_reduced: coordinates indexed by subforests
     coord_keys: list         # Subforest (reduced) or FourierIndex
     coord_names: list
     monomials: list          # Poly, one per coordinate
@@ -169,45 +198,35 @@ class MonomialMap:
 
 
 def coord_name(key):
-    if isinstance(key, treecore.Subforest):
-        return "q" + str(key)
-    return "q" + "".join(map(str, key.labels))
+    """q followed by the key's edge labels (a Subforest's indicator)."""
+    return "q" + str(key)
 
 
 def monomial_map(model):
     """Monomial parameterization q_index = prod_e u_e(h_e).
 
-    Requires a group-based model with uniform root.  Jukes-Cantor models use
-    the subforest-indicator convention with two transformed symbols per edge.
+    Requires a group-based model with uniform root.  Under the Jukes-Cantor
+    reduction (jc_reduced) the coordinates are the subforests; otherwise
+    they are the distinct edge labelings of the zero-sum leaf labelings.
     Each monomial is written directly from its edge labels.
     """
     group = group_for_model(model)
     if model.root.mode != "uniform":
         raise ValueError("monomial map requires a uniform root")
     tree = model.tree
-    reduced = model.kind in ("jc-binary", "jc-dna")
+    reduced = jc_reduced(model)
     if reduced:
         keys = treecore.enumerate_subforests(tree)
         label_vectors = [sf.indicator for sf in keys]
     else:
-        # the zero-sum leaf labelings: the group addition is XOR on element
-        # indices, so the last leaf's label is the XOR of the others, and an
-        # edge's label the XOR of the labels of the leaves below it
-        pos = {tree.labels[v]: i for i, v in enumerate(tree.leaves)}
-        below = [[pos[l] for l in tree.leaves_below(tree.child_of_edge(e))]
-                 for e in range(tree.num_edges)]
-        heads = np.array(list(itertools.product(
-            range(group.k), repeat=tree.num_leaves - 1)))
-        leaf = np.column_stack([heads, np.bitwise_xor.reduce(heads, axis=1)])
-        edge = np.column_stack([np.bitwise_xor.reduce(leaf[:, b], axis=1)
-                                for b in below])
-        label_vectors = sorted(set(map(tuple, edge.tolist())))
+        label_vectors = sorted(set(map(tuple, zero_sum_labelings(
+            tree, group)[1].tolist())))
         keys = [FourierIndex(l) for l in label_vectors]
 
-    n_idx = 2 if reduced else group.k
+    indices = transformed_indices(model, group)
     symbols = [transformed_symbol(model, e, i)
-               for e in range(tree.num_edges) for i in range(n_idx)]
-    rows = np.array(label_vectors) + n_idx * np.arange(tree.num_edges)
+               for e in range(tree.num_edges) for i in indices]
+    rows = np.array(label_vectors) + len(indices) * np.arange(tree.num_edges)
     matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
     matrix[rows, np.arange(len(keys))[:, None]] = 1
     one = Rat(1)
@@ -264,15 +283,15 @@ def binomials_up_to_degree(mono_map, d):
 def subforest_leaf_labeling(tree, subforest, group):
     """First zero-sum leaf labeling (lex order) whose edge indicator equals
     the subforest indicator."""
-    for leaf_labels in itertools.product(range(group.k),
-                                         repeat=tree.num_leaves):
-        fi = leaf_to_edge_labels(tree, leaf_labels, group)
-        if fi is not None and fi.indicator == subforest.indicator:
-            return leaf_labels
-    raise ValueError(f"no consistent labeling for {subforest}")
+    leaf, edge = zero_sum_labelings(tree, group)
+    want = np.array(subforest.indicator, dtype=bool)
+    match = ((edge != 0) == want).all(axis=1)
+    if not match.any():
+        raise ValueError(f"no consistent labeling for {subforest}")
+    return tuple(leaf[match.argmax()].tolist())
 
 
-def accumulated_combination(tree, subforest, classes, group, n, k):
+def accumulated_combination(tree, subforest, classes, group):
     """Coefficients expressing a transformed coordinate as a linear form in
     the accumulated (class-sum) coordinates.
 
@@ -281,7 +300,8 @@ def accumulated_combination(tree, subforest, classes, group, n, k):
     """
     leaf_labels = subforest_leaf_labeling(tree, subforest, group)
     chars = group.characters()
-    states = pattern_of_flat(np.arange(k ** n), n, k)
+    n = tree.num_leaves
+    states = pattern_of_flat(np.arange(group.k ** n), n, group.k)
     # the character product of every pattern, by flat index
     chi = np.prod([chars[g, s] for g, s in zip(leaf_labels, states)], axis=0)
     return [Rat(int(chi[cls].sum()), len(cls)) for cls in classes]
@@ -292,60 +312,39 @@ def accumulated_combination(tree, subforest, classes, group, n, k):
 # coordinates); their 2x2 minors are the quadratic invariants
 
 
-def _side_configs(tree, side_edges, boundary_edge, h, exempt):
-    """Labelings of one side of a split, given the split edge's indicator."""
-    out = []
-    extra = [boundary_edge] if h else []
-    for bits in itertools.product((0, 1), repeat=len(side_edges)):
-        chosen = [e for e, b in zip(side_edges, bits) if b] + extra
-        deg = {}
-        for e in chosen:
-            p, c = tree.edges[e]
-            deg[p] = deg.get(p, 0) + 1
-            deg[c] = deg.get(c, 0) + 1
-        ok = all(d != 1 or tree.is_leaf(v) or v == exempt
-                 for v, d in deg.items())
-        if ok:
-            out.append(dict(zip(side_edges, bits)))
-    return out
-
-
 def fourier_flattening(tree, edge, h):
     """Matrix of subforest coordinates for one split edge and one indicator
     value h.
 
-    Rows range over valid labelings of the child side, columns over the parent
-    side; every entry is rank-one on the monomial model, so the 2x2 minors are
-    invariants.  Returns (row_configs, col_configs, matrix of Subforests).
+    Rows are the distinct restrictions of the subforests with bit h at the
+    edge to the edges below it, in lex order, and columns their restrictions
+    to the edges above.  Whether a vertex has degree 1 depends on one side
+    and the edge only, so every row and column make a subforest and the
+    matrix is the full product.  Every entry is rank-one on the monomial
+    model, so the 2x2 minors are invariants.  Returns (row_configs,
+    col_configs, matrix of Subforests), a config mapping edge id to bit.
     """
-    parent, child = tree.edges[edge]
-    below = set()
-
-    def collect(v):
-        for c in tree.children[v]:
-            below.add(tree.edge_id(v, c))
-            collect(c)
-
-    collect(child)
-    below_edges = sorted(below)
-    above_edges = [e for e in range(tree.num_edges)
-                   if e != edge and e not in below]
-    rows = _side_configs(tree, below_edges, edge, h, exempt=parent)
-    cols = _side_configs(tree, above_edges, edge, h, exempt=child)
-    E = tree.num_edges
+    under = tree.leaves_below(tree.child_of_edge(edge))
+    # in pre-order the edges below come right after the edge
+    below = [e for e in range(edge + 1, tree.num_edges)
+             if tree.leaves_below(tree.child_of_edge(e)) <= under]
+    above = [e for e in range(tree.num_edges)
+             if e != edge and e not in below]
+    found = [sf.indicator for sf in treecore.enumerate_subforests(tree)
+             if sf.indicator[edge] == h]
+    rows = sorted({tuple(ind[e] for e in below) for ind in found})
+    cols = sorted({tuple(ind[e] for e in above) for ind in found})
     matrix = []
     for r in rows:
         line = []
         for c in cols:
-            ind = [0] * E
-            ind[edge] = h
-            for e, b in r.items():
-                ind[e] = b
-            for e, b in c.items():
+            ind = [0] * tree.num_edges
+            for e, b in zip([edge] + below + above, (h,) + r + c):
                 ind[e] = b
             line.append(treecore.Subforest(tuple(ind)))
         matrix.append(line)
-    return rows, cols, matrix
+    return ([dict(zip(below, r)) for r in rows],
+            [dict(zip(above, c)) for c in cols], matrix)
 
 
 def all_fourier_flattenings(tree):
@@ -392,10 +391,8 @@ def mixture_monomial_coords(mono_maps):
     """Coordinate polynomials of a sum of monomial maps with fresh mixing
     weights s0, s1, ...: q_f = sum_i s_i * (component-i monomial)."""
     names = mono_maps[0].coord_names
-    for mm in mono_maps[1:]:
-        if [str(k) for k in mm.coord_keys] != \
-           [str(k) for k in mono_maps[0].coord_keys]:
-            raise ValueError("mixture components index different coordinates")
+    if any(mm.coord_names != names for mm in mono_maps[1:]):
+        raise ValueError("mixture components index different coordinates")
     coords = {}
     for idx, name in enumerate(names):
         total = Poly()

@@ -2,8 +2,7 @@
 and a root-distribution mode.
 
 A template is a k x k array of parameter symbol names; repeating a symbol
-encodes a tie.  The group element <-> state bijection for DNA is fixed as
-A=(0,0), C=(0,1), G=(1,0), T=(1,1).
+encodes a tie.
 
 This module owns the state alphabet: each state is one character, the
 digits then the lower-case letters (`STATES`, so k <= 36).  Symbols that
@@ -26,9 +25,6 @@ DNA = "ACGT"
 STATES = "0123456789abcdefghijklmnopqrstuvwxyz"
 KINDS = ("general-markov", "jc-binary", "jc-dna", "kimura2", "kimura3",
          "reversible", "homogeneous")
-
-# Z2 x Z2 group structure on DNA states, identity first
-GROUP_Z2Z2 = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def edge_letter(i):
@@ -89,14 +85,12 @@ def _template(kind, k, letter):
         return [[f"{letter}0" if i == j else f"{letter}1" for j in range(4)]
                 for i in range(4)]
     if kind in ("kimura2", "kimura3"):
-        # cell (g, h) depends only on g + h in Z2 x Z2
-        def idx(g, h):
-            s = (g[0] ^ h[0], g[1] ^ h[1])
-            i = GROUP_Z2Z2.index(s)
-            if kind == "kimura2" and i == 3:
-                i = 2   # tie the (1,1)-coset to the (1,0)-coset
-            return i
-        return [[f"{letter}{idx(g, h)}" for h in GROUP_Z2Z2] for g in GROUP_Z2Z2]
+        # cell (g, h) depends only on g + h in Z2 x Z2, which is g ^ h on
+        # state indices (see fourier); kimura2 ties the (1,1)-coset to the
+        # (1,0)-coset
+        top = 2 if kind == "kimura2" else 3
+        return [[f"{letter}{min(g ^ h, top)}" for h in range(4)]
+                for g in range(4)]
     if kind == "reversible":
         return [[f"{letter}{STATES[min(i, j)]}{STATES[max(i, j)]}"
                  for j in range(k)] for i in range(k)]
@@ -139,6 +133,11 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
     if root_mode == "free":
         root = RootSpec("free",
                         tuple(f"{prefix}pi{STATES[s]}" for s in range(k)))
+        cells = {s for tpl in templates for row in tpl for s in row}
+        shared = [s for s in root.symbols if s in cells]
+        if shared:
+            raise ValueError("root weights share names with edge "
+                             f"parameters: {', '.join(shared)}")
     elif root_mode == "uniform":
         root = RootSpec("uniform")
     else:

@@ -357,6 +357,21 @@ def support_classes(tree, group):
     return out
 
 
+def lex_scan_leaf_labeling(tree, subforest, group):
+    """The first of all k^n leaf labelings in lex order that sums to the
+    identity and whose edge indicator equals the subforest's, or None.
+
+    Independent oracle for fourier.subforest_leaf_labeling, which searches
+    the table of zero-sum labelings.
+    """
+    for leaf_labels in itertools.product(range(group.k),
+                                         repeat=tree.num_leaves):
+        fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+        if fi is not None and fi.indicator == subforest.indicator:
+            return leaf_labels
+    return None
+
+
 def poly_product_monomial_map(model):
     """The monomial map from Poly products, with the edge labels of every
     one of the k^n leaf labelings found by walking the tree.
@@ -367,7 +382,7 @@ def poly_product_monomial_map(model):
     group = fourier.group_for_model(model)
     tree = model.tree
     E = tree.num_edges
-    reduced = model.kind in ("jc-binary", "jc-dna")
+    reduced = model.kind == "jc-dna"
     if reduced:
         keys = treecore.enumerate_subforests(tree)
         label_vectors = [sf.indicator for sf in keys]

@@ -210,7 +210,7 @@ def test_criterion_06_fourier_diagonalization():
     for index, coeffs in reference.items():
         sf = treecore.Subforest(tuple(int(c) for c in index))
         got = fourier.accumulated_combination(tree, sf, classes,
-                                              fourier.Z2xZ2, 3, 4)
+                                              fourier.Z2xZ2)
         assert got == [Rat(c) for c in coeffs], index
 
     mm = fourier.monomial_map(m)

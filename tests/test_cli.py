@@ -425,6 +425,17 @@ def test_k_above_36_is_validation_error(tree_file, capsys, command):
     assert "k must be at most 36, got 37" in capsys.readouterr().err
 
 
+def test_root_weight_collision_is_validation_error(tmp_path, capsys):
+    # check reads the model without building its 19^9-coordinate map
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({
+        "newick": "(1,(2,(3,(4,(5,(6,(7,(8,9))))))));", "kind": "reversible",
+        "root": "free", "k": 19, "params": {}}))
+    assert main(["check", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == \
+        "error: root weights share names with edge parameters: pii\n"
+
+
 def test_check_reads_the_coordinates_a_form_names(tree_file, tmp_path,
                                                   capsys):
     forms = tmp_path / "forms.txt"

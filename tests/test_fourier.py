@@ -8,12 +8,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phyloag import expand_map, make_model
+from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat
 from phyloag import fourier, paramap, treecore
 
-from conftest import (draw_newick, fresh_process_env, poly_product_binomials,
-                      poly_product_monomial_map, random_rat, support_classes)
+from conftest import (draw_newick, fresh_process_env, is_subforest,
+                      lex_scan_leaf_labeling, poly_product_binomials,
+                      poly_product_monomial_map, random_params, random_rat,
+                      support_classes)
 
 
 def test_characters_are_plus_minus_one():
@@ -110,6 +112,40 @@ def test_transformed_tensor_factors(tree3):
     assert checked == 16
 
 
+@pytest.mark.parametrize("newick", ["(1,(2,3));", "((1,2),(3,4));",
+                                    "((1,2),3,4);"])
+@pytest.mark.parametrize("kind", ["jc-binary", "jc-dna", "kimura2",
+                                  "kimura3"])
+def test_transformed_joint_map_is_the_monomial_map(newick, kind):
+    """Ground truth for the monomial map: the character transform of the
+    joint map, at a random rational point (the symbolic transform of the
+    kimura3 quartet takes half a minute).  Each nonzero entry is its
+    coordinate's monomial under transform_params, and the map lists exactly
+    the coordinates that occur."""
+    model = make_model(parse_newick(newick), kind)
+    tree, k, n = model.tree, model.k, model.tree.num_leaves
+    mm = fourier.monomial_map(model)
+    point = random_params(model.symbols, seed=len(newick))
+    u = {s: form.eval(point)
+         for s, form in fourier.transform_params(model).items()}
+    q = fourier.transform_tensor(
+        [p.eval(point) for p in expand_map(model).coordinates()], mm.group, n)
+    values = {name: mono.eval(u)
+              for name, mono in zip(mm.coord_names, mm.monomials)}
+    realized = set()
+    for i, value in enumerate(q):
+        if value == 0:
+            continue
+        fi = fourier.leaf_to_edge_labels(tree, paramap.pattern_of_flat(i, n, k),
+                                         mm.group)
+        assert fi is not None
+        name = "q" + "".join(map(str, fi.indicator if mm.reduced
+                                 else fi.labels))
+        assert values[name] == value, name
+        realized.add(name)
+    assert realized == set(mm.coord_names)
+
+
 def test_transform_params_jc(tree3):
     m = make_model(tree3, "jc-dna")
     tp = fourier.transform_params(m)
@@ -128,13 +164,19 @@ def test_transform_params_kimura(tree3):
     assert tp["ua3"] == a[0] - a[1] - a[2] + a[3]
 
 
-def test_monomial_map_counts(tree4):
-    mm = fourier.monomial_map(make_model(tree4, "jc-dna"))
-    assert len(mm.coord_names) == 13
-    assert len(mm.symbols) == 12
-    assert mm.coord_names[0] == "q000000"
-    # each monomial has degree E
-    assert all(p.degree() == 6 for p in mm.monomials)
+def test_monomial_map_counts():
+    # jc-dna: one coordinate per subforest; jc-binary: one per zero-sum
+    # leaf labeling, 2^(n-1)
+    for newick, kind, coords in [("((1,2),(3,4));", "jc-dna", 13),
+                                 ("((1,2),(3,4));", "jc-binary", 8),
+                                 ("((1,2),(3,(4,5)));", "jc-binary", 16)]:
+        tree = parse_newick(newick)
+        mm = fourier.monomial_map(make_model(tree, kind))
+        assert len(mm.coord_names) == coords
+        assert len(mm.symbols) == 2 * tree.num_edges
+        assert mm.coord_names[0] == "q" + "0" * tree.num_edges
+        # each monomial has degree E
+        assert all(p.degree() == tree.num_edges for p in mm.monomials)
 
 
 def test_monomial_map_requires_uniform_root(tree3):
@@ -188,6 +230,56 @@ def test_support_classes_equal_subforests(tree4):
     assert got == want
 
 
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_fourier_flattening_is_the_subforests_with_bit_h(data):
+    tree = parse_newick(draw_newick(data.draw, 3, 6))
+    E = tree.num_edges
+    brute = [ind for ind in itertools.product((0, 1), repeat=E)
+             if is_subforest(tree, [e for e in range(E) if ind[e]])]
+
+    def under(v, top):
+        while v != top and v in tree.parent:
+            v = tree.parent[v]
+        return v == top
+
+    for edge in range(E):
+        child = tree.child_of_edge(edge)
+        below = [e for e in range(E) if e != edge
+                 and under(tree.edges[e][0], child)]
+        above = [e for e in range(E) if e != edge and e not in below]
+        for h in (0, 1):
+            rows, cols, matrix = fourier.fourier_flattening(tree, edge, h)
+            assert all(list(r) == below for r in rows)
+            assert all(list(c) == above for c in cols)
+            assert [tuple(r.values()) for r in rows] == \
+                sorted({tuple(r.values()) for r in rows})
+            assert len(matrix) == len(rows)
+            for r, line in zip(rows, matrix):
+                assert len(line) == len(cols)
+                for c, sf in zip(cols, line):
+                    assert all(sf.indicator[e] == b
+                               for e, b in {**r, **c}.items())
+            cells = sorted(sf.indicator for line in matrix for sf in line)
+            assert cells == [ind for ind in brute if ind[edge] == h]
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_subforest_leaf_labeling_is_the_first_in_lex_order(data):
+    tree = parse_newick(draw_newick(data.draw, 3, 6))
+    group = data.draw(st.sampled_from([fourier.Z2, fourier.Z2xZ2]))
+    subforests = treecore.enumerate_subforests(tree)
+    for sf in data.draw(st.lists(st.sampled_from(subforests), min_size=1,
+                                 max_size=3)):
+        want = lex_scan_leaf_labeling(tree, sf, group)
+        if want is None:
+            with pytest.raises(ValueError):
+                fourier.subforest_leaf_labeling(tree, sf, group)
+        else:
+            assert fourier.subforest_leaf_labeling(tree, sf, group) == want
+
+
 def test_accumulated_combination_q0011(tree3):
     """Transformed coordinates as combinations of the accumulated class
     coordinates: q for the cherry path has the expected 1, -1/3 pattern."""
@@ -196,12 +288,12 @@ def test_accumulated_combination_q0011(tree3):
     classes = paramap.symmetry_classes(jm)
     sf = treecore.Subforest((0, 0, 1, 1))
     coeffs = fourier.accumulated_combination(tree3, sf, classes,
-                                             fourier.Z2xZ2, 3, 4)
+                                             fourier.Z2xZ2)
     # class order: p123, p12, p13, p23, pdis
     assert coeffs == [Rat(1), Rat(-1, 3), Rat(-1, 3), Rat(1), Rat(-1, 3)]
     empty = treecore.Subforest((0, 0, 0, 0))
     assert fourier.accumulated_combination(tree3, empty, classes,
-                                           fourier.Z2xZ2, 3, 4) == [Rat(1)] * 5
+                                           fourier.Z2xZ2) == [Rat(1)] * 5
 
 
 def test_mixture_monomial_coords(tree4):
@@ -272,12 +364,18 @@ _FOURIER_STDOUT = [
      "4259f2bd866673411adde856fd1de0d1bb486d2e54ead61f1c60fd966f71840c"),
     ("((1,2),(3,4));", "kimura3", [],
      "c371806ee27b3bd6c324c77e9da60262f5a49ed49990a52695b18ec490eaa9f6"),
+    # the 8 coordinates of the zero-sum Z2 labelings, and their 2 quadrics
+    ("((1,2),(3,4));", "jc-binary", [],
+     "edcf832504e0a4e7ba143c322c227014aa56c4b276e5580b826cfd063e6ecabb"),
+    ("((1,2),(3,4));", "jc-binary", ["--binomials", "2"],
+     "3f62cd9bcd5a0fc9e1ab45aa9f5459e3935f18df873b47cedb00084fbaa29177"),
 ]
 
 
 @pytest.mark.parametrize("newick, kind, extra, digest", _FOURIER_STDOUT,
                          ids=["jc-dna-binomials", "jc-dna-map",
-                              "jc-dna-coordinates", "kimura3-coordinates"])
+                              "jc-dna-coordinates", "kimura3-coordinates",
+                              "jc-binary-coordinates", "jc-binary-binomials"])
 def test_fourier_stdout_is_pinned(tmp_path, newick, kind, extra, digest):
     # a fresh process, so the digest covers the command's whole output path
     # from start-up, as a user runs it

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from phyloag import make_model
+from phyloag import make_model, parse_newick
 from phyloag.exactalg import Rat
 from phyloag import models
 
@@ -139,3 +139,23 @@ def test_make_model_rejects_more_than_36_states(tree3):
         == "az0"
     with pytest.raises(ValueError, match="k must be at most 36, got 37"):
         make_model(tree3, "general-markov", k=37)
+
+
+CATERPILLAR16 = "(1,(2,(3,(4,(5,(6,(7,(8,9))))))));"
+
+
+@pytest.mark.parametrize("kind, shared", [
+    ("general-markov", "pi0, pi1, pi2, pi3, pi4, pi5, pi6, pi7, pi8, pi9, "
+                       "pia, pib, pic, pid, pie, pif, pig, pih, pii"),
+    ("reversible", "pii")], ids=["general-markov", "reversible"])
+def test_root_weights_must_not_share_edge_symbols(kind, shared):
+    # edge 15 has letter p, so its cells (18, s) are named like root weights
+    tree = parse_newick(CATERPILLAR16)
+    assert tree.num_edges == 16
+    with pytest.raises(ValueError) as err:
+        make_model(tree, kind, root_mode="free", k=19)
+    assert str(err.value) == \
+        f"root weights share names with edge parameters: {shared}"
+    m = make_model(tree, kind, root_mode="free", k=18)
+    cells = {s for tpl in m.templates for row in tpl for s in row}
+    assert not cells & set(m.root.symbols)
