@@ -63,11 +63,10 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _add_model_args(sp, root_default="uniform"):
+def _add_model_args(sp):
     sp.add_argument("--tree", required=True)
     sp.add_argument("--model", required=True, choices=_models.KINDS)
-    sp.add_argument("--root", default=root_default,
-                    choices=("uniform", "free"))
+    sp.add_argument("--root", default="uniform", choices=("uniform", "free"))
     sp.add_argument("--k", type=int)
     sp.add_argument("--format", default="text", choices=("json", "text"))
 

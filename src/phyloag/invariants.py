@@ -12,8 +12,9 @@ parameters are reduced to residues once, the coordinates and monomials are
 evaluated from them modulo the prime at all points together, and the matrix
 is reduced by blocked LU on float64 residues, whose trailing updates are
 BLAS matmuls that stay exact.  Bases from primes with the same pivots are
-combined by CRT and rationally reconstructed, and each form is verified
-exactly at fresh random points.
+combined by CRT and rationally reconstructed.  Each form is then verified
+at fresh random points by vanishing_check's evaluator, which reads them the
+same way, modulo a prime that the basis was not found modulo.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
 _BLOCK = 64
 # points per block when building the sample matrix
 _ROWS = 256
-# interpolation verifies each form at this many fresh random points, and
-# draws new sample points at most this many times
+# vanishing_check tests a form at this many random points; interpolation
+# verifies each form at _VERIFY_POINTS fresh ones, and draws new sample
+# points at most _MAX_RETRIES times
+_CHECK_POINTS = 25
 _VERIFY_POINTS = 10
 _MAX_RETRIES = 3
 
@@ -122,34 +125,47 @@ def hankel_matrix():
 # vanishing checks
 
 
-def vanishing_check(form, coords, mode="randomized", rng=None, points=25,
-                    return_witness=False):
+def vanishing_check(form, coords, return_witness=False):
     """Does a form in coordinate variables vanish on the image of the map?
 
     coords maps coordinate names to polynomials in the model parameters; only
-    the coordinates the form uses are read, and the others are never
-    evaluated.  Symbolic mode substitutes and expands (certain); randomized
-    mode evaluates at `points` independent random exact rational points and
-    rejects with a witness on any nonzero value.  A point draws values, in
-    sorted name order, for the parameters of the used coordinates only.
+    the coordinates the form uses are read.  The form is evaluated at
+    _CHECK_POINTS random rational points from random.Random(0), with values
+    drawn in sorted name order for the parameters of the used coordinates
+    only, read modulo the first prime of _PRIMES that divides no denominator
+    (ValueError if every one does).  A nonzero residue proves the form
+    nonzero at that point, so the witness, the first such point, is exact.
+    All residues zero is a Monte Carlo verdict: the form may vanish at every
+    point drawn but not on the image, or the prime may divide the numerator
+    of every value.
     """
-    used = form.variables()
-    missing = used - set(coords)
+    witness = _first_nonzero(form, coords, random.Random(0), _CHECK_POINTS,
+                             _PRIMES)
+    ok = witness is None
+    return (ok, witness) if return_witness else ok
+
+
+def _first_nonzero(form, coords, rng, points, primes):
+    """vanishing_check's witness, or None, modulo the first usable prime of
+    `primes`: the coordinates, then the form, at all points together."""
+    used = sorted(form.variables())
+    missing = set(used) - set(coords)
     if missing:
         raise KeyError(f"form uses unknown coordinates {sorted(missing)}")
-    coords = {name: coords[name] for name in used}
-    if mode == "symbolic":
-        ok = form.substitute(coords).is_zero()
-        return (ok, None) if return_witness else ok
-    rng = rng or random.Random(0)
-    params = sorted(set().union(*[p.variables() for p in coords.values()]))
-    for _ in range(points):
-        pt = random_point(params, rng)
-        values = {name: p.eval(pt) for name, p in coords.items()}
-        v = form.eval(values)
-        if v != 0:
-            return (False, pt) if return_witness else False
-    return (True, None) if return_witness else True
+    polys = [coords[name] for name in used]
+    params = sorted(set().union(*[p.variables() for p in polys]))
+    pts = [random_point(params, rng) for _ in range(points)]
+    for prime in primes:
+        try:
+            C = _coordinate_residues(polys, params, pts, prime)
+            values = form.eval_mod(dict(zip(used, C.T.astype(np.int64))),
+                                   prime)
+        except ValueError:
+            continue
+        nonzero = np.flatnonzero(np.broadcast_to(values, (points,)))
+        return pts[nonzero[0]] if nonzero.size else None
+    raise ValueError("every prime divides a denominator of the points, the "
+                     "coordinates or the form")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +462,7 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
 
     for attempt in range(_MAX_RETRIES):
         pts = [random_point(params, rng) for _ in range(npoints)]
-        for basis in _modular_nullspace(polys, params, pts, exps):
+        for basis, modulus in _modular_nullspace(polys, params, pts, exps):
             forms = []
             for vec in basis:
                 form = Poly()
@@ -459,16 +475,20 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                             mono = mono * Poly.var(names[j], d)
                     form = form + mono
                 forms.append(normalize_poly(form))
-            if all(vanishing_check(f, dict(coords), rng=rng,
-                                   points=_VERIFY_POINTS) for f in forms):
+            # a form of the basis vanishes modulo each prime of the modulus
+            # at every point, so it is verified modulo the other primes
+            fresh = [p for p in _PRIMES if modulus % p]
+            if fresh and all(_first_nonzero(f, dict(coords), rng,
+                                            _VERIFY_POINTS, fresh) is None
+                             for f in forms):
                 return forms
     raise RuntimeError("interpolation failed: insufficient sample rank after "
                        f"{_MAX_RETRIES} retries")
 
 
 def _modular_nullspace(polys, params, pts, exps):
-    """Candidate nullspace bases over Q: one per prime of _PRIMES whose
-    accumulated residues pass rational reconstruction.
+    """Candidate nullspace bases over Q, each with its modulus: one per
+    prime of _PRIMES whose accumulated residues pass rational reconstruction.
 
     The sample matrix at the points `pts` is built mod each prime from the
     residues of the parameters; a prime that divides a denominator of the
@@ -498,7 +518,7 @@ def _modular_nullspace(polys, params, pts, exps):
             modulus *= prime
         recon = [[_rat_reconstruct(a, modulus) for a in v] for v in residues]
         if all(x is not None for v in recon for x in v):
-            yield recon
+            yield recon, modulus
 
 
 def linear_relations(coords, rng=None):

@@ -8,9 +8,9 @@ circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
 tables per model, each sum or product made once per distinct table row, and
 its outputs are the weighted sums.  A single evaluation pass over the
-circuit serves every ring: exact or float values, dual numbers over the ints
-modulo a prime for the Jacobian, and polynomials for the expanded
-coordinates (read off lazily, once per output node).
+circuit serves every ring: exact values, dual numbers over the ints modulo a
+prime for the Jacobian, and polynomials for the expanded coordinates (read
+off lazily, once per output node).
 
 This module also owns the site-pattern format.  A pattern is one state per
 leaf, in tree leaf order; its flat index is leaf-major (the first leaf's
@@ -186,17 +186,16 @@ class Circuit:
                 mults += max(len(priced) - 1, 0)
         return mults, adds
 
-    def eval(self, assignment, mode="exact"):
-        """Evaluate the outputs at a symbol assignment, in flat index order;
-        exact mode uses Rat."""
-        conv = Rat if mode == "exact" else float
+    def eval(self, assignment):
+        """Exact values (Rat) of the outputs at a symbol assignment, in flat
+        index order."""
 
         def leaf(kind, payload):
             if kind == CONST:
-                return conv(payload)
+                return payload
             if payload not in assignment:
                 raise KeyError(f"missing symbol {payload!r}")
-            return conv(assignment[payload])
+            return Rat(assignment[payload])
 
         return self._pass(self.outputs.tolist(), leaf)
 
@@ -279,9 +278,6 @@ class JointMap:
     def coordinates(self):
         return [self.coordinate(i) for i in range(self.num_coordinates)]
 
-    def eval(self, params, mode="exact"):
-        return self.circuit.eval(params, mode=mode)
-
     def symbols(self):
         """The models' symbols in order, then the weight symbols."""
         return [s for m in self.models for s in m.symbols] + \
@@ -295,11 +291,21 @@ def expand_map(*models, weight_symbols=()):
 
 def degree_profile(joint_map):
     """Common total degree of the coordinates (edge count plus one with a free
-    root, edge count with a uniform root), read from one coordinate per
-    symmetry class."""
-    degs = {joint_map.coordinate(g[0]).degree()
-            for g in symmetry_classes(joint_map)}
-    degs.discard(-1)
+    root, edge count with a uniform root), read off the circuit in one walk
+    of its nodes, children first.  A sum's degree is its children's largest:
+    every constant in a circuit is positive (root weights 1/k and the unit),
+    so no expanded sum cancels a term of top degree.
+    """
+    circ = joint_map.circuit
+    deg = []
+    for kind, payload in circ.ops:
+        if kind == ADD:
+            deg.append(max(deg[c] for c in payload))
+        elif kind == MUL:
+            deg.append(sum(deg[c] for c in payload))
+        else:
+            deg.append(1 if kind == SYM else 0)
+    degs = {deg[v] for v in set(circ.outputs.tolist())}
     if len(degs) != 1:
         raise ValueError(f"coordinates are not equigraded: {sorted(degs)}")
     return degs.pop()

@@ -38,20 +38,20 @@ def _single_model(joint_map):
     return joint_map.models[0]
 
 
-def exact_distribution(joint_map, params, require_stochastic=True):
+def exact_distribution(joint_map, params):
     """Exact coordinate vector of a single model at stochastic parameters.
 
-    Rejects parameter values whose rows do not sum to one unless told
-    otherwise; the result is checked to sum to one exactly.  Raises
-    ValueError on the map of a mixture.
+    Rejects parameter values whose rows do not sum to one; the result is
+    checked to sum to one exactly.  Raises ValueError on the map of a
+    mixture.
     """
     report = _models.validate_stochastic(_single_model(joint_map), params)
-    if require_stochastic and not report["stochastic"]:
+    if not report["stochastic"]:
         bad = [r for r in report["rows"] if not r["row_stochastic"]]
         raise ValueError(f"parameters are not stochastic: {bad[:3]}")
-    probs = joint_map.eval(params, mode="exact")
+    probs = joint_map.circuit.eval(params)
     total = sum(probs, Rat(0))
-    if require_stochastic and total != 1:
+    if total != 1:
         raise ValueError(f"distribution sums to {total}, not 1")
     return probs
 

@@ -186,6 +186,24 @@ def exact_interpolation(coords, degree, rng=None, extra_points=10):
     return forms
 
 
+def exact_witness(form, coords):
+    """The first of 25 random points at which the form, in the
+    coordinates' polynomials, is nonzero over Q, or None; the points are
+    drawn as invariants.vanishing_check draws them.
+
+    Independent oracle for vanishing_check, which evaluates modulo a prime:
+    here every used coordinate and the form are evaluated exactly
+    (Poly.eval).
+    """
+    rng = random.Random(0)
+    used = {name: coords[name] for name in form.variables()}
+    params = sorted(set().union(*[p.variables() for p in used.values()]))
+    for pt in [{s: random_rat(rng) for s in params} for _ in range(25)]:
+        if form.eval({name: p.eval(pt) for name, p in used.items()}) != 0:
+            return pt
+    return None
+
+
 def expansion_classes(joint_map):
     """Flat indices grouped by equal expanded polynomials, every coordinate
     expanded, classes ordered by smallest member.

@@ -431,7 +431,7 @@ def test_criterion_11_pipeline():
         m = make_model(tree, "general-markov", root_mode="free", k=2)
         jm = expand_map(m)
         params = random_params(m.symbols, len(nwk))
-        vec = jm.eval(params)
+        vec = jm.circuit.eval(params)
         for i, states in enumerate(itertools.product(range(2),
                                                      repeat=tree.num_leaves)):
             assert vec[i] == brute_force_eval(m, params, states)

@@ -16,8 +16,8 @@ from phyloag import invariants, paramap
 
 from conftest import (brute_force_eval, brute_force_expand,
                       brute_force_jacobian, draw_newick, exact_interpolation,
-                      first_flat_index, random_rat, random_params,
-                      rref_nullspace_mod_p)
+                      exact_witness, first_flat_index, random_rat,
+                      random_params, rref_nullspace_mod_p)
 
 
 def rank1_tensor(rng, n, k):
@@ -101,8 +101,8 @@ def test_vanishing_check_modes(tree3):
     classes = paramap.symmetry_classes(jm)
     a, b = next((c[0], c[1]) for c in classes if len(c) > 1)
     form = Poly.var(f"p{a}") - Poly.var(f"p{b}")
-    assert invariants.vanishing_check(form, coords, mode="symbolic")
-    assert invariants.vanishing_check(form, coords, mode="randomized")
+    assert form.substitute(coords).is_zero()
+    assert invariants.vanishing_check(form, coords)
     ok, witness = invariants.vanishing_check(nonzero, coords,
                                              return_witness=True)
     assert not ok and witness is not None
@@ -112,6 +112,9 @@ def test_vanishing_check_modes(tree3):
 
 class _Unevaluable(Poly):
     def eval(self, point):
+        raise AssertionError("an unused coordinate was evaluated")
+
+    def eval_mod(self, point, prime):
         raise AssertionError("an unused coordinate was evaluated")
 
 
@@ -124,14 +127,62 @@ def test_vanishing_check_reads_only_the_coordinates_it_uses(tree3):
     # an unused coordinate in other parameters: it is never evaluated, and
     # its parameters take no draws, so the points are those of `used` alone
     coords = dict(used, pspare=_Unevaluable(Poly.var("z9").terms))
-    for mode in ("randomized", "symbolic"):
-        assert invariants.vanishing_check(form, coords, mode=mode)
+    assert invariants.vanishing_check(form, coords)
     nonzero = Poly.var(f"p{a}") - Poly.const(2) * Poly.var(f"p{b}")
     ok, witness = invariants.vanishing_check(nonzero, coords,
                                              return_witness=True)
     assert not ok
     assert witness == invariants.vanishing_check(nonzero, used,
                                                  return_witness=True)[1]
+
+
+def test_vanishing_check_witness_is_exact():
+    # at the first point x = a/b, so the coordinate is exactly -p, which is
+    # 0 mod p: the check reads that point as zero and names a later one
+    p = invariants._PRIMES[0]
+    first = {"x": invariants.random_rat(random.Random(0))}
+    coords = {"q": Poly.var("x") - Poly.const(first["x"] + p)}
+    form = Poly.var("q")
+    assert form.eval({"q": coords["q"].eval(first)}) == -p
+    ok, witness = invariants.vanishing_check(form, coords,
+                                             return_witness=True)
+    assert not ok
+    assert witness != first
+    assert form.eval({"q": coords["q"].eval(witness)}) != 0
+
+
+def test_vanishing_check_skips_a_prime_in_a_denominator():
+    # the first prime divides a denominator of the coordinate and of the
+    # forms, so the check reads the points modulo the next one
+    p = invariants._PRIMES[0]
+    coords = {"q": parse_poly(f"1/{p}*u"), "r": parse_poly("u*v"),
+              "s": parse_poly("u")}
+    for text in ("q - 1/{p}*s", "r*q - 1/{p}*r*s", "q - s", "1/{p}*r - q"):
+        form = parse_poly(text.format(p=p))
+        want = exact_witness(form, coords)
+        assert invariants.vanishing_check(form, coords, return_witness=True) \
+            == (want is None, want)
+
+
+def test_checks_evaluate_modulo_a_prime(monkeypatch):
+    # the verdicts, witnesses and interpolated forms of exact evaluation,
+    # with exact evaluation of polynomials switched off
+    jm = expand_map(make_model(parse_newick("(1,(2,3));"), "jc-binary"))
+    coords = {f"p{i}": jm.coordinate(i) for i in range(8)}
+    forms = [parse_poly(t) for t in ("p1 - p6", "p1 - p2", "p0 + p1 - p2")]
+    want = [exact_witness(f, coords) for f in forms]
+    assert [w is None for w in want] == [True, False, False]
+    cubic = exact_interpolation(jc3_class_coords(), 3)
+
+    def unavailable(self, assignment):
+        raise AssertionError("a polynomial was evaluated exactly")
+
+    monkeypatch.setattr(Poly, "eval", unavailable)
+    for f, w in zip(forms, want):
+        assert invariants.vanishing_check(f, coords, return_witness=True) \
+            == (w is None, w)
+    assert invariants.interpolate_vanishing_forms(jc3_class_coords(), 3) \
+        == cubic
 
 
 def test_jacobian_dimension_monomial():
@@ -284,7 +335,7 @@ def test_mixture_map_eval_and_symbols(tree3):
         ["s0", "s1"]
     assert len(syms) == len(set(syms))
     params = random_params(syms, 3)
-    vec = mix.eval(params)
+    vec = mix.circuit.eval(params)
     for i, states in enumerate(itertools.product(range(2), repeat=3)):
         want = params["s0"] * brute_force_eval(components[0], params, states) \
             + params["s1"] * brute_force_eval(components[1], params, states)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat, residue
-from phyloag import fourier, invariants, paramap, pipeline
+from phyloag import fourier, invariants, models, paramap, pipeline
 from phyloag.invariants import _PRIMES
 
 from conftest import (brute_force_eval, brute_force_expand,
@@ -49,6 +50,52 @@ def test_degree_profile(tree3):
     assert paramap.degree_profile(one) == 2
 
 
+@st.composite
+def degree_cases(draw):
+    """(joint map, flat indices): a map of every model kind, with a free or
+    uniform root, with or without hidden nodes, of one model or a 2-mixture,
+    on 2-5 leaves (at most 4 with more than two states, 3 without hidden
+    nodes), and some of its coordinates."""
+    kind = draw(st.sampled_from(models.KINDS))
+    k = draw(st.sampled_from([2, 3])) if kind in (
+        "general-markov", "reversible", "homogeneous") else None
+    root = draw(st.sampled_from(["uniform", "free"]))
+    no_hidden = draw(st.booleans())
+    two_states = kind == "jc-binary" or k == 2
+    nwk = draw_newick(draw, 2, 3 if no_hidden and not two_states else
+                      5 if two_states else 4)
+    components = [make_model(parse_newick(nwk), kind, root_mode=root, k=k,
+                             no_hidden=no_hidden, prefix=f"x{j}")
+                  for j in range(draw(st.sampled_from([1, 2])))]
+    jm = invariants.mixture_map(components)
+    indices = draw(st.lists(st.integers(0, jm.num_coordinates - 1),
+                            min_size=1, max_size=8))
+    return jm, indices
+
+
+def _unavailable(*args):
+    raise AssertionError("a coordinate was expanded")
+
+
+@given(degree_cases())
+@settings(max_examples=50, deadline=None)
+def test_degree_profile_is_the_expanded_degree(case):
+    jm, indices = case
+    weights = jm.weight_symbols or [None] * len(jm.models)
+    tree = jm.models[0].tree
+    width = len(tree.children) if jm.models[0].no_hidden else tree.num_leaves
+    degrees = set()
+    for i in indices:
+        states = paramap.pattern_of_flat(i, width, jm.k)
+        poly = Poly()
+        for model, w in zip(jm.models, weights):
+            term = brute_force_expand(model, states)
+            poly = poly + (term if w is None else Poly.var(w) * term)
+        degrees.add(poly.degree())
+    with mock.patch.object(paramap.JointMap, "coordinate", _unavailable):
+        assert {paramap.degree_profile(jm)} == degrees
+
+
 def test_identity_transitions_propagate_root(tree3):
     m = make_model(tree3, "jc-binary", root_mode="free")
     jm = expand_map(m)
@@ -57,7 +104,7 @@ def test_identity_transitions_propagate_root(tree3):
         from phyloag.models import edge_letter
         params[f"{edge_letter(eid)}0"] = Rat(1)
         params[f"{edge_letter(eid)}1"] = Rat(0)
-    vec = jm.eval(params)
+    vec = jm.circuit.eval(params)
     assert vec[0] == Rat(2, 3)
     assert vec[-1] == Rat(1, 3)
     assert all(v == 0 for v in vec[1:-1])
@@ -70,7 +117,7 @@ def test_maximal_mixing_uniform(tree4):
     for eid in range(tree4.num_edges):
         params[f"{edge_letter(eid)}0"] = Rat(1, 4)
         params[f"{edge_letter(eid)}1"] = Rat(1, 4)
-    vec = expand_map(m).eval(params)
+    vec = expand_map(m).circuit.eval(params)
     assert all(v == Rat(1, 256) for v in vec)
 
 
@@ -89,7 +136,7 @@ def test_circuit_matches_expansion(nwk, kind, root, k):
     patterns = list(itertools.product(range(m.k), repeat=tree.num_leaves))
     for seed in range(5):
         params = random_params(m.symbols, seed)
-        via_circuit = jm.eval(params)
+        via_circuit = jm.circuit.eval(params)
         for i, states in enumerate(patterns):
             want = brute_force_eval(m, params, states)
             assert via_circuit[i] == want
@@ -119,7 +166,7 @@ def test_circuit_matches_brute_force_oracle():
         m = make_model(tree, "general-markov", root_mode="free", k=2)
         jm = expand_map(m)
         params = random_params(m.symbols, hash(nwk) % 1000)
-        vec = jm.eval(params)
+        vec = jm.circuit.eval(params)
         for i, states in enumerate(itertools.product(range(2),
                                                      repeat=tree.num_leaves)):
             assert vec[i] == brute_force_eval(m, params, states)
@@ -150,7 +197,7 @@ def oracle_models(draw):
 @settings(max_examples=20, deadline=None)
 def test_table_build_matches_brute_force(m, seed):
     params = random_params(m.symbols, seed)
-    vec = expand_map(m).eval(params)
+    vec = expand_map(m).circuit.eval(params)
     observed = len(m.tree.children) if m.no_hidden else m.tree.num_leaves
     patterns = itertools.product(range(m.k), repeat=observed)
     assert len(vec) == m.k ** observed
@@ -173,16 +220,6 @@ def test_build_makes_one_node_call_per_distinct_row(monkeypatch):
         parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"), "jc-dna")])
     assert len(circ.outputs) == 4 ** 8
     assert calls <= 5 * len(circ.ops)
-
-
-def test_float_mode_close(tree3):
-    m = make_model(tree3, "jc-binary")
-    jm = expand_map(m)
-    params = stochastic_jc_params(tree3, 2)
-    exact = jm.eval(params)
-    approx = jm.eval({s: float(v) for s, v in params.items()}, mode="float")
-    for a, b in zip(exact, approx):
-        assert abs(float(a) - b) < 1e-12
 
 
 def test_op_counts_homogeneous(tree3):

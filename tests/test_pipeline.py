@@ -29,8 +29,6 @@ def test_exact_distribution_rejects_bad_params(quartet_setup):
     bad = dict(params, a0=Rat(1, 2))
     with pytest.raises(ValueError):
         pipeline.exact_distribution(jmap, bad)
-    # explicit opt-out skips the check
-    pipeline.exact_distribution(jmap, bad, require_stochastic=False)
 
 
 def test_exact_distribution_rejects_a_mixture(tree4):
