@@ -349,15 +349,25 @@ def normalize_poly(p):
 
 
 def binomial(a, b):
-    """normalize_poly(prod(a) - prod(b)) for two lists of variable names,
-    written directly as two terms (zero when the products are equal)."""
-    ma, mb = (tuple(sorted((n, names.count(n)) for n in set(names)))
-              for names in (a, b))
+    """normalize_poly(prod(a) - prod(b)) for two lists of variable names."""
+    return monomial_binomial(*(tuple(sorted((n, names.count(n))
+                                            for n in set(names)))
+                               for names in (a, b)))
+
+
+_ONE, _MINUS_ONE = Rat(1), Rat(-1)
+
+
+def monomial_binomial(ma, mb):
+    """normalize_poly(x^ma - x^mb) for two monomials, tuples of (name,
+    exponent) pairs sorted by name, written directly as two terms (zero when
+    the monomials are equal)."""
     if ma == mb:
         return Poly()
     # the content is 1, so normalize_poly only makes the leading term positive
-    one = Rat(1) if _mono_sort_key(ma) < _mono_sort_key(mb) else Rat(-1)
-    return Poly({ma: one, mb: -one})
+    if _mono_sort_key(ma) < _mono_sort_key(mb):
+        return Poly({ma: _ONE, mb: _MINUS_ONE})
+    return Poly({ma: _MINUS_ONE, mb: _ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import Poly, Rat, binomial
+from .exactalg import Poly, Rat, binomial, monomial_binomial
 from . import treecore
 from .models import edge_letter
 from .paramap import pattern_of_flat
@@ -188,7 +188,7 @@ class MonomialMap:
     group: GroupSpec
     reduced: bool            # jc_reduced: coordinates indexed by subforests
     coord_keys: list         # Subforest (reduced) or FourierIndex
-    coord_names: list
+    coord_names: list        # sorted, as the keys are
     monomials: list          # Poly, one per coordinate
     symbols: list            # transformed symbol names (matrix rows)
     exponent_matrix: list    # rows follow symbols, columns follow coords
@@ -269,10 +269,14 @@ def binomials_up_to_degree(mono_map, d):
                 itertools.combinations_with_replacement(packed, deg)):
             buckets.setdefault(sum(cols), []).append(combo)
         for image in sorted(i for i, c in buckets.items() if len(c) > 1):
-            for a, b in itertools.combinations(buckets[image], 2):
-                if set(a).isdisjoint(b):
-                    out.append(binomial([names[c] for c in a],
-                                        [names[c] for c in b]))
+            # names are sorted, so a combo (sorted indices) read as runs is
+            # its monomial
+            terms = [(set(c), tuple((names[i], c.count(i))
+                                    for i in dict.fromkeys(c)))
+                     for c in buckets[image]]
+            for (a, ma), (b, mb) in itertools.combinations(terms, 2):
+                if a.isdisjoint(b):
+                    out.append(monomial_binomial(ma, mb))
     return out
 
 
@@ -324,14 +328,20 @@ def fourier_flattening(tree, edge, h):
     model, so the 2x2 minors are invariants.  Returns (row_configs,
     col_configs, matrix of Subforests), a config mapping edge id to bit.
     """
+    return _fourier_flattening(
+        tree, edge, h,
+        [sf.indicator for sf in treecore.enumerate_subforests(tree)])
+
+
+def _fourier_flattening(tree, edge, h, indicators):
+    """fourier_flattening from the indicators of every subforest."""
     under = tree.leaves_below(tree.child_of_edge(edge))
     # in pre-order the edges below come right after the edge
     below = [e for e in range(edge + 1, tree.num_edges)
              if tree.leaves_below(tree.child_of_edge(e)) <= under]
     above = [e for e in range(tree.num_edges)
              if e != edge and e not in below]
-    found = [sf.indicator for sf in treecore.enumerate_subforests(tree)
-             if sf.indicator[edge] == h]
+    found = [ind for ind in indicators if ind[edge] == h]
     rows = sorted({tuple(ind[e] for e in below) for ind in found})
     cols = sorted({tuple(ind[e] for e in above) for ind in found})
     matrix = []
@@ -351,6 +361,7 @@ def all_fourier_flattenings(tree):
     """(edge, h, matrix) for every split edge and h in {0,1}, skipping
     matrices without a 2x2 minor and duplicate leaf partitions (edges in
     series induce the same split)."""
+    indicators = [sf.indicator for sf in treecore.enumerate_subforests(tree)]
     seen_splits = set()
     out = []
     for edge in range(tree.num_edges):
@@ -360,7 +371,8 @@ def all_fourier_flattenings(tree):
             continue
         seen_splits.add(key)
         for h in (0, 1):
-            rows, cols, matrix = fourier_flattening(tree, edge, h)
+            rows, cols, matrix = _fourier_flattening(tree, edge, h,
+                                                     indicators)
             if len(rows) >= 2 and len(cols) >= 2:
                 out.append((edge, h, matrix))
     return out

@@ -10,11 +10,13 @@ rational point, one column per monomial).  It never evaluates a coordinate
 over Q to build that matrix: per prime just below 2^23, the points'
 parameters are reduced to residues once, the coordinates and monomials are
 evaluated from them modulo the prime at all points together, and the matrix
-is reduced by blocked LU on float64 residues, whose trailing updates are
-BLAS matmuls that stay exact.  Bases from primes with the same pivots are
-combined by CRT and rationally reconstructed.  Each form is then verified
-at fresh random points by vanishing_check's evaluator, which reads them the
-same way, modulo a prime that the basis was not found modulo.
+is reduced by a recursive column-split PLE on centered float64 residues
+(_nullspace_mod_p): leaves of _LEAF columns, and otherwise triangular solves
+and BLAS matmuls whose sums of up to _CHUNK products stay exact, reduced
+once each.  Bases from primes with the same pivots are combined by CRT and
+rationally reconstructed.  Each form is then verified at fresh random
+points by vanishing_check's evaluator, which reads them the same way, modulo
+a prime that the basis was not found modulo.
 """
 
 from __future__ import annotations
@@ -33,13 +35,17 @@ from . import models as _models
 from . import paramap as _paramap
 from . import treecore
 
-# Modular elimination holds residues in float64.  The primes lie below 2^23
-# and _BLOCK * (p - 1)^2 + p < 2^53, so every partial sum of a block update
-# L21 @ U12, and every entry of a lazily reduced panel, is an integer that
-# float64 represents exactly, in any order.
+# Modular elimination holds centered residues in float64, |x| <= h with
+# h = (p + 1)/2 + 2 < 2^22 + 3 for these primes below 2^23, so a product of
+# two is below 2^44.1.  A GEMM adds _CHUNK of them to an entry below p
+# before it is reduced: 256 * h^2 + p < 2^53 (511 would still fit), so every
+# partial sum is an integer that float64 represents exactly, in any order.
+# A leaf entry gathers at most _LEAF - 1 such products, and a leaf's inverse
+# triangle multiplies at most _LEAF entries below p by ones below p (< 2^50).
 _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
            8388539, 8388473, 8388461, 8388451, 8388449)
-_BLOCK = 64
+_CHUNK = 256
+_LEAF = 16
 # points per block when building the sample matrix
 _ROWS = 256
 # vanishing_check tests a form at this many random points; interpolation
@@ -335,108 +341,184 @@ def _rows_mod(C, exps, prime):
                 np.multiply(tail, rows[:, i:i + 1],
                             out=out[:, col:col + tail.shape[1]])
                 col += tail.shape[1]
-            _reduce(out, prime, scratch[:out.size].reshape(out.shape))
+            work = scratch[:out.size].reshape(out.shape)
+            _reduce(out, prime, work)
             level = out
+        # the centered residues lifted to [0, prime), without branches
+        out += np.multiply(out < 0, float(prime), out=work)
     return A
 
 
 def _reduce(x, prime, scratch):
-    """x mod prime in place, for an integer-valued float64 array with
-    |x| <= 2^53 - prime; scratch is a contiguous float64 array of x's shape.
+    """x to its centered residue mod prime in place, for an integer-valued
+    float64 array with |x| <= 2^53 - prime; scratch is a float64 array of
+    x's shape.
 
-    The quotient q = floor(x * (1/prime)) is within one of floor(x / prime),
-    so |q * prime| <= 2^53 and x - q * prime is exact; one correction each
-    way then lands in [0, prime).  Six passes without a division, against the
-    float divmod of np.remainder.  The corrections' masks reuse scratch's
-    memory.
+    x - prime * rint(x * (1/prime)): the computed quotient is off x/prime by
+    under 2/prime, so the result lies within prime/2 + 2 of zero, and
+    |rint(...) * prime| <= 2^53 keeps every step exact.  Four in-place
+    passes, with no division and no correction.
     """
     np.multiply(x, 1.0 / prime, out=scratch)
-    np.floor(scratch, out=scratch)
+    np.rint(scratch, out=scratch)
     scratch *= prime
     x -= scratch
-    mask = scratch.reshape(-1).view(np.bool_)[:x.size].reshape(x.shape)
-    np.add(x, prime, out=x, where=np.less(x, 0, out=mask))
-    np.subtract(x, prime, out=x, where=np.greater_equal(x, prime, out=mask))
 
 
 def _nullspace_mod_p(A, prime):
-    """Nullspace mod prime of a float64 matrix with entries in [0, prime).
+    """Nullspace mod prime of a float64 matrix with integer entries in
+    [0, prime).
 
-    Right-looking blocked LU.  Each panel of _BLOCK columns is eliminated
-    row by row (unit pivots, whole-row swaps, zero columns skipped); its row
-    operations then reach the trailing columns as a triangular sweep over the
-    panel's pivot rows and one matmul for the rows below them.  A is
-    overwritten with a row echelon form.  Returns (basis, pivots, free): per
-    free column, the vector with 1 there, 0 at the other free columns and
-    the back-substituted values at the pivot columns.
+    Recursive column-split PLE (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+    2008; Dumas, Pernet and Sultan, ISSAC 2013).  The left half of the
+    columns is eliminated first; its unit lower triangle then reaches the
+    right half as one triangular solve on the left half's pivot rows and
+    one GEMM for the rows below them, and the recursion goes on with the
+    right half below those rows.  A block no wider than _LEAF columns is a
+    leaf, eliminated one column at a time on a contiguous transposed copy.
+    Pivots are the first nonzero entry at or below the current row, so the
+    pivot columns are the column rank profile (leftmost pivots).  A pivot
+    swap moves whole rows of A, and the multipliers stay in A's eliminated
+    entries, as in LAPACK's getrf: the multipliers of a block's k-th pivot
+    sit in the block's k-th column below the pivot row, moved left over the
+    zero entries of the block's free columns when it has any.  So no
+    permutation and no separate L is ever built, and every product and
+    reduction runs in one scratch buffer of about half A's size.
 
-    The panel is reduced lazily: only the column searched for a pivot and
-    the pivot row are reduced (np.remainder, one call per short vector).
-    The multipliers and the pivot row are then in [0, prime), so each step
-    subtracts at most (prime - 1)^2 from an entry, and an entry gathers at
-    most _BLOCK such products before the panel ends: it stays above
-    -_BLOCK * (prime - 1)^2, which float64 holds exactly.  The trailing
-    update L21 @ U12 sums at most _BLOCK such products too, and is reduced
-    by _reduce in the buffer that held the product.
+    Entries are centered residues, |x| <= (prime + 1)/2 + 2 (_reduce), so a
+    product of two is below 2^45 and a float64 sum of _CHUNK of them stays
+    exact; each GEMM is reduced once per _CHUNK products.  A is overwritten
+    with a row echelon form U above the multipliers.  Returns (basis,
+    pivots, free): per free column, the vector with 1 there, 0 at the other
+    free columns and the back-substituted values at the pivot columns.
     """
     m, n = A.shape
     pivots = []
-    r = 0
-    # every panel's products land in this one buffer, which then serves as
-    # _reduce's scratch, so peak memory does not depend on how the allocator
-    # reuses freed temporaries
-    buf = np.empty(m * n)
-    for c0 in range(0, n, _BLOCK):
-        if r == m:
-            break
-        c1 = min(c0 + _BLOCK, n)
-        panel = A[r:, c0:c1]
-        L = np.zeros((m - r, c1 - c0))
-        inverses = []
-        s = 0
-        for j in range(c1 - c0):
-            column = panel[s:, j]
-            np.remainder(column, prime, out=column)
-            nz = np.flatnonzero(column)
-            if nz.size == 0:
-                continue
-            i = s + int(nz[0])
-            if i != s:
-                A[[r + s, r + i]] = A[[r + i, r + s]]
-                L[[s, i]] = L[[i, s]]
-            inverses.append(pow(int(panel[s, j]), prime - 2, prime))
-            row = panel[s, j:]
-            np.remainder(row, prime, out=row)
-            row *= inverses[-1]
-            np.remainder(row, prime, out=row)
-            L[s + 1:, s] = panel[s + 1:, j]
-            below = panel[s + 1:, j:]
-            product = buf[:below.size].reshape(below.shape)
-            below -= np.multiply.outer(L[s + 1:, s], row, out=product)
-            pivots.append(c0 + j)
-            s += 1
-        trail = A[r:, c1:]
-        for k in range(s):
-            # the panel's row operations, replayed on its pivot rows
-            top = trail[k]
-            top -= L[k, :k] @ trail[:k]
-            np.remainder(top, prime, out=top)
-            top *= inverses[k]
-            np.remainder(top, prime, out=top)
-        rest = trail[s:]
-        product = buf[:rest.size].reshape(rest.shape)
-        rest -= np.matmul(L[s:, :s], trail[:s], out=product)
-        _reduce(rest, prime, product)
-        r += s
+    scratch = np.empty(m * max((n + 1) // 2, 2 * _LEAF))
+    _ple(A, 0, 0, n, prime, pivots, [], scratch)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    # int64 back-substitution: each dot product stays below n * p^2 < 2^63
+    # int64 back-substitution: each dot product stays below n * p^2 < 2^63;
+    # U's pivots are not 1, so each value is divided by its pivot
     X = np.zeros((n, len(free)), dtype=np.int64)
     X[free, range(len(free))] = 1
     for i in range(len(pivots) - 1, -1, -1):
         c = pivots[i]
-        X[c] = -(A[i, c + 1:].astype(np.int64) @ X[c + 1:]) % prime
+        inverse = pow(int(A[i, c]), -1, prime)
+        X[c] = (-(A[i, c + 1:].astype(np.int64) @ X[c + 1:]) % prime *
+                inverse % prime)
     return X.T.tolist(), pivots, free
+
+
+def _ple(A, r0, c0, c1, prime, pivots, leaves, scratch):
+    """Eliminate columns c0:c1 of A below row r0, whose rows above r0 are
+    pivot rows already; returns the number of pivots found.
+
+    On return the block's k-th pivot row is r0 + k, its pivot column is
+    appended to pivots, and its multipliers are in column c0 + k below that
+    row.  leaves receives (first pivot row, inverse of the unit lower
+    triangle) per leaf with a pivot, for the triangular solves above.
+    """
+    if r0 == A.shape[0]:
+        return 0
+    if c1 - c0 <= _LEAF:
+        return _leaf(A, r0, c0, c1, prime, pivots, leaves, scratch)
+    # a multiple of _LEAF, so that every leaf but the last is _LEAF wide
+    cmid = c0 + -(-(c1 - c0) // (2 * _LEAF)) * _LEAF
+    first = len(leaves)
+    r1 = _ple(A, r0, c0, cmid, prime, pivots, leaves, scratch)
+    if r1:
+        U = A[r0:r0 + r1, cmid:c1]
+        _trsm(A, U, leaves[first:], c0 - r0, prime, scratch)
+        _gemm_sub(A[r0 + r1:, cmid:c1], A[r0 + r1:, c0:c0 + r1], U, prime,
+                  scratch)
+    r2 = _ple(A, r0 + r1, cmid, c1, prime, pivots, leaves, scratch)
+    if r1 < cmid - c0:
+        # the right half's multipliers move left beside the left half's:
+        # below their pivot rows the target columns hold only the zeros of
+        # free columns, or multipliers already moved
+        for k in range(r2):
+            A[r0 + r1 + k + 1:, c0 + r1 + k] = A[r0 + r1 + k + 1:, cmid + k]
+    return r1 + r2
+
+
+def _leaf(A, r0, c0, c1, prime, pivots, leaves, scratch):
+    """_ple for a block of at most _LEAF columns, one column at a time on a
+    transposed copy T (a row of T is a column of the block).
+
+    Updates are delayed: an entry gathers at most _LEAF - 1 products of two
+    centered residues before its column is searched and reduced.
+    """
+    h, w = A.shape[0] - r0, c1 - c0
+    T = scratch[:w * h].reshape(w, h)
+    T[...] = A[r0:, c0:c1].T
+    work = scratch[w * h:2 * w * h]
+    s = 0
+    for j in range(w):
+        if s == h:
+            break
+        column = T[j, s:]
+        _reduce(column, prime, work[:column.size])
+        nz = column.nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = s + int(nz[0])
+        if i != s:
+            A[[r0 + s, r0 + i]] = A[[r0 + i, r0 + s]]
+            T[:, [s, i]] = T[:, [i, s]]
+        multipliers = T[j, s + 1:]
+        multipliers *= pow(int(T[j, s]), -1, prime)
+        _reduce(multipliers, prime, work[:multipliers.size])
+        row = T[j + 1:, s]
+        _reduce(row, prime, work[:row.size])
+        rest = T[j + 1:, s + 1:]
+        rest -= np.multiply.outer(row, multipliers,
+                                  out=work[:rest.size].reshape(rest.shape))
+        if j != s:
+            # below row s, column s holds zeros of a free column or
+            # multipliers moved already
+            T[s, s + 1:] = multipliers
+        pivots.append(c0 + j)
+        s += 1
+    A[r0:, c0:c1] = T.T
+    if s:
+        # the inverse of the unit lower triangle, whose row i is T[:i, i]
+        inverse = np.eye(s)
+        for i in range(1, s):
+            inverse[i, :i] = np.remainder(-(T[:i, i] @ inverse[:i, :i]),
+                                          prime)
+        leaves.append((r0, inverse))
+    return s
+
+
+def _trsm(A, B, leaves, shift, prime, scratch):
+    """B <- L^-1 B for the pivot rows of `leaves`, B being those rows of a
+    block to their right; the multipliers of the pivot in row g are in
+    column g + shift.  Split at the middle leaf; a leaf applies its inverse
+    (at most _LEAF products below prime^2 per entry)."""
+    if len(leaves) == 1:
+        product = scratch[:B.size].reshape(B.shape)
+        np.matmul(leaves[0][1], B, out=product)
+        B[...] = product
+        _reduce(B, prime, product)
+        return
+    half = len(leaves) // 2
+    g0, g1 = leaves[0][0], leaves[half][0]
+    top, bottom = B[:g1 - g0], B[g1 - g0:]
+    _trsm(A, top, leaves[:half], shift, prime, scratch)
+    _gemm_sub(bottom, A[g1:g1 + len(bottom), g0 + shift:g1 + shift], top,
+              prime, scratch)
+    _trsm(A, bottom, leaves[half:], shift, prime, scratch)
+
+
+def _gemm_sub(C, L, U, prime, scratch):
+    """C <- C - L @ U mod prime, for centered L and U; C is reduced after
+    each _CHUNK products."""
+    product = scratch[:C.size].reshape(C.shape)
+    for k in range(0, L.shape[1], _CHUNK):
+        np.matmul(L[:, k:k + _CHUNK], U[k:k + _CHUNK], out=product)
+        C -= product
+        _reduce(C, prime, product)
 
 
 # extra_points stays an option: perfbench's span counters read it by name

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -422,8 +423,8 @@ def test_interpolation_verifies_on_fresh_points():
 
 def test_modular_path_agrees_with_exact():
     """Compare the multi-modular elimination with exact elimination on cases
-    small enough to be solved directly; the cubic's 35 monomials span two
-    elimination panels."""
+    small enough to be solved directly; the cubic's 35 monomials span three
+    elimination leaves."""
     segre = [("p00", parse_poly("u0*v0")), ("p01", parse_poly("u0*v1")),
              ("p10", parse_poly("u1*v0")), ("p11", parse_poly("u1*v1"))]
     for coords, degree in [(segre, 2), (jc3_class_coords(), 3)]:
@@ -463,25 +464,29 @@ def test_no_coordinates_have_no_forms_of_positive_degree():
 
 
 def test_modular_primes_keep_float64_exact():
-    # a lazily reduced panel entry gathers up to _BLOCK products below
-    # (p - 1)^2 on top of a residue below p
+    # a GEMM adds _CHUNK products of centered residues, |x| <= (p + 1)/2 + 2,
+    # to an entry below p before it is reduced; a leaf's inverse triangle
+    # multiplies at most _LEAF entries below p by ones below p
     primes = invariants._PRIMES
     assert len(set(primes)) == len(primes)
     assert all(all(p % d for d in range(2, isqrt(p) + 1)) for p in primes)
-    assert invariants._BLOCK * (max(primes) - 1) ** 2 + max(primes) < 2 ** 53
+    p = max(primes)
+    assert invariants._CHUNK * ((p + 1) // 2 + 2) ** 2 + p < 2 ** 53
+    assert invariants._LEAF * p ** 2 < 2 ** 53
 
 
 @st.composite
 def reducible_arrays(draw):
-    """(strided 2-D float64 view of integers within the lazy panel's bound,
-    or anywhere in _reduce's range |x| <= 2^53 - p, p).  Only near 2^53 is
-    the float quotient ever off by one: for p = 7, at -top + (6 + top) % 7
-    it is one too high."""
+    """(strided 2-D float64 view of integers within a GEMM's bound before
+    reduction, or anywhere in _reduce's range |x| <= 2^53 - p, p).  Only
+    near 2^53 is the float quotient ever off by one: for p = 7, at
+    -top + (6 + top) % 7 it is one too high."""
     p = draw(st.sampled_from([invariants._PRIMES[0], 7]))
-    bound = invariants._BLOCK * (p - 1) ** 2 + p
+    bound = invariants._CHUNK * ((p + 1) // 2 + 2) ** 2 + p
     top = 2 ** 53 - p
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     edges = st.sampled_from([-bound, bound, -p, p, p - 1, -(p - 1), 0,
+                             (p - 1) // 2, (p + 1) // 2, -(p + 1) // 2,
                              bound - bound % p, -(bound - bound % p),
                              top, -top, -top + (p - 1 + top) % p])
     values = draw(st.lists(st.integers(-bound, bound) | edges |
@@ -494,11 +499,13 @@ def reducible_arrays(draw):
 
 @given(reducible_arrays())
 @settings(max_examples=100, deadline=None)
-def test_reduce_matches_remainder(case):
+def test_reduce_gives_a_centered_residue(case):
     x, p = case
-    want = np.remainder(x, p)
+    before = [int(v) for v in x.flat]
     invariants._reduce(x, p, np.empty(x.shape))
-    assert np.array_equal(x, want)
+    for b, v in zip(before, x.flat):
+        assert v == int(v) and (b - int(v)) % p == 0
+        assert abs(v) <= (p + 1) // 2 + 2
 
 
 @st.composite
@@ -552,9 +559,22 @@ def modular_matrices(draw):
     """(int64 matrix with entries in [0, p), p).  Rows are sparse
     combinations of `rank` rows with leading zeros, some columns are zeroed,
     and p = 7 adds accidental dependencies.  Sorting the rows by leading
-    zeros puts pivots far below the current row, beyond the panel."""
+    zeros puts pivots far below the current row, beyond the leaf.
+
+    Besides small shapes, tall and wide ones have more than 4 * _LEAF
+    columns, so the column splits recurse at least three levels.  A zero
+    column in the first leaf makes that leaf move its pivots' multipliers
+    left, and a repeated column in the left half makes the left half lose
+    rank."""
     p = draw(st.sampled_from([invariants._PRIMES[0], 7]))
-    m, n = draw(st.integers(1, 72)), draw(st.integers(1, 200))
+    deep = 4 * invariants._LEAF + 1
+    shape = draw(st.sampled_from(["small", "tall", "wide"]))
+    if shape == "tall":
+        n = draw(st.integers(deep, deep + 32))
+        m = draw(st.integers(n + 1, n + 60))
+    else:
+        m = draw(st.integers(1, 72))
+        n = draw(st.integers(deep if shape == "wide" else 1, 200))
     rank = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     R = rng.integers(0, p, (rank, n))
@@ -562,6 +582,11 @@ def modular_matrices(draw):
     B = rng.integers(0, p, (m, rank)) * (rng.random((m, rank)) < rng.random())
     A = B @ R % p
     A[:, draw(st.lists(st.integers(0, n - 1), max_size=n // 4))] = 0
+    if draw(st.booleans()):
+        A[:, draw(st.integers(0, min(n, invariants._LEAF) - 1))] = 0
+    if n >= 2 and draw(st.booleans()):
+        j = draw(st.integers(1, max(1, n // 2 - 1)))
+        A[:, j] = A[:, draw(st.integers(0, j - 1))] * 3 % p
     if draw(st.booleans()):  # the rows with the most leading zeros first
         lead = np.where(A.any(axis=1), (A != 0).argmax(axis=1), n)
         A = A[np.argsort(-lead, kind="stable")]
@@ -578,6 +603,36 @@ def test_blocked_elimination_matches_rref(case):
     assert got_pivots == pivots
     assert free == [c for c in range(A.shape[1]) if c not in pivots]
     assert got_basis == basis
+
+
+def test_elimination_at_interpolation_size_is_exact():
+    # 1300 columns: eight levels of column splits; three columns are
+    # combinations of columns to their left, so they are the free ones
+    p = invariants._PRIMES[0]
+    rng = np.random.default_rng(17)
+    A = rng.integers(0, p, (1310, 1300))
+    A[:, 400] = (A[:, 3] + 5 * A[:, 399]) % p
+    A[:, 1000] = A[:, 700] * 2 % p
+    A[:, 1299] = (A[:, 0] + A[:, 1000] + A[:, 1298]) % p
+    basis, pivots, free = invariants._nullspace_mod_p(A.astype(np.float64), p)
+    assert free == [400, 1000, 1299]
+    assert len(pivots) == 1297
+    X = np.array(basis, dtype=np.int64).T
+    assert not (A @ X % p).any()
+    assert (X[free] == np.eye(3, dtype=np.int64)).all()
+
+
+def test_elimination_scratch_is_half_the_matrix():
+    p = invariants._PRIMES[0]
+    A = np.random.default_rng(3).integers(0, p, (600, 560)).astype(np.float64)
+    tracemalloc.start()
+    try:
+        _, pivots, _ = invariants._nullspace_mod_p(A, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pivots) == 560
+    assert peak < 0.75 * A.nbytes
 
 
 def test_rational_reconstruction_roundtrip():
