@@ -385,11 +385,10 @@ def flattening_minors(tree):
     out = []
     seen = set()
     for _, _, matrix in all_fourier_flattenings(tree):
-        for r1, r2 in itertools.combinations(range(len(matrix)), 2):
-            for c1, c2 in itertools.combinations(range(len(matrix[0])), 2):
-                form = binomial(
-                    [coord_name(matrix[r1][c1]), coord_name(matrix[r2][c2])],
-                    [coord_name(matrix[r1][c2]), coord_name(matrix[r2][c1])])
+        names = [[coord_name(sf) for sf in line] for line in matrix]
+        for top, bottom in itertools.combinations(names, 2):
+            for c1, c2 in itertools.combinations(range(len(top)), 2):
+                form = binomial([top[c1], bottom[c2]], [top[c2], bottom[c1]])
                 if form.is_zero():
                     continue
                 key = frozenset(form.terms.items())

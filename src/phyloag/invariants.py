@@ -184,31 +184,50 @@ def jacobian_dimension(joint_map, rng=None, tries=3):
 
     Rank of the Jacobian modulo the prime _PRIMES[0] at `tries` random
     rational points, maximum taken; projective dimension is the affine rank
-    minus one.  The rank is taken over the rows of the circuit's distinct
-    output nodes: coordinates with the same node are the same polynomial,
-    and duplicate rows change neither rank nor nullspace.
+    minus one.  Per try, the point is drawn first, then one leaf vector per
+    observed node and row with entries uniform in [0, 2^22), and the rank is
+    that of R = (symbol count) random projections of the Jacobian's rows
+    (paramap.projected_jacobian), so neither the circuit nor the k^n
+    coordinates are built.
 
     Rigor: the exact rank at a point and the rank modulo p at a point are
     both Monte Carlo lower bounds on the generic rank.  The rank modulo p at
     a point is at most the exact rank there, since every minor that vanishes
     over Q vanishes modulo p.  Points and constants are read modulo p as
     rationals: p is about 8.4e6, above every denominator of the points (at
-    most 97) and of the constants 1/k, so each denominator is invertible.  A
-    rank equal to the number of symbols is therefore still a proof of full
-    rank.
+    most 97) and of the constants 1/k, so each denominator is invertible.
+    A projected row is a combination of rows of J, so rank(RJ) <= rank(J)
+    modulo p.  One-hot leaf vectors pick out rows of J, so when J has a
+    nonzero rho x rho minor modulo p, the same minor of RJ is a nonzero
+    polynomial of degree rho * |observed| in the leaf-vector entries, and
+    Schwartz-Zippel bounds the extra chance of a miss per try by
+    rho * |observed| / 2^22.  A rank equal to the number of symbols is
+    therefore still a proof of full rank.
     """
     rng = rng or random.Random(0)
     prime = _PRIMES[0]
     symbols = joint_map.symbols()
+    shape = (len(_paramap.observed_nodes(joint_map.models[0])),
+             len(symbols), joint_map.k)
     best = 0
     for _ in range(tries):
         pt = random_point(symbols, rng)
-        A = np.array(joint_map.circuit.jacobian(pt, symbols, prime),
-                     dtype=np.float64)
-        best = max(best, len(_nullspace_mod_p(A, prime)[1]))
+        A = _paramap.projected_jacobian(joint_map, pt,
+                                        _random_residues(rng, shape), prime)
+        best = max(best, len(_rank_profile(A.astype(np.float64), prime)))
         if best == len(symbols):
             break
     return best, best - 1
+
+
+def _random_residues(rng, shape):
+    """An int64 array of the shape with entries uniform in [0, 2^22), from
+    one getrandbits call: 2^22 is below every prime of _PRIMES."""
+    count = int(np.prod(shape))
+    words = np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count,
+                                                               "little"),
+                          dtype="<u4")
+    return (words & (2 ** 22 - 1)).astype(np.int64).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +411,8 @@ def _nullspace_mod_p(A, prime):
     pivots, free): per free column, the vector with 1 there, 0 at the other
     free columns and the back-substituted values at the pivot columns.
     """
-    m, n = A.shape
-    pivots = []
-    scratch = np.empty(m * max((n + 1) // 2, 2 * _LEAF))
-    _ple(A, 0, 0, n, prime, pivots, [], scratch)
+    n = A.shape[1]
+    pivots = _rank_profile(A, prime)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     # int64 back-substitution: each dot product stays below n * p^2 < 2^63;
@@ -408,6 +425,17 @@ def _nullspace_mod_p(A, prime):
         X[c] = (-(A[i, c + 1:].astype(np.int64) @ X[c + 1:]) % prime *
                 inverse % prime)
     return X.T.tolist(), pivots, free
+
+
+def _rank_profile(A, prime):
+    """The pivot columns (column rank profile) of a float64 matrix with
+    integer entries in [0, prime), by _ple; A is overwritten as in
+    _nullspace_mod_p."""
+    m, n = A.shape
+    pivots = []
+    scratch = np.empty(m * max((n + 1) // 2, 2 * _LEAF))
+    _ple(A, 0, 0, n, prime, pivots, [], scratch)
+    return pivots
 
 
 def _ple(A, r0, c0, c1, prime, pivots, leaves, scratch):

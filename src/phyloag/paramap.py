@@ -7,23 +7,28 @@ mixture with one component.  Either is held as one factored sum-product
 circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
 tables per model, each sum or product made once per distinct table row, and
-its outputs are the weighted sums.  A single evaluation pass over the
-circuit serves every ring: exact values, dual numbers over the ints modulo a
-prime for the Jacobian, and polynomials for the expanded coordinates (read
-off lazily, once per output node).
+its outputs are the weighted sums.  The circuit is built on first use.  A
+single evaluation pass over the circuit serves every ring: exact values and
+polynomials for the expanded coordinates (read off lazily, once per output
+node).
+
+The Jacobian's rank needs neither the circuit nor the k^n coordinates:
+projected_jacobian runs Felsenstein's pruning with soft leaf vectors, once
+forward and once in reverse per component, on residues modulo a prime, and
+its rows are random combinations of the Jacobian's rows.
 
 This module also owns the site-pattern format.  A pattern is one state per
-leaf, in tree leaf order; its flat index is leaf-major (the first leaf's
-state is the most significant digit in base k), its label is one character
-of models.alphabet per state, and the coordinate it indexes is named "p"
-and the label.
+observed node (observed_nodes), in that order; its flat index is
+leaf-major (the first node's state is the most significant digit in base
+k), its label is one character of models.alphabet per state, and the
+coordinate it indexes is named "p" and the label.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -199,6 +204,10 @@ class Circuit:
 
         return self._pass(self.outputs.tolist(), leaf)
 
+    # No library caller: dimensions use projected_jacobian.  The tests keep
+    # this pass (and _Dual) as the exact reference for projected_jacobian's
+    # rows, and perfbench/spans.py traces it by name, so it goes together
+    # with that span.
     def jacobian(self, assignment, symbols, prime):
         """Forward-mode derivatives modulo `prime` of the distinct output
         nodes w.r.t. symbols: one dense row per node, in ascending node id,
@@ -251,9 +260,9 @@ def _poly_leaf(kind, payload):
 
 class JointMap:
     """Joint-probability map of one model, or of a mixture of models on the
-    same leaves and states: the shared circuit (see build_circuit) plus
-    expanded polynomials per coordinate, read off the circuit on first
-    access."""
+    same leaves and states: the shared circuit (see build_circuit), built on
+    first access, plus expanded polynomials per coordinate, read off the
+    circuit on first access."""
 
     def __init__(self, *models, weight_symbols=()):
         self.models = models
@@ -261,11 +270,14 @@ class JointMap:
         self.k = models[0].k
         self.n = models[0].tree.num_leaves
         self._polys = {}
-        self.circuit = build_circuit(models, self.weight_symbols)
+
+    @cached_property
+    def circuit(self):
+        return build_circuit(self.models, self.weight_symbols)
 
     @property
     def num_coordinates(self):
-        return len(self.circuit.outputs)
+        return self.k ** len(observed_nodes(self.models[0]))
 
     def coordinate(self, flat_index):
         """Expanded polynomial of one coordinate, cached by output node, so
@@ -311,6 +323,109 @@ def degree_profile(joint_map):
     return degs.pop()
 
 
+def observed_nodes(model):
+    """The nodes whose states make a pattern, in flat-index digit order: the
+    leaves, or every node of a model without hidden nodes."""
+    tree = model.tree
+    return sorted(tree.children) if model.no_hidden else tree.leaves
+
+
+def projected_jacobian(joint_map, assignment, leaf_vectors, prime):
+    """Rows of the Jacobian modulo `prime` at a symbol assignment, projected
+    by soft leaf vectors, without the circuit or the k^n coordinates.
+
+    leaf_vectors is an int64 array of residues of shape (observed nodes, R,
+    k), its first axis in observed_nodes order.  Row r is the sum over flat
+    indices x of prod_i leaf_vectors[i, r, x_i] times the Jacobian row of
+    coordinate x, in the order of joint_map.symbols(): the gradient of the
+    network polynomial (Darwiche, JACM 50(3), 2003), which is Felsenstein's
+    pruning with leaf_vectors[i, r] in place of a one-hot state at observed
+    node i.  Returns an int64 array (R, symbols) with entries in [0, prime).
+
+    Each component takes one forward and one reverse pass over its tree for
+    all R rows together (_pruning_gradient); every component sees the same
+    leaf vectors, its gradient is scaled by its mixing weight, and the
+    weight's column is its projected coordinate sum.
+    """
+    symbols = joint_map.symbols()
+    column = {s: j for j, s in enumerate(symbols)}
+    values = np.array([residue(Rat(assignment[s]), prime) for s in symbols],
+                      dtype=np.int64)
+    rows = np.zeros((leaf_vectors.shape[1], len(symbols)), dtype=np.int64)
+    weights = joint_map.weight_symbols or (None,) * len(joint_map.models)
+    for model, weight in zip(joint_map.models, weights):
+        total, grads, cols = _pruning_gradient(model, column, values,
+                                               leaf_vectors, prime)
+        if weight is not None:
+            rows[:, column[weight]] = total
+            grads = grads * values[column[weight]] % prime
+        # each cell's gradient is added to its symbol's column
+        np.add.at(rows, (slice(None), cols), grads)
+    return rows % prime
+
+
+def _pruning_gradient(model, column, values, leaf_vectors, prime):
+    """(total, grads, cols) of one model, all modulo prime: its projected
+    coordinate sum per row (R,), the derivative of that sum per row and
+    parameter cell (R, cells), and each cell's column in `values`.  The
+    cells are the template entries by edge id, row and column, then the
+    root weights when they are symbols.
+
+    Forward, the message of node v is beta_v = e_v * prod over children c of
+    mu_c, with mu_c = beta_c T^t for the edge's matrix T and e_v the node's
+    leaf vector (observed) or all ones (hidden).  In reverse, the adjoint of
+    mu_c is alpha_v * e_v * prod over c's siblings of their mu, with
+    alpha_root the root weights; the product over siblings is a prefix times
+    a suffix product, since a residue can be 0.  The edge's gradient is the
+    outer product of that adjoint and beta_c, and alpha_c is the adjoint
+    times T.  Every product of two residues is below 2^46 and a matrix
+    product sums k of them, so int64 stays exact.
+    """
+    tree, k = model.tree, model.k
+    rows = leaf_vectors.shape[1]
+    cols = np.array([column[s] for tpl in model.templates for row in tpl
+                     for s in row], dtype=np.int64)
+    mats = values[cols].reshape(-1, k, k)
+    roots = model.root.weights(k)
+    pi = np.array([values[column[w]] if isinstance(w, str) else
+                   residue(w, prime) for w in roots], dtype=np.int64)
+    evidence = dict(zip(observed_nodes(model), leaf_vectors))
+
+    beta, mu = {}, {}
+    for v in tree.postorder():
+        b = evidence.get(v)
+        for c in tree.children[v]:
+            mu[c] = beta[c] @ mats[tree.edge_id(v, c)].T % prime
+            b = mu[c] if b is None else b * mu[c] % prime
+        beta[v] = b
+    total = beta[tree.root] @ pi % prime
+
+    grads = np.empty((rows, len(mats), k, k), dtype=np.int64)
+    alpha = {tree.root: np.broadcast_to(pi, (rows, k))}
+    for v in [tree.root] + [c for _, c in tree.edges]:
+        a = alpha.pop(v)
+        kids = tree.children[v]
+        if not kids:
+            continue
+        if v in evidence:
+            a = a * evidence[v] % prime
+        prefix = [a]
+        for c in kids[:-1]:
+            prefix.append(prefix[-1] * mu[c] % prime)
+        suffix = None
+        for c, left in zip(reversed(kids), reversed(prefix)):
+            adjoint = left if suffix is None else left * suffix % prime
+            e = tree.edge_id(v, c)
+            grads[:, e] = adjoint[:, :, None] * beta[c][:, None, :] % prime
+            alpha[c] = adjoint @ mats[e] % prime
+            suffix = mu[c] if suffix is None else suffix * mu[c] % prime
+    grads = grads.reshape(rows, -1)
+    if model.root.mode == "free":
+        grads = np.concatenate([grads, beta[tree.root]], axis=1)
+        cols = np.concatenate([cols, [column[w] for w in roots]])
+    return total, grads, cols
+
+
 def build_circuit(models, weight_symbols=()):
     """One circuit for the coordinate-wise sum of the models' maps (see
     _build_into): output i is the sum over j of s_j * (output i of model j)
@@ -344,8 +459,7 @@ def _build_into(circ, model):
     gives the outputs.
     """
     tree, k = model.tree, model.k
-    # without hidden nodes every node is observed and indexes the output
-    observed = sorted(tree.children) if model.no_hidden else tree.leaves
+    observed = observed_nodes(model)
     tables = {}   # node -> (observed nodes below it, (k, patterns, factors))
 
     def entered(rows, c):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
                               normalize_poly, parse_poly, residue)
-from phyloag import invariants, paramap
+from phyloag import cli, invariants, paramap
 
 from conftest import (brute_force_eval, brute_force_expand,
                       brute_force_jacobian, draw_newick, exact_interpolation,
@@ -310,6 +310,76 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
     assert circuit == (jm.circuit.ops, jm.circuit.outputs.tolist())
 
 
+@given(small_dimension_models(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_projected_rows_are_combinations_of_circuit_rows(case, seed):
+    # row r is the sum over flat x of prod_i r_i[x_i] times the Jacobian row
+    # of coordinate x, taken from Circuit.jacobian (one row per output node,
+    # in ascending node id); residues are drawn from all of [0, p)
+    jm = _dimension_map(*case)
+    symbols = jm.symbols()
+    prime = invariants._PRIMES[0]
+    rng = random.Random(seed)
+    pt = invariants.random_point(symbols, rng)
+    observed = paramap.observed_nodes(jm.models[0])
+    R = len(symbols)
+    vectors = np.array([[[rng.randrange(prime) for _ in range(jm.k)]
+                         for _ in range(R)] for _ in observed],
+                       dtype=np.int64)
+    rows = paramap.projected_jacobian(jm, pt, vectors, prime)
+    node_rows = dict(zip(sorted(set(jm.circuit.outputs.tolist())),
+                         jm.circuit.jacobian(pt, symbols, prime)))
+    J = np.array([node_rows[node] for node in jm.circuit.outputs.tolist()],
+                 dtype=np.int64)
+    # W[r, x] = prod_i vectors[i, r, x_i], one factor at a time
+    W = np.ones((R, 1), dtype=np.int64)
+    for v in vectors:
+        W = (W[:, :, None] * v[:, None, :] % prime).reshape(R, -1)
+    # each entry of W @ J sums k^n < 2^12 products below 2^46
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, W @ J % prime)
+
+
+def _balanced(leaves):
+    """A balanced binary tree on the labels in Newick form, without the
+    final semicolon."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return f"({_balanced(leaves[:half])},{_balanced(leaves[half:])})"
+
+
+@pytest.mark.parametrize("n, kind, root, k, mcount, dimension", [
+    # unrooted edges 2n - 3: one parameter ratio per edge for jc-dna,
+    # three for kimura3, k(k - 1) per edge plus k - 1 root weights for a
+    # free-root general Markov model, twice that plus one mixing weight for
+    # a 2-mixture of them
+    (32, "jc-dna", "uniform", None, 1, 2 * 32 - 3),
+    (64, "kimura3", "uniform", None, 1, 3 * (2 * 64 - 3)),
+    (20, "general-markov", "free", 4, 1, (2 * 20 - 3) * 4 * 3 + 3),
+    (16, "general-markov", "free", 2, 2, 2 * ((2 * 16 - 3) * 2 + 1) + 1),
+])
+def test_closed_form_dimensions_on_large_trees(n, kind, root, k, mcount,
+                                               dimension):
+    tree = parse_newick(_balanced([str(i + 1) for i in range(n)]) + ";")
+    jm = invariants.make_mixture(tree, kind, mcount, root_mode=root, k=k)
+    assert invariants.jacobian_dimension(jm)[1] == dimension
+
+
+def test_dimension_builds_no_circuit(monkeypatch, capsys, tmp_path):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(paramap, "build_circuit", unavailable)
+    jm = invariants.make_mixture(parse_newick("((1,2),(3,4));"), "jc-dna", 2)
+    assert invariants.jacobian_dimension(jm) == (12, 11)
+    tree_file = tmp_path / "quartet.nwk"
+    tree_file.write_text("((1,2),(3,4));\n", encoding="utf-8")
+    assert cli.main(["dim", "--tree", str(tree_file), "--model", "jc-dna",
+                     "--mixture", "2"]) == 0
+    assert "projective dimension 11" in capsys.readouterr().out
+
+
 def test_shared_output_node_is_one_polynomial(tree4):
     m = make_model(tree4, "jc-dna")
     jm = expand_map(m)
@@ -603,6 +673,7 @@ def test_blocked_elimination_matches_rref(case):
     assert got_pivots == pivots
     assert free == [c for c in range(A.shape[1]) if c not in pivots]
     assert got_basis == basis
+    assert invariants._rank_profile(A.astype(np.float64), p) == pivots
 
 
 def test_elimination_at_interpolation_size_is_exact():
