@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .exactalg import minors, parse_poly, rat
+from .exactalg import minors, parse_poly
 from . import fourier as _fourier
 from . import invariants as _invariants
 from . import models as _models
@@ -42,17 +42,6 @@ def _load_model(args):
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _mapping(raw, what):
-    """raw, checked to be a JSON object whose values are strings or ints."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    for sym, val in raw.items():
-        if isinstance(val, bool) or not isinstance(val, (str, int)):
-            raise ValidationError(f"{what}: {sym!r} must be a string or an "
-                                  f"int, got {json.dumps(val)}")
-    return raw
 
 
 def _emit(args, payload, text_lines):
@@ -163,7 +152,7 @@ def cmd_invariants(args):
     if args.interpolate is not None:
         if not args.coords:
             raise ValidationError("--interpolate needs --coords FILE")
-        raw = _mapping(_load_json(args.coords), "coords")
+        raw = _models.json_mapping(_load_json(args.coords), "coords")
         try:
             coords = [(nm, parse_poly(str(tx))) for nm, tx in raw.items()]
         except ValueError as exc:
@@ -197,8 +186,7 @@ def cmd_invariants(args):
 
 def cmd_simulate(args):
     model = _load_model(args)
-    raw = _mapping(_load_json(args.params), "params")
-    params = {sym: rat(val) for sym, val in raw.items()}
+    params = _models.read_params(_load_json(args.params))
     jmap = _paramap.expand_map(model)
     aln = _pipeline.sample_alignment(jmap, params, args.length, args.seed)
     _pipeline.write_fasta(aln, args.out)
@@ -208,10 +196,11 @@ def cmd_simulate(args):
 
 def cmd_infer_quartet(args):
     aln = _pipeline.read_fasta(args.alignment)
+    # checked before the k^n pattern counts are made
     if len(aln.names) != 4:
         raise ValidationError("quartet inference needs exactly 4 sequences")
     # binary digits mark a 0/1 alignment, anything else is read as DNA
-    k = 2 if set("".join(aln.rows)) & set("01") else 4
+    k = 2 if any("0" in row or "1" in row for row in aln.rows) else 4
     counts = _pipeline.pattern_counts(aln, k)
     freqs = [c / aln.num_sites for c in counts]
     winner, scores, decisive = _pipeline.infer_quartet(freqs, aln.names, k,
@@ -224,22 +213,8 @@ def cmd_infer_quartet(args):
         raise DegeneracyError("split scores tie within tolerance")
 
 
-_CONFIG_FIELDS = {"newick": str, "kind": str, "root": str,
-                  "homogeneous_base": str, "k": int}
-
-
 def cmd_check(args):
-    cfg = _load_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
-    for field, kind in _CONFIG_FIELDS.items():
-        val = cfg.get(field)
-        if field in cfg and (isinstance(val, bool) or not isinstance(val, kind)):
-            what = "an int" if kind is int else "a string"
-            raise ValidationError(f"config: {field!r} must be {what}, got "
-                                  f"{json.dumps(val)}")
-    _mapping(cfg.get("params", {}), "params")
-    model, params = _models.load_model_config(cfg)
+    model, params = _models.load_model_config(args.config)
     if params is None:
         raise ValidationError("config has no params to check")
     report = _models.validate_stochastic(model, params)

@@ -23,7 +23,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "Rat", "rat", "residue", "Poly",
     "mat_rank_nullspace", "mat_det", "minors",
-    "parse_poly", "normalize_poly", "binomial",
+    "parse_poly", "normalize_poly",
 ]
 
 
@@ -346,13 +346,6 @@ def normalize_poly(p):
     if lead_coeff < 0:
         q = -q
     return q
-
-
-def binomial(a, b):
-    """normalize_poly(prod(a) - prod(b)) for two lists of variable names."""
-    return monomial_binomial(*(tuple(sorted((n, names.count(n))
-                                            for n in set(names)))
-                               for names in (a, b)))
 
 
 _ONE, _MINUS_ONE = Rat(1), Rat(-1)

@@ -1,15 +1,17 @@
 """Group-based change of coordinates: character transforms of parameters and
-probability tensors, the Fourier index, the toric monomial map, and
-degree-bounded binomial invariants.
+probability tensors, the toric monomial map, and degree-bounded binomial
+invariants.
 
 Supported groups are Z2 (binary states) and Z2 x Z2 (DNA states with the
 fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1), so state i is the
-element whose bit tuple is i in binary).  A coordinate is indexed by its
-edge labels, the group sums of the leaf labels below each edge; under the
-Jukes-Cantor DNA reduction only whether a label is the identity matters,
-and coordinates are indexed by subforests.  The monomial map and the
-binomial search work on integer exponent data (edge labels, packed
-exponent-matrix columns), not on polynomial products.
+element whose bit tuple is i in binary).  A coordinate's key is the tuple
+of its edge labels, the group sums of the leaf labels below each edge, in
+edge-id order; under the Jukes-Cantor DNA reduction only whether a label
+is the identity matters, and the key is the 0/1 indicator tuple of a
+subforest, the labels' support.  coord_name writes a key as a name.  The
+monomial map, the binomial search and the flattening minors work on
+integer exponent data (edge labels, packed exponent-matrix columns, known
+names), not on polynomial products.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactalg import Poly, Rat, binomial, monomial_binomial
+from .exactalg import Poly, Rat, monomial_binomial
 from . import treecore
 from .models import edge_letter
 from .paramap import pattern_of_flat
@@ -62,20 +64,6 @@ def group_for_model(model):
     if model.kind in ("jc-dna", "kimura2", "kimura3"):
         return Z2xZ2
     raise ValueError(f"model kind {model.kind!r} is not group-based")
-
-
-@dataclass(frozen=True)
-class FourierIndex:
-    """Per-edge group labels (element indices), in edge-id order."""
-
-    labels: tuple
-
-    @property
-    def indicator(self):
-        return tuple(1 if l else 0 for l in self.labels)
-
-    def __str__(self):
-        return "".join(map(str, self.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +121,14 @@ def zero_sum_labelings(tree, group):
 
 
 def leaf_to_edge_labels(tree, leaf_labels, group):
-    """Edge labels h_e = sum of leaf labels below e, or None when the labels
-    do not sum to the identity (the coordinate vanishes on the model)."""
+    """The tuple of edge labels h_e = sum of leaf labels below e, or None when
+    the labels do not sum to the identity (the coordinate vanishes on the
+    model)."""
     if functools.reduce(group.add, leaf_labels, 0):
         return None
-    return FourierIndex(tuple(
+    return tuple(
         functools.reduce(group.add, (leaf_labels[i] for i in below), 0)
-        for below in edge_leaf_positions(tree)))
+        for below in edge_leaf_positions(tree))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +175,7 @@ class MonomialMap:
 
     model: object
     group: GroupSpec
-    reduced: bool            # jc_reduced: coordinates indexed by subforests
-    coord_keys: list         # Subforest (reduced) or FourierIndex
+    coord_keys: list         # edge-label tuples (indicators if jc_reduced)
     coord_names: list        # sorted, as the keys are
     monomials: list          # Poly, one per coordinate
     symbols: list            # transformed symbol names (matrix rows)
@@ -198,8 +186,8 @@ class MonomialMap:
 
 
 def coord_name(key):
-    """q followed by the key's edge labels (a Subforest's indicator)."""
-    return "q" + str(key)
+    """q followed by the digits of an edge-label tuple."""
+    return "q" + "".join(map(str, key))
 
 
 def monomial_map(model):
@@ -214,26 +202,22 @@ def monomial_map(model):
     if model.root.mode != "uniform":
         raise ValueError("monomial map requires a uniform root")
     tree = model.tree
-    reduced = jc_reduced(model)
-    if reduced:
+    if jc_reduced(model):
         keys = treecore.enumerate_subforests(tree)
-        label_vectors = [sf.indicator for sf in keys]
     else:
-        label_vectors = sorted(set(map(tuple, zero_sum_labelings(
+        keys = sorted(set(map(tuple, zero_sum_labelings(
             tree, group)[1].tolist())))
-        keys = [FourierIndex(l) for l in label_vectors]
 
     indices = transformed_indices(model, group)
     symbols = [transformed_symbol(model, e, i)
                for e in range(tree.num_edges) for i in indices]
-    rows = np.array(label_vectors) + len(indices) * np.arange(tree.num_edges)
+    rows = np.array(keys) + len(indices) * np.arange(tree.num_edges)
     matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
     matrix[rows, np.arange(len(keys))[:, None]] = 1
     one = Rat(1)
     monos = [Poly({tuple(sorted([(symbols[r], 1) for r in col])): one})
              for col in rows.tolist()]
-    return MonomialMap(model=model, group=group, reduced=reduced,
-                       coord_keys=keys,
+    return MonomialMap(model=model, group=group, coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],
                        monomials=monos, symbols=symbols,
                        exponent_matrix=matrix.tolist())
@@ -285,13 +269,14 @@ def binomials_up_to_degree(mono_map, d):
 
 
 def subforest_leaf_labeling(tree, subforest, group):
-    """First zero-sum leaf labeling (lex order) whose edge indicator equals
-    the subforest indicator."""
+    """First zero-sum leaf labeling (lex order) whose edge labels have the
+    subforest (an indicator tuple) as support."""
     leaf, edge = zero_sum_labelings(tree, group)
-    want = np.array(subforest.indicator, dtype=bool)
+    want = np.array(subforest, dtype=bool)
     match = ((edge != 0) == want).all(axis=1)
     if not match.any():
-        raise ValueError(f"no consistent labeling for {subforest}")
+        raise ValueError("no consistent labeling for "
+                         + "".join(map(str, subforest)))
     return tuple(leaf[match.argmax()].tolist())
 
 
@@ -326,11 +311,11 @@ def fourier_flattening(tree, edge, h):
     and the edge only, so every row and column make a subforest and the
     matrix is the full product.  Every entry is rank-one on the monomial
     model, so the 2x2 minors are invariants.  Returns (row_configs,
-    col_configs, matrix of Subforests), a config mapping edge id to bit.
+    col_configs, matrix of indicator tuples), a config mapping edge id to
+    bit.
     """
-    return _fourier_flattening(
-        tree, edge, h,
-        [sf.indicator for sf in treecore.enumerate_subforests(tree)])
+    return _fourier_flattening(tree, edge, h,
+                               treecore.enumerate_subforests(tree))
 
 
 def _fourier_flattening(tree, edge, h, indicators):
@@ -341,18 +326,11 @@ def _fourier_flattening(tree, edge, h, indicators):
              if tree.leaves_below(tree.child_of_edge(e)) <= under]
     above = [e for e in range(tree.num_edges)
              if e != edge and e not in below]
-    found = [ind for ind in indicators if ind[edge] == h]
-    rows = sorted({tuple(ind[e] for e in below) for ind in found})
-    cols = sorted({tuple(ind[e] for e in above) for ind in found})
-    matrix = []
-    for r in rows:
-        line = []
-        for c in cols:
-            ind = [0] * tree.num_edges
-            for e, b in zip([edge] + below + above, (h,) + r + c):
-                ind[e] = b
-            line.append(treecore.Subforest(tuple(ind)))
-        matrix.append(line)
+    cells = {(tuple(ind[e] for e in below), tuple(ind[e] for e in above)):
+             ind for ind in indicators if ind[edge] == h}
+    rows = sorted({r for r, _ in cells})
+    cols = sorted({c for _, c in cells})
+    matrix = [[cells[r, c] for c in cols] for r in rows]
     return ([dict(zip(below, r)) for r in rows],
             [dict(zip(above, c)) for c in cols], matrix)
 
@@ -361,7 +339,7 @@ def all_fourier_flattenings(tree):
     """(edge, h, matrix) for every split edge and h in {0,1}, skipping
     matrices without a 2x2 minor and duplicate leaf partitions (edges in
     series induce the same split)."""
-    indicators = [sf.indicator for sf in treecore.enumerate_subforests(tree)]
+    indicators = treecore.enumerate_subforests(tree)
     seen_splits = set()
     out = []
     for edge in range(tree.num_edges):
@@ -378,23 +356,31 @@ def all_fourier_flattenings(tree):
     return out
 
 
+def _name_product(a, b):
+    """The monomial a*b of two distinct coordinate names."""
+    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
+
+
 def flattening_minors(tree):
     """Quadratic binomials from the 2x2 minors of every coordinate matrix,
     deduplicated up to sign (the independent route to the degree-2 part of
-    binomials_up_to_degree)."""
+    binomials_up_to_degree).
+
+    The cells of a matrix are distinct coordinates, so a minor's two
+    monomials are products of two distinct names and never cancel.
+    """
     out = []
     seen = set()
     for _, _, matrix in all_fourier_flattenings(tree):
-        names = [[coord_name(sf) for sf in line] for line in matrix]
+        names = [[coord_name(ind) for ind in line] for line in matrix]
         for top, bottom in itertools.combinations(names, 2):
             for c1, c2 in itertools.combinations(range(len(top)), 2):
-                form = binomial([top[c1], bottom[c2]], [top[c2], bottom[c1]])
-                if form.is_zero():
-                    continue
-                key = frozenset(form.terms.items())
+                ma = _name_product(top[c1], bottom[c2])
+                mb = _name_product(top[c2], bottom[c1])
+                key = (ma, mb) if ma < mb else (mb, ma)
                 if key not in seen:
                     seen.add(key)
-                    out.append(form)
+                    out.append(monomial_binomial(ma, mb))
     return out
 
 

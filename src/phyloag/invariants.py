@@ -33,7 +33,6 @@ from .exactalg import (Poly, Rat, mat_rank_nullspace,  # noqa: F401
                        normalize_poly, residue)
 from . import models as _models
 from . import paramap as _paramap
-from . import treecore
 
 # Modular elimination holds centered residues in float64, |x| <= h with
 # h = (p + 1)/2 + 2 < 2^22 + 3 for these primes below 2^23, so a product of
@@ -79,17 +78,13 @@ def symbolic_tensor(n, k):
 def flatten(tensor, leaf_order, split, k):
     """Flattening matrix of a k^n tensor induced by a split of the leaf set.
 
-    split is a (below, above) pair of leaf-label collections (or a
-    treecore.Split); rows are indexed lexicographically by the states of the
-    below leaves, columns by the above leaves, both in leaf order.  The flat
-    tensor is leaf-major (paramap.flat_index), so the matrix is its (k,)*n
-    reshape with the below leaves' axes moved first.
+    split is a (below, above) pair of leaf-label collections; rows are
+    indexed lexicographically by the states of the below leaves, columns by
+    the above leaves, both in leaf order.  The flat tensor is leaf-major
+    (paramap.flat_index), so the matrix is its (k,)*n reshape with the below
+    leaves' axes moved first.
     """
-    if isinstance(split, treecore.Split):
-        below, above = split.below, split.above
-    else:
-        below, above = split
-    below, above = set(below), set(above)
+    below, above = map(set, split)
     if not below or not above:
         raise ValueError("trivial split")
     if below | above != set(leaf_order) or below & above:

@@ -14,6 +14,7 @@ them from `STATES`; pattern labels and coordinate names (see paramap) from
 from __future__ import annotations
 
 import json
+import os
 import string
 from dataclasses import dataclass
 
@@ -186,13 +187,48 @@ def alphabet(k):
 
 # -- model config JSON ------------------------------------------------------
 
+_CONFIG_FIELDS = {"newick": str, "kind": str, "root": str,
+                  "homogeneous_base": str, "k": int}
+
+
+def json_mapping(raw, what):
+    """raw, checked to be a JSON object whose values are strings or ints;
+    ValueError naming `what` otherwise."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for sym, val in raw.items():
+        if isinstance(val, bool) or not isinstance(val, (str, int)):
+            raise ValueError(f"{what}: {sym!r} must be a string or an int, "
+                             f"got {json.dumps(val)}")
+    return raw
+
+
+def read_params(raw):
+    """Parameter values from a JSON object {symbol: "num/den" or int}."""
+    return {sym: rat(val) for sym, val in json_mapping(raw, "params").items()}
+
+
 def load_model_config(path_or_dict):
-    """Model config: {newick, kind, root, k?, params?: {symbol: "num/den"}}."""
-    if isinstance(path_or_dict, dict):
-        cfg = path_or_dict
-    else:
+    """Model config: {newick, kind, root?, k?, homogeneous_base?, params?:
+    {symbol: "num/den"}}, from a path or an already decoded JSON value.
+
+    A config that is not a JSON object, a field of the wrong JSON type or a
+    params value that is neither a string nor an int raises ValueError.
+    """
+    if isinstance(path_or_dict, (str, os.PathLike)):
         with open(path_or_dict, encoding="utf-8") as fh:
             cfg = json.load(fh)
+    else:
+        cfg = path_or_dict
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    for field, kind in _CONFIG_FIELDS.items():
+        val = cfg.get(field)
+        if field in cfg and (isinstance(val, bool) or not isinstance(val, kind)):
+            what = "an int" if kind is int else "a string"
+            raise ValueError(f"config: {field!r} must be {what}, got "
+                             f"{json.dumps(val)}")
+    params = read_params(cfg["params"]) if "params" in cfg else None
     for field in ("newick", "kind"):
         if field not in cfg:
             raise ValueError(f"config has no {field!r}")
@@ -200,8 +236,5 @@ def load_model_config(path_or_dict):
     model = make_model(tree, cfg["kind"], root_mode=cfg.get("root", "uniform"),
                        k=cfg.get("k"),
                        homogeneous_base=cfg.get("homogeneous_base"))
-    params = None
-    if "params" in cfg:
-        params = {sym: rat(val) for sym, val in cfg["params"].items()}
     return model, params
 

@@ -302,25 +302,16 @@ def expand_map(*models, weight_symbols=()):
 
 
 def degree_profile(joint_map):
-    """Common total degree of the coordinates (edge count plus one with a free
-    root, edge count with a uniform root), read off the circuit in one walk
-    of its nodes, children first.  A sum's degree is its children's largest:
-    every constant in a circuit is positive (root weights 1/k and the unit),
-    so no expanded sum cancels a term of top degree.
+    """Total degree of the coordinates, from the models alone: every template
+    cell is a symbol and every constant is positive, so a component's part
+    of each coordinate has degree num_edges, plus one with a free root, plus
+    one for its weight symbol when the map has weights, and a coordinate's
+    degree is the largest over the components.  Builds no circuit.
     """
-    circ = joint_map.circuit
-    deg = []
-    for kind, payload in circ.ops:
-        if kind == ADD:
-            deg.append(max(deg[c] for c in payload))
-        elif kind == MUL:
-            deg.append(sum(deg[c] for c in payload))
-        else:
-            deg.append(1 if kind == SYM else 0)
-    degs = {deg[v] for v in set(circ.outputs.tolist())}
-    if len(degs) != 1:
-        raise ValueError(f"coordinates are not equigraded: {sorted(degs)}")
-    return degs.pop()
+    models = joint_map.models
+    return (models[0].tree.num_edges
+            + max(m.root.mode == "free" for m in models)
+            + bool(joint_map.weight_symbols))
 
 
 def observed_nodes(model):

@@ -3,7 +3,8 @@ enumeration.
 
 Edge ids are assigned 0..E-1 in pre-order from the root with children in
 source order; every edge/indicator vector downstream of this module uses that
-order.  Leaves keep their first-appearance order from the source text.
+order.  Leaves keep their first-appearance order from the source text.  A
+subforest is a plain tuple of 0/1 edge indicators, one per edge id.
 """
 
 from __future__ import annotations
@@ -27,16 +28,6 @@ class Split:
     edge: int
     below: frozenset
     above: frozenset
-
-
-@dataclass(frozen=True)
-class Subforest:
-    """Edge-indicator vector of a subforest (one bit per edge id)."""
-
-    indicator: tuple
-
-    def __str__(self):
-        return "".join(str(b) for b in self.indicator)
 
 
 @dataclass
@@ -213,7 +204,7 @@ def edge_split(tree, edge):
 
 
 def enumerate_subforests(tree):
-    """All subforests, ordered lexicographically by indicator vector.
+    """All subforests as edge-indicator tuples, in lexicographic order.
 
     Recursive two-state enumeration: for each node, collect edge sets that are
     valid standalone versus valid once the parent edge is attached.
@@ -241,10 +232,9 @@ def enumerate_subforests(tree):
 
     standalone, _ = collect(tree.root)
     E = tree.num_edges
-    indicators = sorted(
+    return sorted(
         tuple(1 if e in s else 0 for e in range(E)) for s in standalone
     )
-    return [Subforest(ind) for ind in indicators]
 
 
 def display_edge_order(tree):

@@ -363,15 +363,20 @@ def fibonacci(m):
     return a
 
 
+def support(labels):
+    """The 0/1 indicator tuple of the non-identity labels."""
+    return tuple(1 if l else 0 for l in labels)
+
+
 def support_classes(tree, group):
     """Indicator vectors realizable by zero-sum leaf labelings; for JC-type
     symmetry this equals the set of subforest indicators."""
     out = set()
     for leaf_labels in itertools.product(range(group.k),
                                          repeat=tree.num_leaves):
-        fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
-        if fi is not None:
-            out.add(fi.indicator)
+        labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+        if labels is not None:
+            out.add(support(labels))
     return out
 
 
@@ -384,8 +389,8 @@ def lex_scan_leaf_labeling(tree, subforest, group):
     """
     for leaf_labels in itertools.product(range(group.k),
                                          repeat=tree.num_leaves):
-        fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
-        if fi is not None and fi.indicator == subforest.indicator:
+        labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+        if labels is not None and support(labels) == subforest:
             return leaf_labels
     return None
 
@@ -403,23 +408,21 @@ def poly_product_monomial_map(model):
     reduced = model.kind == "jc-dna"
     if reduced:
         keys = treecore.enumerate_subforests(tree)
-        label_vectors = [sf.indicator for sf in keys]
     else:
-        seen = {}
+        seen = set()
         for leaf_labels in itertools.product(range(group.k),
                                              repeat=tree.num_leaves):
-            fi = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
-            if fi is not None and fi.labels not in seen:
-                seen[fi.labels] = fi
-        keys = [seen[l] for l in sorted(seen)]
-        label_vectors = [fi.labels for fi in keys]
+            labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
+            if labels is not None:
+                seen.add(labels)
+        keys = sorted(seen)
     n_idx = 2 if reduced else group.k
     symbols = [fourier.transformed_symbol(model, e, i)
                for e in range(E) for i in range(n_idx)]
     sym_row = {s: r for r, s in enumerate(symbols)}
     monos = []
     matrix = [[0] * len(keys) for _ in symbols]
-    for col, labels in enumerate(label_vectors):
+    for col, labels in enumerate(keys):
         mono = Poly.const(1)
         for e, h in enumerate(labels):
             s = fourier.transformed_symbol(model, e, h)
@@ -427,7 +430,7 @@ def poly_product_monomial_map(model):
             matrix[sym_row[s]][col] += 1
         monos.append(mono)
     return fourier.MonomialMap(
-        model=model, group=group, reduced=reduced, coord_keys=keys,
+        model=model, group=group, coord_keys=keys,
         coord_names=[fourier.coord_name(k) for k in keys], monomials=monos,
         symbols=symbols, exponent_matrix=matrix)
 

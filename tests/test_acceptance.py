@@ -13,7 +13,7 @@ from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
 from phyloag import fourier, invariants, paramap, pipeline, treecore
 
 from conftest import brute_force_eval, random_params, random_rat, \
-    stochastic_jc_params
+    stochastic_jc_params, support
 
 T3 = "(1,(2,3));"
 T4 = "((1,2),(3,4));"
@@ -39,7 +39,7 @@ def test_criterion_01_subforest_counts():
         tree = parse_newick(nwk)
         subs = treecore.enumerate_subforests(tree)
         assert len(subs) == want
-        assert len({s.indicator for s in subs}) == want
+        assert len(set(subs)) == want
     assert time.monotonic() - start < 1.0
     _passed(1, "subforest counts 5 / 13 / 34")
 
@@ -184,19 +184,19 @@ def test_criterion_06_fourier_diagonalization():
                              + 3 * Poly.var(f"{letter}1"))
         return out
 
-    allowed = {sf.indicator for sf in treecore.enumerate_subforests(tree)}
-    support = set()
+    allowed = set(treecore.enumerate_subforests(tree))
+    supports = set()
     for i, poly in enumerate(q):
         states = paramap.pattern_of_flat(i, 3, 4)
-        fi = fourier.leaf_to_edge_labels(tree, states, fourier.Z2xZ2)
-        if fi is None:
+        labels = fourier.leaf_to_edge_labels(tree, states, fourier.Z2xZ2)
+        if labels is None:
             assert poly.is_zero()
             continue
         if not poly.is_zero():
-            assert fi.indicator in allowed
-            assert poly == factored(fi.indicator)
-            support.add(fi.indicator)
-    assert support == allowed and len(support) == 5
+            assert support(labels) in allowed
+            assert poly == factored(support(labels))
+            supports.add(support(labels))
+    assert supports == allowed and len(supports) == 5
 
     # reference combinations of the accumulated coordinates, drawing order
     _, classes, _ = _accumulated_jc3()
@@ -208,7 +208,7 @@ def test_criterion_06_fourier_diagonalization():
         "1111": [1, Rat(-1, 3), Rat(-1, 3), Rat(-1, 3), Rat(1, 3)],
     }
     for index, coeffs in reference.items():
-        sf = treecore.Subforest(tuple(int(c) for c in index))
+        sf = tuple(int(c) for c in index)
         got = fourier.accumulated_combination(tree, sf, classes,
                                               fourier.Z2xZ2)
         assert got == [Rat(c) for c in coeffs], index
@@ -231,7 +231,7 @@ def test_criterion_07_jc4_invariants():
     start = time.monotonic()
     tree = parse_newick(T4)
     mm = fourier.monomial_map(make_model(tree, "jc-dna"))
-    subforests = {str(sf) for sf in mm.coord_keys}
+    subforests = {"".join(map(str, sf)) for sf in mm.coord_keys}
 
     def mat(index_rows):
         return [[Poly.var(display_name(tree, s)) for s in row]
@@ -397,7 +397,7 @@ def test_criterion_10_jc5_determinantal_closure():
     start = time.monotonic()
     tree = parse_newick(T5)
     mm = fourier.monomial_map(make_model(tree, "jc-dna"))
-    subforests = {str(sf) for sf in mm.coord_keys}
+    subforests = {"".join(map(str, sf)) for sf in mm.coord_keys}
     coords = mm.coords()
     rng = random.Random(55)
     syms = sorted(set().union(*[p.variables() for p in coords.values()]))

@@ -264,6 +264,8 @@ def test_degenerate_exit_code(tmp_path, capsys):
     (["acgt", "acgt", "acgt", "acgt"], "'a'"),     # lowercase bases
     (["", "", "", ""], "no sites"),
     (["0101", "0121", "0101", "0101"], "'2'"),     # state 2 in a 0/1 alignment
+    (["ACGT"] * 3, "exactly 4 sequences"),
+    (["ACGT"] * 5, "exactly 4 sequences"),
 ])
 def test_infer_quartet_rejects_bad_alignment(tmp_path, capsys, rows, message):
     aln = tmp_path / "bad.fasta"

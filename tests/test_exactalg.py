@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phyloag import invariants
-from phyloag.exactalg import (Poly, Rat, binomial, mat_det, mat_rank_nullspace,
-                              minors, normalize_poly, parse_poly, rat, residue)
+from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace,
+                              minors, monomial_binomial, normalize_poly,
+                              parse_poly, rat, residue)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -234,13 +235,18 @@ _names = st.lists(st.sampled_from(["bx", "by", "bz", "bw"]), min_size=1,
                   max_size=3)
 
 
+def _monomial(names):
+    """The product of a list of names as a monomial, sorted by name."""
+    return tuple(sorted((n, names.count(n)) for n in set(names)))
+
+
 @given(_names, _names)
 @settings(max_examples=60)
-def test_binomial_is_the_normalized_difference(a, b):
+def test_monomial_binomial_is_the_normalized_difference(a, b):
     # squared names and products that cancel included
     want = normalize_poly(
         Poly.const(1) * _product(a) - Poly.const(1) * _product(b))
-    got = binomial(a, b)
+    got = monomial_binomial(_monomial(a), _monomial(b))
     assert got == want
     assert str(got) == str(want)
     assert list(got.terms) == list(want.terms)
@@ -253,7 +259,9 @@ def _product(names):
     return out
 
 
-def test_binomial_squares_and_cancels():
-    assert binomial(["bx", "bx"], ["by", "bz"]) == \
+def test_monomial_binomial_squares_and_cancels():
+    assert monomial_binomial(_monomial(["bx", "bx"]),
+                             _monomial(["by", "bz"])) == \
         normalize_poly(parse_poly("bx^2 - by*bz"))
-    assert binomial(["bx", "by"], ["by", "bx"]).is_zero()
+    assert monomial_binomial(_monomial(["bx", "by"]),
+                             _monomial(["by", "bx"])).is_zero()

@@ -15,7 +15,7 @@ from phyloag import fourier, paramap, treecore
 from conftest import (draw_newick, fresh_process_env, is_subforest,
                       lex_scan_leaf_labeling, poly_product_binomials,
                       poly_product_monomial_map, random_params, random_rat,
-                      support_classes)
+                      support, support_classes)
 
 
 def test_characters_are_plus_minus_one():
@@ -72,8 +72,7 @@ def test_transform_rejects_bad_length():
 def test_leaf_to_edge_labels(tree3):
     g = fourier.Z2
     # zero-sum labelings map to subforest indicators
-    fi = fourier.leaf_to_edge_labels(tree3, (1, 0, 1), g)
-    assert fi.indicator == (1, 1, 0, 1)
+    assert fourier.leaf_to_edge_labels(tree3, (1, 0, 1), g) == (1, 1, 0, 1)
     assert fourier.leaf_to_edge_labels(tree3, (1, 0, 0), g) is None
 
 
@@ -81,14 +80,14 @@ def test_transformed_tensor_supported_on_subforests(tree3):
     m = make_model(tree3, "jc-dna")
     jm = expand_map(m)
     q = fourier.transform_tensor(jm.coordinates(), fourier.Z2xZ2, 3)
-    allowed = {sf.indicator for sf in treecore.enumerate_subforests(tree3)}
+    allowed = set(treecore.enumerate_subforests(tree3))
     for i, poly in enumerate(q):
         states = paramap.pattern_of_flat(i, 3, 4)
-        fi = fourier.leaf_to_edge_labels(tree3, states, fourier.Z2xZ2)
-        if fi is None:
+        labels = fourier.leaf_to_edge_labels(tree3, states, fourier.Z2xZ2)
+        if labels is None:
             assert poly.is_zero()
         elif not poly.is_zero():
-            assert fi.indicator in allowed
+            assert support(labels) in allowed
 
 
 def test_transformed_tensor_factors(tree3):
@@ -99,15 +98,14 @@ def test_transformed_tensor_factors(tree3):
     q = fourier.transform_tensor(jm.coordinates(), fourier.Z2xZ2, 3)
     mm = fourier.monomial_map(m)
     tp = fourier.transform_params(m)
-    by_ind = {sf.indicator: mono
-              for sf, mono in zip(mm.coord_keys, mm.monomials)}
+    by_ind = dict(zip(mm.coord_keys, mm.monomials))
     checked = 0
     for i, poly in enumerate(q):
         if poly.is_zero():
             continue
         states = paramap.pattern_of_flat(i, 3, 4)
-        fi = fourier.leaf_to_edge_labels(tree3, states, fourier.Z2xZ2)
-        assert (by_ind[fi.indicator].substitute(tp) - poly).is_zero()
+        labels = fourier.leaf_to_edge_labels(tree3, states, fourier.Z2xZ2)
+        assert (by_ind[support(labels)].substitute(tp) - poly).is_zero()
         checked += 1
     assert checked == 16
 
@@ -136,11 +134,11 @@ def test_transformed_joint_map_is_the_monomial_map(newick, kind):
     for i, value in enumerate(q):
         if value == 0:
             continue
-        fi = fourier.leaf_to_edge_labels(tree, paramap.pattern_of_flat(i, n, k),
-                                         mm.group)
-        assert fi is not None
-        name = "q" + "".join(map(str, fi.indicator if mm.reduced
-                                 else fi.labels))
+        labels = fourier.leaf_to_edge_labels(
+            tree, paramap.pattern_of_flat(i, n, k), mm.group)
+        assert labels is not None
+        name = "q" + "".join(map(str, support(labels)
+                                 if fourier.jc_reduced(model) else labels))
         assert values[name] == value, name
         realized.add(name)
     assert realized == set(mm.coord_names)
@@ -226,7 +224,7 @@ def test_flattening_minors_5_leaf(tree5):
 
 def test_support_classes_equal_subforests(tree4):
     got = support_classes(tree4, fourier.Z2xZ2)
-    want = {sf.indicator for sf in treecore.enumerate_subforests(tree4)}
+    want = set(treecore.enumerate_subforests(tree4))
     assert got == want
 
 
@@ -258,9 +256,8 @@ def test_fourier_flattening_is_the_subforests_with_bit_h(data):
             for r, line in zip(rows, matrix):
                 assert len(line) == len(cols)
                 for c, sf in zip(cols, line):
-                    assert all(sf.indicator[e] == b
-                               for e, b in {**r, **c}.items())
-            cells = sorted(sf.indicator for line in matrix for sf in line)
+                    assert all(sf[e] == b for e, b in {**r, **c}.items())
+            cells = sorted(sf for line in matrix for sf in line)
             assert cells == [ind for ind in brute if ind[edge] == h]
 
 
@@ -286,13 +283,11 @@ def test_accumulated_combination_q0011(tree3):
     m = make_model(tree3, "jc-dna")
     jm = expand_map(m)
     classes = paramap.symmetry_classes(jm)
-    sf = treecore.Subforest((0, 0, 1, 1))
-    coeffs = fourier.accumulated_combination(tree3, sf, classes,
+    coeffs = fourier.accumulated_combination(tree3, (0, 0, 1, 1), classes,
                                              fourier.Z2xZ2)
     # class order: p123, p12, p13, p23, pdis
     assert coeffs == [Rat(1), Rat(-1, 3), Rat(-1, 3), Rat(1), Rat(-1, 3)]
-    empty = treecore.Subforest((0, 0, 0, 0))
-    assert fourier.accumulated_combination(tree3, empty, classes,
+    assert fourier.accumulated_combination(tree3, (0, 0, 0, 0), classes,
                                            fourier.Z2xZ2) == [Rat(1)] * 5
 
 
@@ -353,6 +348,18 @@ def test_kimura2_cubic_binomials_match_poly_products(tree4):
     assert got == expected
 
 
+T8 = "(((1,2),(3,4)),((5,6),(7,8)));"
+
+
+def test_flattening_minors_are_pinned():
+    # SHA-256 of the forms' text, one a line, in the order they come out
+    forms = fourier.flattening_minors(parse_newick(T8))
+    assert len(forms) == 169958
+    text = "".join(f"{f}\n" for f in forms)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "ca1395412154e2bd2400e891a9e3f6dd9de7675e480bf39e94ded2abe66eb040"
+
+
 # SHA-256 of the stdout of `phylo-ag fourier`; terms print in graded-lex
 # order on variable names
 _FOURIER_STDOUT = [
@@ -369,13 +376,29 @@ _FOURIER_STDOUT = [
      "edcf832504e0a4e7ba143c322c227014aa56c4b276e5580b826cfd063e6ecabb"),
     ("((1,2),(3,4));", "jc-binary", ["--binomials", "2"],
      "3f62cd9bcd5a0fc9e1ab45aa9f5459e3935f18df873b47cedb00084fbaa29177"),
+    # 8 leaves: 610 subforest coordinates and their 260,434 quadrics
+    (T8, "jc-dna", [],
+     "a3676a97577df0ec56ff30305a175509ca54eb0952183d7713269cc69e6b2f35"),
+    (T8, "jc-dna", ["--map"],
+     "b0468d8196244f6257606f15f7fcffda064b007cdcca152eafb2fc8665c62497"),
+    (T8, "jc-dna", ["--binomials", "2"],
+     "eb68646a10c8814a6b85e91247d9aa67ce625152d6f7b31ab18e05389a3e6e23"),
+    ("((1,2),(3,(4,5)));", "kimura3", [],
+     "01789006eedd6226c1bcf6a92760c965d0b3369d5df0b6f19c2c8d1038f5d3a2"),
+    ("((1,2),(3,(4,5)));", "kimura3", ["--map"],
+     "129d5522153560c99efe230e54fee0ebd2d82950d727e02d18d34435a68daf90"),
+    ("((1,2),(3,(4,5)));", "kimura3", ["--binomials", "2"],
+     "22eff7e8b0d30c8a48cc68929e201398e74188bdc007fae37a847d722e52f035"),
 ]
 
 
 @pytest.mark.parametrize("newick, kind, extra, digest", _FOURIER_STDOUT,
                          ids=["jc-dna-binomials", "jc-dna-map",
                               "jc-dna-coordinates", "kimura3-coordinates",
-                              "jc-binary-coordinates", "jc-binary-binomials"])
+                              "jc-binary-coordinates", "jc-binary-binomials",
+                              "jc-dna-8-coordinates", "jc-dna-8-map",
+                              "jc-dna-8-binomials", "kimura3-5-coordinates",
+                              "kimura3-5-map", "kimura3-5-binomials"])
 def test_fourier_stdout_is_pinned(tmp_path, newick, kind, extra, digest):
     # a fresh process, so the digest covers the command's whole output path
     # from start-up, as a user runs it

@@ -114,6 +114,35 @@ def test_config_without_a_required_field(field):
         models.load_model_config(cfg)
 
 
+_QUARTET = {"newick": "((1,2),(3,4));", "kind": "jc-dna"}
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (dict(_QUARTET, kind="general-markov", k="4"),
+     "config: 'k' must be an int, got \"4\""),
+    (dict(_QUARTET, newick=5), "config: 'newick' must be a string, got 5"),
+    (dict(_QUARTET, params=["a0", "1/4"]), "params must be a JSON object"),
+    (dict(_QUARTET, params={"a0": True}),
+     "params: 'a0' must be a string or an int, got true"),
+    (["((1,2),(3,4));"], "config must be a JSON object"),
+], ids=["string-k", "int-newick", "list-params", "bool-param", "list"])
+def test_config_of_the_wrong_type_is_a_value_error(tmp_path, cfg, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(cfg))
+    for source in (cfg, path, str(path)):
+        with pytest.raises(ValueError) as info:
+            models.load_model_config(source)
+        assert str(info.value) == message
+
+
+def test_params_are_read_exactly():
+    assert models.read_params({"a0": "1/4", "a1": 3}) == \
+        {"a0": Rat(1, 4), "a1": Rat(3)}
+    with pytest.raises(ValueError, match="params: 'a0' must be a string or "
+                       "an int, got 0.25"):
+        models.read_params({"a0": 0.25})
+
+
 @pytest.mark.parametrize("k", [12, 20])
 def test_general_markov_symbols_are_distinct_beyond_ten_states(tree3, k):
     # with two-digit states, a[1][10] and a[11][0] were both "a110"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat, residue
-from phyloag import fourier, invariants, models, paramap, pipeline
+from phyloag import cli, fourier, invariants, models, paramap, pipeline
 from phyloag.invariants import _PRIMES
 
 from conftest import (brute_force_eval, brute_force_expand,
@@ -48,6 +48,32 @@ def test_degree_profile(tree3):
     one = expand_map(make_model(parse_newick("(1);"), "general-markov",
                                 root_mode="free", k=2))
     assert paramap.degree_profile(one) == 2
+
+
+def test_degree_profile_of_a_mixed_root_mixture():
+    # a component has degree E = 4, plus one with a free root; a coordinate
+    # has the largest, plus one for a weight symbol
+    tree = parse_newick("((1,2),3);")
+    free = make_model(tree, "general-markov", root_mode="free", k=2,
+                      prefix="x0")
+    uni = make_model(tree, "general-markov", k=2, prefix="x1")
+    assert paramap.degree_profile(expand_map(free, uni)) == 5
+    weighted = expand_map(free, uni, weight_symbols=("s0", "s1"))
+    assert paramap.degree_profile(weighted) == 6 == \
+        weighted.coordinate(0).degree()
+
+
+def test_param_summary_builds_no_circuit(monkeypatch, capsys, tmp_path):
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the circuit was built")
+
+    monkeypatch.setattr(paramap, "build_circuit", unavailable)
+    tree_file = tmp_path / "t10.nwk"
+    tree_file.write_text("((((1,2),(3,4)),((5,6),(7,8))),(9,10));\n")
+    assert cli.main(["param", "--tree", str(tree_file), "--model",
+                     "jc-dna"]) == 0
+    assert capsys.readouterr().out == \
+        "coordinates: 1048576, degree: 18, parameters: 36\n"
 
 
 @st.composite
