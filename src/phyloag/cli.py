@@ -63,22 +63,23 @@ def _add_model_args(sp):
 def cmd_param(args):
     model = _load_model(args)
     jmap = _paramap.expand_map(model)
+    n = model.tree.num_leaves
     payload = {"tree": model.tree.to_newick(), "model": model.kind}
     lines = []
     if args.coordinate is not None:
-        poly = jmap.coordinate(_paramap.flat_index(_paramap.parse_pattern(
-            args.coordinate, jmap.n, model.k), model.k))
-        payload["coordinate"] = {args.coordinate: str(poly)}
-        lines.append(f"p_{args.coordinate} = {poly}")
+        text = str(jmap.coordinate(_paramap.flat_index(_paramap.parse_pattern(
+            args.coordinate, n, model.k), model.k)))
+        payload["coordinate"] = {args.coordinate: text}
+        lines.append(f"p_{args.coordinate} = {text}")
     if args.accumulated:
         classes = _paramap.symmetry_classes(jmap)
-        acc = _paramap.accumulate_classes(jmap, classes)
+        texts = [str(p) for p in _paramap.accumulate_classes(jmap, classes)]
         payload["classes"] = [len(c) for c in classes]
-        payload["accumulated"] = [str(p) for p in acc]
-        for cls, p in zip(classes, acc):
+        payload["accumulated"] = texts
+        for cls, text in zip(classes, texts):
             label = _paramap.pattern_label(
-                _paramap.pattern_of_flat(cls[0], jmap.n, model.k), model.k)
-            lines.append(f"class {label} (size {len(cls)}): {p}")
+                _paramap.pattern_of_flat(cls[0], n, model.k), model.k)
+            lines.append(f"class {label} (size {len(cls)}): {text}")
     if args.circuit_stats:
         counts, stats = {}, {}
         for i, node in enumerate(jmap.circuit.outputs.tolist()):
@@ -102,9 +103,9 @@ def cmd_param(args):
 def cmd_fourier(args):
     mm = _fourier.monomial_map(_load_model(args))
     if args.binomials is not None:
-        forms = _fourier.binomials_up_to_degree(mm, args.binomials)
-        _emit(args, {"binomials": [str(f) for f in forms]},
-              [str(f) for f in forms])
+        texts = [str(f) for f in
+                 _fourier.binomials_up_to_degree(mm, args.binomials)]
+        _emit(args, {"binomials": texts}, texts)
     elif args.map:
         sys.stdout.write(_fourier.exponent_matrix_csv(mm))
     else:
@@ -130,6 +131,8 @@ def _dimension(args, model):
 
 
 def cmd_invariants(args):
+    if args.minors is not None and args.flatten is None:
+        raise ValidationError("--minors needs --flatten SPLIT")
     model = _load_model(args)
     payload = {}
     lines = []
@@ -143,12 +146,13 @@ def cmd_invariants(args):
         tensor = _invariants.symbolic_tensor(model.tree.num_leaves, model.k)
         mat = _invariants.flatten(tensor, model.tree.leaf_labels, split,
                                   k=model.k)
-        payload["flattening"] = [[str(x) for x in row] for row in mat]
-        lines += [" ".join(str(x) for x in row) for row in mat]
+        cells = [[str(x) for x in row] for row in mat]
+        payload["flattening"] = cells
+        lines += [" ".join(row) for row in cells]
         if args.minors is not None:
-            forms = minors(mat, args.minors)
-            payload["minors"] = [str(f) for f in forms]
-            lines += [str(f) for f in forms]
+            texts = [str(f) for f in minors(mat, args.minors)]
+            payload["minors"] = texts
+            lines += texts
     if args.interpolate is not None:
         if not args.coords:
             raise ValidationError("--interpolate needs --coords FILE")
@@ -162,8 +166,9 @@ def cmd_invariants(args):
                                                             args.interpolate)
         except RuntimeError as exc:
             raise DegeneracyError(str(exc))
-        payload["forms"] = [str(f) for f in forms]
-        lines += [str(f) for f in forms]
+        texts = [str(f) for f in forms]
+        payload["forms"] = texts
+        lines += texts
     if args.check is not None:
         with open(args.check, encoding="utf-8") as fh:
             form_texts = [l.strip() for l in fh if l.strip()]
@@ -176,7 +181,7 @@ def cmd_invariants(args):
             for nm in form.variables():
                 with contextlib.suppress(ValueError):
                     coords[nm] = jmap.coordinate(_paramap.coordinate_index(
-                        nm, jmap.n, model.k))
+                        nm, model.tree.num_leaves, model.k))
             ok = _invariants.vanishing_check(form, coords)
             results.append({"form": tx, "vanishes": ok})
             lines.append(f"{'vanishes' if ok else 'NONZERO'}: {tx}")

@@ -60,8 +60,12 @@ def _mono_mul(m1, m2):
 def _mono_sort_key(mono):
     # descending graded order; ties broken lexicographically by variable name
     # with larger exponents on smaller names first
-    deg = sum(e for _, e in mono)
-    return (-deg, tuple((v, -e) for v, e in mono))
+    deg = 0
+    pairs = []
+    for v, e in mono:
+        deg += e
+        pairs.append((v, -e))
+    return (-deg, tuple(pairs))
 
 
 class Poly:

@@ -193,14 +193,17 @@ def coord_name(key):
 def monomial_map(model):
     """Monomial parameterization q_index = prod_e u_e(h_e).
 
-    Requires a group-based model with uniform root.  Under the Jukes-Cantor
-    reduction (jc_reduced) the coordinates are the subforests; otherwise
-    they are the distinct edge labelings of the zero-sum leaf labelings.
+    Requires a group-based model with uniform root and hidden internal
+    nodes.  Under the Jukes-Cantor reduction (jc_reduced) the coordinates
+    are the subforests; otherwise they are the distinct edge labelings of
+    the zero-sum leaf labelings.
     Each monomial is written directly from its edge labels.
     """
     group = group_for_model(model)
     if model.root.mode != "uniform":
         raise ValueError("monomial map requires a uniform root")
+    if model.no_hidden:
+        raise ValueError("monomial map requires hidden internal nodes")
     tree = model.tree
     if jc_reduced(model):
         keys = treecore.enumerate_subforests(tree)
@@ -343,8 +346,7 @@ def all_fourier_flattenings(tree):
     seen_splits = set()
     out = []
     for edge in range(tree.num_edges):
-        split = treecore.edge_split(tree, edge)
-        key = frozenset((split.below, split.above))
+        key = frozenset(treecore.edge_split(tree, edge))
         if key in seen_splits:
             continue
         seen_splits.add(key)

@@ -5,18 +5,19 @@ A mixture of models is one paramap.JointMap whose circuit outputs the
 weighted sums of its components' coordinates; a single model is the
 mixture with one component.
 
-Interpolation finds the nullspace of a sample matrix (one row per random
-rational point, one column per monomial).  It never evaluates a coordinate
-over Q to build that matrix: per prime just below 2^23, the points'
-parameters are reduced to residues once, the coordinates and monomials are
-evaluated from them modulo the prime at all points together, and the matrix
-is reduced by a recursive column-split PLE on centered float64 residues
-(_nullspace_mod_p): leaves of _LEAF columns, and otherwise triangular solves
-and BLAS matmuls whose sums of up to _CHUNK products stay exact, reduced
-once each.  Bases from primes with the same pivots are combined by CRT and
-rationally reconstructed.  Each form is then verified at fresh random
-points by vanishing_check's evaluator, which reads them the same way, modulo
-a prime that the basis was not found modulo.
+Interpolation finds the nullspace of a sample matrix: one row per random
+rational point, one column per monomial, each monomial indexed by its
+combination of coordinates (itertools.combinations_with_replacement order).
+It never evaluates a coordinate over Q to build that matrix: per prime just
+below 2^23, the points' parameters are reduced to residues once, the
+coordinates and monomials are evaluated from them modulo the prime at all
+points together, and the matrix is reduced by a recursive column-split PLE
+on centered float64 residues (_nullspace_mod_p): leaves of _LEAF columns,
+and otherwise triangular solves and BLAS matmuls whose sums of up to _CHUNK
+products stay exact, reduced once each.  Bases from primes with the same
+pivots are combined by CRT and rationally reconstructed.  Each form is then
+verified at fresh random points by vanishing_check's evaluator, which reads
+them the same way, modulo a prime that the basis was not found modulo.
 """
 
 from __future__ import annotations
@@ -275,24 +276,6 @@ def quartet_splits(leaf_order):
 # exact interpolation of vanishing forms
 
 
-def _monomial_exponents(nvars, degree):
-    """Exponent tuples of total degree == degree, deterministic order."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
-
-
-def _crt_pair(a1, m1, a2, m2):
-    # combine x = a1 mod m1, x = a2 mod m2
-    inv = pow(m1 % m2, m2 - 2, m2)
-    t = ((a2 - a1) * inv) % m2
-    return a1 + m1 * t, m1 * m2
-
-
 def _rat_reconstruct(a, m):
     """Rational p/q with p*q bounded by ~m/2 and p = a*q mod m, or None."""
     a %= m
@@ -325,24 +308,24 @@ def _coordinate_residues(polys, params, pts, prime):
     return C
 
 
-def _rows_mod(C, exps, prime):
+def _rows_mod(C, degree, prime):
     """Sample matrix mod prime in float64 from the coordinate residues C: one
-    row per sample point, one column per monomial of exps, entries in
-    [0, prime).
+    row per sample point, one column per degree-`degree` monomial, entries
+    in [0, prime).
 
-    exps must be _monomial_exponents(ncoords, degree), whose order is that of
-    combinations_with_replacement: the degree-d monomials whose first
-    coordinate is i are coordinate i times the degree-(d-1) monomials in
-    coordinates i.., which are the last comb(ncoords - i + d - 2, d - 1)
-    monomials of degree d - 1.  So each degree is built from the one below
-    by one broadcast product per coordinate, _ROWS points at a time.
+    Columns follow combinations_with_replacement(range(ncoords), degree):
+    the degree-d monomials whose first coordinate is i are coordinate i
+    times the degree-(d-1) monomials in coordinates i.., which are the last
+    comb(ncoords - i + d - 2, d - 1) monomials of degree d - 1.  So each
+    degree is built from the one below by one broadcast product per
+    coordinate, _ROWS points at a time.
     """
     npoints, ncoords = C.shape
-    degree = sum(exps[0])
     if degree == 0:
         return np.ones((npoints, 1))
-    A = np.empty((npoints, len(exps)))
-    scratch = np.empty(min(npoints, _ROWS) * len(exps))
+    width = comb(ncoords + degree - 1, degree)
+    A = np.empty((npoints, width))
+    scratch = np.empty(min(npoints, _ROWS) * width)
     for r0 in range(0, npoints, _ROWS):
         rows = C[r0:r0 + _ROWS]
         level = np.ones((len(rows), 1))
@@ -559,27 +542,19 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     names = [nm for nm, _ in coords]
     polys = [p for _, p in coords]
     params = sorted(set().union(*[p.variables() for p in polys]))
-    exps = _monomial_exponents(len(coords), degree)
-    if not exps:
+    monomials = [tuple(sorted((names[i], combo.count(i)) for i in set(combo)))
+                 for combo in itertools.combinations_with_replacement(
+                     range(len(coords)), degree)]
+    if not monomials:
         return []   # no coordinates, so no monomial of positive degree
-    nmono = len(exps)
-    npoints = nmono + extra_points
+    npoints = len(monomials) + extra_points
 
     for attempt in range(_MAX_RETRIES):
         pts = [random_point(params, rng) for _ in range(npoints)]
-        for basis, modulus in _modular_nullspace(polys, params, pts, exps):
-            forms = []
-            for vec in basis:
-                form = Poly()
-                for e, c in zip(exps, vec):
-                    if c == 0:
-                        continue
-                    mono = Poly.const(c)
-                    for j, d in enumerate(e):
-                        if d:
-                            mono = mono * Poly.var(names[j], d)
-                    form = form + mono
-                forms.append(normalize_poly(form))
+        for basis, modulus in _modular_nullspace(polys, params, pts, degree):
+            forms = [normalize_poly(Poly({m: c for m, c in zip(monomials, vec)
+                                          if c}))
+                     for vec in basis]
             # a form of the basis vanishes modulo each prime of the modulus
             # at every point, so it is verified modulo the other primes
             fresh = [p for p in _PRIMES if modulus % p]
@@ -591,18 +566,18 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                        f"{_MAX_RETRIES} retries")
 
 
-def _modular_nullspace(polys, params, pts, exps):
+def _modular_nullspace(polys, params, pts, degree):
     """Candidate nullspace bases over Q, each with its modulus: one per
     prime of _PRIMES whose accumulated residues pass rational reconstruction.
 
     The sample matrix at the points `pts` is built mod each prime from the
     residues of the parameters; a prime that divides a denominator of the
     polynomials' coefficients is skipped.  Primes with the same pivot
-    columns are combined by CRT.  Reduction mod a prime can only lower the
-    rank of each leading block of columns, so a prime that finds more
-    pivots, or as many further left, shows that the primes so far were
-    unlucky and replaces their residues; one with fewer or later pivots is
-    skipped.
+    columns are combined by CRT, with one inverse of the modulus per prime.
+    Reduction mod a prime can only lower the rank of each leading block of
+    columns, so a prime that finds more pivots, or as many further left,
+    shows that the primes so far were unlucky and replaces their residues;
+    one with fewer or later pivots is skipped.
     """
     residues = modulus = best = None
     for prime in _PRIMES:
@@ -610,16 +585,19 @@ def _modular_nullspace(polys, params, pts, exps):
             C = _coordinate_residues(polys, params, pts, prime)
         except ValueError:
             continue
-        basis, pivots, _ = _nullspace_mod_p(_rows_mod(C, exps, prime), prime)
+        basis, pivots, _ = _nullspace_mod_p(_rows_mod(C, degree, prime),
+                                            prime)
         if best is None or len(pivots) > len(best) or \
                 (len(pivots) == len(best) and pivots < best):
             residues, modulus, best = basis, prime, pivots
         elif pivots != best:
             continue
         else:
-            for v, bv in zip(residues, basis):
-                for i, b in enumerate(bv):
-                    v[i], _ = _crt_pair(v[i], modulus, b, prime)
+            # x = a mod modulus and x = b mod prime
+            inverse = pow(modulus, -1, prime)
+            residues = [[a + modulus * ((b - a) * inverse % prime)
+                         for a, b in zip(v, bv)]
+                        for v, bv in zip(residues, basis)]
             modulus *= prime
         recon = [[_rat_reconstruct(a, modulus) for a in v] for v in residues]
         if all(x is not None for v in recon for x in v):

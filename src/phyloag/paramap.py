@@ -268,7 +268,6 @@ class JointMap:
         self.models = models
         self.weight_symbols = tuple(weight_symbols)
         self.k = models[0].k
-        self.n = models[0].tree.num_leaves
         self._polys = {}
 
     @cached_property

@@ -77,15 +77,19 @@ def sample_alignment(joint_map, params, num_sites, seed):
     pair is reproducible across runs and platforms.  Sampling is exact integer
     inverse CDF: each draw is m * 2^-53 and lands on the first pattern with
     floor(cum * 2^53) >= m, exactly as a rational comparison would.
+    Raises ValueError on a model without hidden nodes.
     """
     if num_sites < 0:
         raise ValueError(f"num_sites must be non-negative, got {num_sites}")
+    model = _single_model(joint_map)
+    if model.no_hidden:
+        raise ValueError("internal nodes have no sequence names")
     probs = exact_distribution(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
     idx = _inverse_cdf(probs, rng.random(num_sites))
-    states = _paramap.pattern_of_flat(idx, joint_map.n, joint_map.k)
-    return Alignment(names=list(_single_model(joint_map).tree.leaf_labels),
-                     rows=[_paramap.pattern_label(s, joint_map.k)
+    states = _paramap.pattern_of_flat(idx, model.tree.num_leaves, model.k)
+    return Alignment(names=list(model.tree.leaf_labels),
+                     rows=[_paramap.pattern_label(s, model.k)
                            for s in states])
 
 
@@ -108,7 +112,10 @@ def pattern_counts(alignment, k):
 def empirical_tensor(alignment, model):
     """Relative pattern frequencies as a flat float list of length k^n, with
     rows matched to the tree's leaves by sequence name; raises ValueError on
-    missing, extra or duplicate names."""
+    missing, extra or duplicate names and on a model without hidden
+    nodes."""
+    if model.no_hidden:
+        raise ValueError("internal nodes have no sequence names")
     leaves = list(model.tree.leaf_labels)
     if sorted(alignment.names) != sorted(leaves) or \
             len(alignment.rows) != len(leaves):
@@ -123,6 +130,8 @@ def empirical_tensor(alignment, model):
 
 
 def total_variation(p, q):
+    if len(p) != len(q):
+        raise ValueError(f"distributions of {len(p)} and {len(q)} entries")
     return sum(abs(float(a) - float(b)) for a, b in zip(p, q)) / 2
 
 

@@ -21,15 +21,6 @@ class NewickError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Split:
-    """Leaf bipartition induced by removing one edge."""
-
-    edge: int
-    below: frozenset
-    above: frozenset
-
-
 @dataclass
 class Tree:
     """Rooted tree with ordered labeled leaves and pre-order edge ids."""
@@ -194,13 +185,13 @@ def read_newick(path):
 
 
 def edge_split(tree, edge):
-    """Split of the leaf set induced by an edge; below = leaves under the
-    child endpoint."""
+    """The (below, above) frozenset pair of leaf labels that an edge splits
+    the leaf set into; below = leaves under the child endpoint."""
     if not 0 <= edge < tree.num_edges:
         raise KeyError(f"unknown edge id {edge}")
     below = tree.leaves_below(tree.child_of_edge(edge))
     above = frozenset(tree.leaf_labels) - below
-    return Split(edge=edge, below=below, above=above)
+    return below, above
 
 
 def enumerate_subforests(tree):

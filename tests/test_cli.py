@@ -167,6 +167,12 @@ def test_fourier_binomial_degree_below_one(tree_file, capsys, degree):
         capsys.readouterr().err
 
 
+def test_invariants_minors_need_a_flattening(tree_file, capsys):
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--minors", "2"]) == 2
+    assert "--minors needs --flatten SPLIT" in capsys.readouterr().err
+
+
 def test_invariants_minor_size_out_of_range(tmp_path, capsys):
     tree = tmp_path / "t3.nwk"
     tree.write_text("(1,(2,3));\n")

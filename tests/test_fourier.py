@@ -183,6 +183,12 @@ def test_monomial_map_requires_uniform_root(tree3):
         fourier.monomial_map(m)
 
 
+def test_monomial_map_requires_hidden_internal_nodes(tree3):
+    m = make_model(tree3, "jc-binary", no_hidden=True)
+    with pytest.raises(ValueError, match="hidden internal nodes"):
+        fourier.monomial_map(m)
+
+
 def test_exponent_matrix_shape(tree4):
     mm = fourier.monomial_map(make_model(tree4, "jc-dna"))
     assert len(mm.exponent_matrix) == len(mm.symbols)

@@ -483,6 +483,58 @@ def jc3_class_coords():
     return list(zip(["p123", "p12", "p13", "p23", "pdis"], acc))
 
 
+def quartet_class_coords():
+    """Accumulated symmetry classes of jc-binary on ((1,2),(3,4)), named by
+    their first flat index; two quadrics vanish on them."""
+    jm = expand_map(make_model(parse_newick("((1,2),(3,4));"), "jc-binary"))
+    classes = paramap.symmetry_classes(jm)
+    return [(f"c{c[0]}", p)
+            for c, p in zip(classes, paramap.accumulate_classes(jm, classes))]
+
+
+def crt_coords():
+    """Coefficients of up to 18 digits, so the basis of the quadrics is
+    combined by CRT from five primes."""
+    return [("b", parse_poly("423448/419*u + 337/17*w")),
+            ("c", parse_poly("939900/151*u")),
+            ("a", parse_poly("344081/386*u"))]
+
+
+# SHA-256 of the forms' text, one a line: the benchmark's cubic, a basis of
+# two quadrics and a basis combined by CRT
+_PINNED_FORMS = [
+    (jc3_class_coords, 3, 0, 1,
+     "1faca748bb1c5ea3194c9ca46af4c345b71fcf7dd265900c7af7529e77d4fb85"),
+    (quartet_class_coords, 2, 1, 2,
+     "a575daad22b0e4ecc894d57805747ab802ca03c690d9b524a160f34d58f458aa"),
+    (crt_coords, 2, 0, 3,
+     "438e2e48ca5338ffc6c0dfd8b8712152af819995cf96f83793e4d3fb49f76aed"),
+]
+
+
+@pytest.mark.parametrize("coords, degree, seed, count, digest", _PINNED_FORMS,
+                         ids=["jc3-cubic", "quartet-quadrics", "crt"])
+def test_interpolated_forms_are_pinned(coords, degree, seed, count, digest):
+    forms = invariants.interpolate_vanishing_forms(coords(), degree,
+                                                   rng=random.Random(seed))
+    assert len(forms) == count
+    text = "".join(f"{f}\n" for f in forms)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_interpolate_stdout_is_pinned(tmp_path, capsys):
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((1,2),(3,4));\n")
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({nm: str(p)
+                                  for nm, p in quartet_class_coords()}))
+    assert cli.main(["invariants", "--tree", str(tree), "--model",
+                     "jc-binary", "--interpolate", "2", "--coords",
+                     str(coords)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_FORMS[1][-1]
+
+
 def test_interpolation_verifies_on_fresh_points():
     coords = jc3_class_coords()
     forms = invariants.interpolate_vanishing_forms(coords, 3)
@@ -617,10 +669,12 @@ def test_sample_matrix_is_the_product_of_powers(ncoords, degree, npoints,
     # the column of monomial x^e is prod_j x_j^e_j, however it was built
     prime = invariants._PRIMES[0]
     C = np.random.default_rng(seed).integers(0, prime, (npoints, ncoords))
-    exps = invariants._monomial_exponents(ncoords, degree)
+    exps = [[combo.count(j) for j in range(ncoords)]
+            for combo in itertools.combinations_with_replacement(
+                range(ncoords), degree)]
     want = [[int(np.prod([pow(int(c), d, prime) for c, d in zip(row, e)],
                          dtype=object)) % prime for e in exps] for row in C]
-    assert invariants._rows_mod(C.astype(np.float64), exps,
+    assert invariants._rows_mod(C.astype(np.float64), degree,
                                 prime).tolist() == want
 
 

@@ -137,6 +137,23 @@ def test_total_variation_converges(quartet_setup):
     assert tv_large < tv_small
 
 
+def test_leaf_alignments_reject_a_model_without_hidden_nodes(tree3):
+    # its patterns have a digit per node, but only the leaves have rows
+    model = make_model(tree3, "jc-binary", no_hidden=True)
+    params = stochastic_jc_params(tree3, 2)
+    with pytest.raises(ValueError, match="internal nodes"):
+        pipeline.sample_alignment(expand_map(model), params, 3, seed=1)
+    aln = pipeline.sample_alignment(
+        expand_map(make_model(tree3, "jc-binary")), params, 3, seed=1)
+    with pytest.raises(ValueError, match="internal nodes"):
+        pipeline.empirical_tensor(aln, model)
+
+
+def test_total_variation_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="8 and 32 entries"):
+        pipeline.total_variation([0.125] * 8, [Rat(1, 32)] * 32)
+
+
 def test_quartet_scores_exact_zero(quartet_setup):
     model, jmap, params = quartet_setup
     probs = pipeline.exact_distribution(jmap, params)

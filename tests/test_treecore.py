@@ -76,9 +76,7 @@ def test_newick_file_roundtrip(tmp_path):
 def test_edge_split():
     t = parse_newick("((1,2),(3,4));")
     # edge 0 = root -> first cherry
-    s = edge_split(t, 0)
-    assert s.below == frozenset({"1", "2"})
-    assert s.above == frozenset({"3", "4"})
+    assert edge_split(t, 0) == (frozenset({"1", "2"}), frozenset({"3", "4"}))
     with pytest.raises(KeyError):
         edge_split(t, 99)
 
@@ -103,9 +101,9 @@ def test_deep_caterpillar_prints_draws_and_splits():
     assert len(x) == 2997
     # the root sits between the spine below it and the last leaf
     assert x[t.root] == (x[1] + 1498) / 2
-    split = edge_split(t, 0)
-    assert split.above == {"1499"}
-    assert split.below == {str(i) for i in range(1, 1499)}
+    below, above = edge_split(t, 0)
+    assert above == {"1499"}
+    assert below == {str(i) for i in range(1, 1499)}
     assert len(display_edge_order(t)) == 2996
 
 
