@@ -121,26 +121,12 @@ def _parse_split(text):
     return [part.replace(",", " ").split() for part in parts]
 
 
-def _dimension(args, model):
-    """(affine rank, projective dimension) of the model or its mixture."""
-    if args.mixture < 1:
-        raise ValidationError(f"--mixture must be at least 1, got "
-                              f"{args.mixture}")
-    return _invariants.jacobian_dimension(_invariants.make_mixture(
-        model.tree, model.kind, args.mixture, root_mode=args.root, k=model.k))
-
-
 def cmd_invariants(args):
     if args.minors is not None and args.flatten is None:
         raise ValidationError("--minors needs --flatten SPLIT")
     model = _load_model(args)
     payload = {}
     lines = []
-    if args.dim:
-        rank, dim = _dimension(args, model)
-        payload["affine_rank"] = rank
-        payload["projective_dimension"] = dim
-        lines.append(f"affine rank {rank}, projective dimension {dim}")
     if args.flatten is not None:
         split = _parse_split(args.flatten)
         tensor = _invariants.symbolic_tensor(model.tree.num_leaves, model.k)
@@ -208,8 +194,10 @@ def cmd_infer_quartet(args):
     k = 2 if any("0" in row or "1" in row for row in aln.rows) else 4
     counts = _pipeline.pattern_counts(aln, k)
     freqs = [c / aln.num_sites for c in counts]
+    # the rank of a flattening of a k-state tree model is k
+    rank = k if args.rank is None else args.rank
     winner, scores, decisive = _pipeline.infer_quartet(freqs, aln.names, k,
-                                                       args.rank)
+                                                       rank)
     payload = {"split": winner, "scores": scores, "decisive": decisive}
     lines = [f"{nm}: {sc:.6g}" for nm, sc in sorted(scores.items())]
     lines.append(f"best split: {winner}")
@@ -232,7 +220,12 @@ def cmd_check(args):
 
 
 def cmd_dim(args):
-    rank, dim = _dimension(args, _load_model(args))
+    model = _load_model(args)
+    if args.mixture < 1:
+        raise ValidationError(f"--mixture must be at least 1, got "
+                              f"{args.mixture}")
+    rank, dim = _invariants.jacobian_dimension(_invariants.make_mixture(
+        model.tree, model.kind, args.mixture, root_mode=args.root, k=model.k))
     _emit(args, {"affine_rank": rank, "projective_dimension": dim},
           [f"affine rank {rank}, projective dimension {dim}"])
 
@@ -256,14 +249,12 @@ def build_parser():
     sp.add_argument("--binomials", type=int)
     sp.set_defaults(func=cmd_fourier)
 
-    sp = sub.add_parser("invariants", help="flattenings, forms, dimensions")
+    sp = sub.add_parser("invariants", help="flattenings, forms, checks")
     _add_model_args(sp)
     sp.add_argument("--flatten")
     sp.add_argument("--minors", type=int)
     sp.add_argument("--interpolate", type=int)
     sp.add_argument("--coords")
-    sp.add_argument("--dim", action="store_true")
-    sp.add_argument("--mixture", type=int, default=1)
     sp.add_argument("--check")
     sp.set_defaults(func=cmd_invariants)
 
@@ -277,7 +268,7 @@ def build_parser():
 
     sp = sub.add_parser("infer-quartet", help="score quartet splits")
     sp.add_argument("--alignment", required=True)
-    sp.add_argument("--rank", type=int, default=4)
+    sp.add_argument("--rank", type=int)
     sp.add_argument("--format", default="text", choices=("json", "text"))
     sp.set_defaults(func=cmd_infer_quartet)
 

@@ -4,10 +4,12 @@ invariants.
 
 Supported groups are Z2 (binary states) and Z2 x Z2 (DNA states with the
 fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1), so state i is the
-element whose bit tuple is i in binary).  A coordinate's key is the tuple
-of its edge labels, the group sums of the leaf labels below each edge, in
-edge-id order; under the Jukes-Cantor DNA reduction only whether a label
-is the identity matters, and the key is the 0/1 indicator tuple of a
+element whose bit tuple is i in binary).  A group Z2^m is named by its
+order k = 2^m, a group-based model's number of states, and its operations
+act on element indices bitwise: the sum is XOR.  A coordinate's key is the
+tuple of its edge labels, the group sums of the leaf labels below each
+edge, in edge-id order; under the Jukes-Cantor DNA reduction only whether a
+label is the identity matters, and the key is the 0/1 indicator tuple of a
 subforest, the labels' support.  coord_name writes a key as a name.  The
 monomial map, the binomial search and the flattening minors work on
 integer exponent data (edge labels, packed exponent-matrix columns, known
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,70 +31,50 @@ from .models import edge_letter
 from .paramap import pattern_of_flat
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A group Z2^m.  Its elements are bit tuples in binary order, so an
-    element's index read in binary is its bit tuple, and the group
-    operations act on the indices bitwise."""
-
-    name: str
-    elements: tuple          # bit tuples, identity first
-
-    @property
-    def k(self):
-        return len(self.elements)
-
-    def char(self, g, h):
-        """Character value chi_g(h) = (-1)^(g.h) for element indices g, h."""
-        return -1 if (g & h).bit_count() & 1 else 1
-
-    def add(self, g, h):
-        return g ^ h
-
-    def characters(self):
-        """The character table chi_g(h) as a k x k int64 array, rows g."""
-        return np.array([[self.char(g, h) for h in range(self.k)]
-                         for g in range(self.k)])
+Z2, Z2xZ2 = 2, 4
 
 
-Z2 = GroupSpec("Z2", ((0,), (1,)))
-Z2xZ2 = GroupSpec("Z2xZ2", ((0, 0), (0, 1), (1, 0), (1, 1)))
+def char(g, h):
+    """Character value chi_g(h) = (-1)^(g.h) for element indices g, h."""
+    return -1 if (g & h).bit_count() & 1 else 1
+
+
+def characters(k):
+    """The k x k character table chi_g(h) of the group of order k, rows g."""
+    return np.array([[char(g, h) for h in range(k)] for g in range(k)])
 
 
 def group_for_model(model):
-    if model.kind == "jc-binary":
-        return Z2
-    if model.kind in ("jc-dna", "kimura2", "kimura3"):
-        return Z2xZ2
-    raise ValueError(f"model kind {model.kind!r} is not group-based")
+    """The order of a group-based model's group: its number of states."""
+    if model.kind not in ("jc-binary", "jc-dna", "kimura2", "kimura3"):
+        raise ValueError(f"model kind {model.kind!r} is not group-based")
+    return model.k
 
 
 # ---------------------------------------------------------------------------
 # tensor transforms
 
 
-def transform_tensor(p, group, n):
+def transform_tensor(p, k, n):
     """q[(g_1..g_n)] = sum_sigma p[sigma] * prod_i chi_{g_i}(sigma_i).
 
     p has length k^n with leaf-major flat indexing (paramap.flat_index), so
     it is the (k,)*n tensor of the leaf axes, and the character table acts
     on each axis in turn; exact when the input is exact.
     """
-    k = group.k
     if len(p) != k ** n:
         raise ValueError(f"tensor length {len(p)} != {k}^{n}")
     # Python int entries keep Rat and Poly arithmetic exact
-    chars = group.characters().astype(object)
+    chars = characters(k).astype(object)
     q = np.array(p, dtype=object).reshape((k,) * n)
     for axis in range(n):
         q = np.moveaxis(np.tensordot(chars, q, axes=(1, axis)), 0, axis)
     return q.reshape(-1).tolist()
 
 
-def inverse_transform(q, group, n):
+def inverse_transform(q, k, n):
     """Exact inverse: the character matrix is symmetric with H^2 = kI."""
-    k = group.k
-    p = transform_tensor(q, group, n)
+    p = transform_tensor(q, k, n)
     scale = Rat(1, k ** n)
     return [scale * v for v in p]
 
@@ -112,7 +95,7 @@ def zero_sum_labelings(tree, group):
     n - 1 labels, which is the lex order of the whole labelings.
     """
     heads = np.array(list(itertools.product(
-        range(group.k), repeat=tree.num_leaves - 1)), dtype=np.int64)
+        range(group), repeat=tree.num_leaves - 1)), dtype=np.int64)
     leaf = np.column_stack([heads, np.bitwise_xor.reduce(heads, axis=1)])
     edge = np.zeros((len(leaf), tree.num_edges), dtype=np.int64)
     for e, below in enumerate(edge_leaf_positions(tree)):
@@ -121,13 +104,13 @@ def zero_sum_labelings(tree, group):
 
 
 def leaf_to_edge_labels(tree, leaf_labels, group):
-    """The tuple of edge labels h_e = sum of leaf labels below e, or None when
-    the labels do not sum to the identity (the coordinate vanishes on the
-    model)."""
-    if functools.reduce(group.add, leaf_labels, 0):
+    """The tuple of edge labels h_e = sum (XOR) of leaf labels below e, or
+    None when the labels do not sum to the identity (the coordinate vanishes
+    on the model)."""
+    if functools.reduce(operator.xor, leaf_labels, 0):
         return None
     return tuple(
-        functools.reduce(group.add, (leaf_labels[i] for i in below), 0)
+        functools.reduce(operator.xor, (leaf_labels[i] for i in below), 0)
         for below in edge_leaf_positions(tree))
 
 
@@ -148,7 +131,7 @@ def jc_reduced(model):
 
 
 def transformed_indices(model, group):
-    return range(2 if jc_reduced(model) else group.k)
+    return range(2 if jc_reduced(model) else group)
 
 
 def transform_params(model):
@@ -162,8 +145,8 @@ def transform_params(model):
     for eid, tpl in enumerate(model.templates):
         for g in transformed_indices(model, group):
             form = Poly()
-            for h in range(group.k):
-                form = form + Poly.var(tpl[0][h]) * group.char(g, h)
+            for h in range(group):
+                form = form + Poly.var(tpl[0][h]) * char(g, h)
             out[transformed_symbol(model, eid, g)] = form
     return out
 
@@ -174,7 +157,6 @@ class MonomialMap:
     coordinates: one monomial in the transformed parameters per coordinate."""
 
     model: object
-    group: GroupSpec
     coord_keys: list         # edge-label tuples (indicators if jc_reduced)
     coord_names: list        # sorted, as the keys are
     monomials: list          # Poly, one per coordinate
@@ -220,7 +202,7 @@ def monomial_map(model):
     one = Rat(1)
     monos = [Poly({tuple(sorted([(symbols[r], 1) for r in col])): one})
              for col in rows.tolist()]
-    return MonomialMap(model=model, group=group, coord_keys=keys,
+    return MonomialMap(model=model, coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],
                        monomials=monos, symbols=symbols,
                        exponent_matrix=matrix.tolist())
@@ -291,9 +273,9 @@ def accumulated_combination(tree, subforest, classes, group):
     (sum over C of the character product) / |C|.
     """
     leaf_labels = subforest_leaf_labeling(tree, subforest, group)
-    chars = group.characters()
+    chars = characters(group)
     n = tree.num_leaves
-    states = pattern_of_flat(np.arange(group.k ** n), n, group.k)
+    states = pattern_of_flat(np.arange(group ** n), n, group)
     # the character product of every pattern, by flat index
     chi = np.prod([chars[g, s] for g, s in zip(leaf_labels, states)], axis=0)
     return [Rat(int(chi[cls].sum()), len(cls)) for cls in classes]

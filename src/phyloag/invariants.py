@@ -42,8 +42,14 @@ from . import paramap as _paramap
 # partial sum is an integer that float64 represents exactly, in any order.
 # A leaf entry gathers at most _LEAF - 1 such products, and a leaf's inverse
 # triangle multiplies at most _LEAF entries below p by ones below p (< 2^50).
+# _PRIMES holds the 32 largest primes below 2^23, in descending order.
 _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
-           8388539, 8388473, 8388461, 8388451, 8388449)
+           8388539, 8388473, 8388461, 8388451, 8388449,
+           8388439, 8388427, 8388421, 8388409, 8388377,
+           8388371, 8388319, 8388301, 8388287, 8388283,
+           8388277, 8388239, 8388209, 8388187, 8388113,
+           8388109, 8388091, 8388071, 8388059, 8388019,
+           8388013, 8387999)
 _CHUNK = 256
 _LEAF = 16
 # points per block when building the sample matrix
@@ -536,7 +542,8 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     #monomials + extra_points random exact rational points, computes an exact
     nullspace basis by multi-modular elimination and rational reconstruction,
     normalizes each form, and re-verifies it at fresh random points before
-    returning.  Coordinate names must be distinct.
+    returning.  Coordinate names must be distinct.  Raises RuntimeError when
+    the sample rank or the primes run out.
     """
     rng = rng or random.Random(0)
     names = [nm for nm, _ in coords]
@@ -551,7 +558,13 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
 
     for attempt in range(_MAX_RETRIES):
         pts = [random_point(params, rng) for _ in range(npoints)]
+        failed = short = None
         for basis, modulus in _modular_nullspace(polys, params, pts, degree):
+            # a failed basis that one more prime leaves unchanged is the
+            # sample's nullspace over Q: the sample is short, not the modulus
+            short = basis == failed
+            if short:
+                break
             forms = [normalize_poly(Poly({m: c for m, c in zip(monomials, vec)
                                           if c}))
                      for vec in basis]
@@ -562,8 +575,12 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                                             _VERIFY_POINTS, fresh) is None
                              for f in forms):
                 return forms
-    raise RuntimeError("interpolation failed: insufficient sample rank after "
-                       f"{_MAX_RETRIES} retries")
+            failed = basis
+    if short:
+        raise RuntimeError("interpolation failed: insufficient sample rank "
+                           f"after {_MAX_RETRIES} retries")
+    raise RuntimeError("interpolation failed: the coefficients need more "
+                       f"than the {len(_PRIMES)} primes")
 
 
 def _modular_nullspace(polys, params, pts, degree):

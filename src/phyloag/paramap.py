@@ -18,10 +18,10 @@ forward and once in reverse per component, on residues modulo a prime, and
 its rows are random combinations of the Jacobian's rows.
 
 This module also owns the site-pattern format.  A pattern is one state per
-observed node (observed_nodes), in that order; its flat index is
-leaf-major (the first node's state is the most significant digit in base
-k), its label is one character of models.alphabet per state, and the
-coordinate it indexes is named "p" and the label.
+observed node (observed_nodes), in pre-order; its flat index is leaf-major
+(the first node's state is the most significant digit in base k), its
+label is one character of models.alphabet per state, and the coordinate it
+indexes is named "p" and the label.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def degree_profile(joint_map):
 
 def observed_nodes(model):
     """The nodes whose states make a pattern, in flat-index digit order: the
-    leaves, or every node of a model without hidden nodes."""
+    leaves, or every node of a model without hidden nodes, in pre-order."""
     tree = model.tree
     return sorted(tree.children) if model.no_hidden else tree.leaves
 
@@ -449,46 +449,42 @@ def _build_into(circ, model):
     gives the outputs.
     """
     tree, k = model.tree, model.k
-    observed = observed_nodes(model)
-    tables = {}   # node -> (observed nodes below it, (k, patterns, factors))
+    observed = set(observed_nodes(model))
+    tables = {}   # node -> node ids (k, patterns below it, factors)
 
     def entered(rows, c):
         """Factors of node c entered through the weight `rows` (parent state
-        by state of c): the observed nodes that index the patterns, and the
-        node ids as an array (parent states, patterns, factors)."""
+        by state of c), as an array of node ids (parent states, patterns,
+        factors)."""
         w = np.array([[circ.const(x) if isinstance(x, Rat) else circ.sym(x)
                        for x in row] for row in rows], dtype=np.int64)
-        below, table = tables.pop(c)
+        table = tables.pop(c)
         ps, patterns, width = len(w), table.shape[1], table.shape[2]
         if c in observed:
             out = np.concatenate(
                 [np.broadcast_to(w[:, :, None, None], (ps, k, patterns, 1)),
                  np.broadcast_to(table, (ps, k, patterns, width))], axis=3)
-            return [c] + below, out.reshape(ps, k * patterns, width + 1)
+            return out.reshape(ps, k * patterns, width + 1)
         msg = _per_distinct_row(table.reshape(k * patterns, width), circ.mul)
         pairs = np.stack(np.broadcast_arrays(
             w[:, :, None], msg.reshape(1, k, patterns)), axis=3)
         pair = _per_distinct_row(pairs.reshape(-1, 2), circ.mul)
         sums = _per_distinct_row(pair.reshape(ps, k, patterns)
                                  .transpose(0, 2, 1).reshape(-1, k), circ.add)
-        return below, sums.reshape(ps, patterns, 1)
+        return sums.reshape(ps, patterns, 1)
 
     for v in tree.postorder():
-        below, table = [], np.zeros((k, 1, 0), dtype=np.int64)
+        table = np.zeros((k, 1, 0), dtype=np.int64)
         for c in tree.children[v]:
-            c_below, factors = entered(
-                model.templates[tree.edge_id(v, c)], c)
-            below += c_below
+            factors = entered(model.templates[tree.edge_id(v, c)], c)
             table = np.concatenate(
                 [np.repeat(table, factors.shape[1], axis=1),
                  np.tile(factors, (1, table.shape[1], 1))], axis=2)
-        tables[v] = below, table
-    below, factors = entered([model.root.weights(k)], tree.root)
-    out = _per_distinct_row(factors[0], circ.mul)
-    # patterns run over `below` lexicographically, flat indices over
-    # `observed`
-    axes = [below.index(v) for v in observed]
-    return out.reshape((k,) * len(observed)).transpose(axes).reshape(-1)
+        tables[v] = table
+    # the root's patterns run over the observed nodes in pre-order, which
+    # parse_newick makes node-id order: the flat-index order of observed_nodes
+    factors = entered([model.root.weights(k)], tree.root)
+    return _per_distinct_row(factors[0], circ.mul)
 
 
 def _per_distinct_row(rows, make):
@@ -528,13 +524,10 @@ def symmetry_classes(joint_map):
         nodes.setdefault(node, []).append(i)
     classes = {}
     for g in nodes.values():
-        key = frozenset(joint_map.coordinate(g[0]).terms.items())
-        classes.setdefault(key, []).extend(g)
+        classes.setdefault(joint_map.coordinate(g[0]), []).extend(g)
     return [sorted(c) for c in classes.values()]
 
 
-def accumulate_classes(joint_map, classes=None):
-    """Per symmetry class, class size times the representative polynomial."""
-    if classes is None:
-        classes = symmetry_classes(joint_map)
+def accumulate_classes(joint_map, classes):
+    """Per class (symmetry_classes), class size times its first coordinate."""
     return [joint_map.coordinate(g[0]) * len(g) for g in classes]

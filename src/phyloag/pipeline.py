@@ -140,10 +140,13 @@ def score_splits(tensor, leaf_order, k, rank):
 
     For each of the three splits of four leaves, the score is the Frobenius
     norm of the flattening minus its best rank-`rank` approximation (the tail
-    singular values).  Lower is better.
+    singular values).  Lower is better; the rank is in 1..k^2 - 1.
     """
     if len(leaf_order) != 4:
         raise ValueError("split scoring expects exactly four leaves")
+    if not 1 <= rank < k * k:
+        raise ValueError(f"rank must be in 1..{k * k - 1} for {k} states, "
+                         f"got {rank}")
     exact = all(isinstance(x, (Rat, int)) for x in tensor)
     scores = {}
     for name, (below, above) in _invariants.quartet_splits(leaf_order).items():

@@ -1,9 +1,10 @@
 """Rooted leaf-labeled trees: Newick parsing, edge splits and subforest
 enumeration.
 
-Edge ids are assigned 0..E-1 in pre-order from the root with children in
-source order; every edge/indicator vector downstream of this module uses that
-order.  Leaves keep their first-appearance order from the source text.  A
+Node ids are pre-order numbers from the root 0 with children in source
+order, and edge ids 0..E-1 follow the same pre-order; every edge/indicator
+vector downstream of this module uses that order.  Leaves keep their
+first-appearance order from the source text, which is pre-order.  A
 subforest is a plain tuple of 0/1 edge indicators, one per edge id.
 """
 

@@ -246,14 +246,13 @@ def stride_flatten(tensor, leaf_order, split, k):
     return mat
 
 
-def stride_transform(p, group, n):
+def stride_transform(p, k, n):
     """Character transform of a leaf-major k^n tensor, one leaf axis at a
     time, walking each axis by its stride k^(n - 1 - axis).
 
     Independent oracle for fourier.transform_tensor, which contracts the
     character table with each axis of the reshaped tensor.
     """
-    k = group.k
     out = list(p)
     for axis in range(n):
         stride = k ** (n - 1 - axis)
@@ -263,7 +262,7 @@ def stride_transform(p, group, n):
                 vals = [out[base + s * stride + off] for s in range(k)]
                 for g in range(k):
                     nxt[base + g * stride + off] = sum(
-                        group.char(g, s) * vals[s] for s in range(k))
+                        fourier.char(g, s) * vals[s] for s in range(k))
         out = nxt
     return out
 
@@ -372,7 +371,7 @@ def support_classes(tree, group):
     """Indicator vectors realizable by zero-sum leaf labelings; for JC-type
     symmetry this equals the set of subforest indicators."""
     out = set()
-    for leaf_labels in itertools.product(range(group.k),
+    for leaf_labels in itertools.product(range(group),
                                          repeat=tree.num_leaves):
         labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
         if labels is not None:
@@ -387,7 +386,7 @@ def lex_scan_leaf_labeling(tree, subforest, group):
     Independent oracle for fourier.subforest_leaf_labeling, which searches
     the table of zero-sum labelings.
     """
-    for leaf_labels in itertools.product(range(group.k),
+    for leaf_labels in itertools.product(range(group),
                                          repeat=tree.num_leaves):
         labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
         if labels is not None and support(labels) == subforest:
@@ -410,13 +409,13 @@ def poly_product_monomial_map(model):
         keys = treecore.enumerate_subforests(tree)
     else:
         seen = set()
-        for leaf_labels in itertools.product(range(group.k),
+        for leaf_labels in itertools.product(range(group),
                                              repeat=tree.num_leaves):
             labels = fourier.leaf_to_edge_labels(tree, leaf_labels, group)
             if labels is not None:
                 seen.add(labels)
         keys = sorted(seen)
-    n_idx = 2 if reduced else group.k
+    n_idx = 2 if reduced else group
     symbols = [fourier.transformed_symbol(model, e, i)
                for e in range(E) for i in range(n_idx)]
     sym_row = {s: r for r, s in enumerate(symbols)}
@@ -430,7 +429,7 @@ def poly_product_monomial_map(model):
             matrix[sym_row[s]][col] += 1
         monos.append(mono)
     return fourier.MonomialMap(
-        model=model, group=group, coord_keys=keys,
+        model=model, coord_keys=keys,
         coord_names=[fourier.coord_name(k) for k in keys], monomials=monos,
         symbols=symbols, exponent_matrix=matrix)
 

@@ -136,12 +136,11 @@ def test_dim_command(tree_file, capsys):
     assert out["projective_dimension"] == 5
 
 
-@pytest.mark.parametrize("command", ["dim", "invariants"])
+@pytest.mark.parametrize("command", ["dim"])
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_dim_rejects_mixture_below_one(tree_file, capsys, command, count):
-    argv = [command, "--tree", tree_file, "--model", "jc-dna",
-            "--mixture", count]
-    assert main(argv + (["--dim"] if command == "invariants" else [])) == 2
+    assert main([command, "--tree", tree_file, "--model", "jc-dna",
+                 "--mixture", count]) == 2
     assert "--mixture must be at least 1" in capsys.readouterr().err
 
 
@@ -234,6 +233,41 @@ def test_simulate_and_infer(tree_file, params_file, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["split"] == "(12)(34)"
     assert out["decisive"]
+
+
+@pytest.fixture
+def binary_alignment(tree_file, tmp_path, capsys):
+    """A 2000-site jc-binary alignment simulated on ((1,2),(3,4))."""
+    from fractions import Fraction
+    params = {}
+    for i, letter in enumerate("abcdef"):
+        a1 = Fraction(1, 6 + i)
+        params[f"{letter}1"], params[f"{letter}0"] = str(a1), str(1 - a1)
+    params_path = tmp_path / "binary.json"
+    params_path.write_text(json.dumps(params))
+    out = str(tmp_path / "binary.fasta")
+    assert main(["simulate", "--tree", tree_file, "--model", "jc-binary",
+                 "--params", str(params_path), "--length", "2000",
+                 "--seed", "11", "--out", out]) == 0
+    capsys.readouterr()
+    return out
+
+
+def test_infer_quartet_rank_defaults_to_the_states(binary_alignment, capsys):
+    # a rank of 4 would score every 4 x 4 binary flattening 0, a tie
+    assert main(["infer-quartet", "--alignment", binary_alignment,
+                 "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["split"] == "(12)(34)" and out["decisive"]
+
+
+@pytest.mark.parametrize("rank", ["-1", "0", "4"])
+def test_infer_quartet_rejects_rank_outside_the_flattening(
+        binary_alignment, capsys, rank):
+    assert main(["infer-quartet", "--alignment", binary_alignment,
+                 "--rank", rank]) == 2
+    assert f"rank must be in 1..3 for 2 states, got {rank}" in \
+        capsys.readouterr().err
 
 
 def test_simulate_fasta_is_pinned(tree_file, params_file, tmp_path):

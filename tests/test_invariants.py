@@ -597,6 +597,50 @@ def test_modular_primes_keep_float64_exact():
     assert invariants._LEAF * p ** 2 < 2 ** 53
 
 
+def test_modular_primes_are_the_largest_below_2_23():
+    want, p = [], 2 ** 23 - 1
+    while len(want) < 32:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            want.append(p)
+        p -= 1
+    assert list(invariants._PRIMES) == want
+
+
+def _large_coefficient_coords():
+    return [(name, parse_poly(text)) for name, text in [
+        ("a", "915515/692*v + 41818/167*w"), ("b", "234293/598*u"),
+        ("c", "903756/751*u + 609962/741*v"), ("d", "237121/985*u"),
+        ("e", "67419/311*w")]]
+
+
+def test_interpolation_reconstructs_coefficients_past_ten_primes():
+    coords = _large_coefficient_coords()
+    forms = invariants.interpolate_vanishing_forms(coords, 2,
+                                                   rng=random.Random(3))
+    assert len(forms) == 9
+    assert all(f.substitute(dict(coords)).is_zero() for f in forms)
+    # more bits than rational reconstruction gets from ten primes
+    assert max(max(abs(c.numerator), c.denominator).bit_length()
+               for f in forms for c in f.terms.values()) == 164
+
+
+def test_interpolation_reports_running_out_of_primes(monkeypatch):
+    monkeypatch.setattr(invariants, "_PRIMES", invariants._PRIMES[:10])
+    with pytest.raises(RuntimeError, match="need more than the 10 primes"):
+        invariants.interpolate_vanishing_forms(_large_coefficient_coords(), 2,
+                                               rng=random.Random(3))
+
+
+def test_interpolation_reports_a_short_sample():
+    # 5 points for the 10 quadratic monomials of the Segre coordinates,
+    # whose quadrics span 1 dimension: the nullspace of the sample is 5
+    # dimensional however many primes reconstruct it
+    segre = [(f"p{i}{j}", parse_poly(f"u{i}*v{j}"))
+             for i in range(2) for j in range(2)]
+    with pytest.raises(RuntimeError, match="insufficient sample rank"):
+        invariants.interpolate_vanishing_forms(segre, 2, extra_points=-5)
+
+
 @st.composite
 def reducible_arrays(draw):
     """(strided 2-D float64 view of integers within a GEMM's bound before

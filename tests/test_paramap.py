@@ -303,7 +303,7 @@ def test_symmetry_classes_equal_expansion_classes(nwk, kind, root, k, base):
 def test_accumulated_sum_is_one(tree3):
     m = make_model(tree3, "jc-dna")
     jm = expand_map(m)
-    acc = paramap.accumulate_classes(jm)
+    acc = paramap.accumulate_classes(jm, paramap.symmetry_classes(jm))
     params = stochastic_jc_params(tree3, 4)
     total = sum((p.eval(params) for p in acc), Rat(0))
     assert total == 1
@@ -382,13 +382,12 @@ def test_pattern_format_matches_the_oracles(case):
     assert invariants.flatten(tensor, leaves, split, k=k) == \
         stride_flatten(tensor, leaves, split, k)
     # the character transform exists for the groups Z2 (k = 2) and Z2 x Z2
-    group = {2: fourier.Z2, 4: fourier.Z2xZ2}.get(k)
-    if group is not None:
-        q = fourier.transform_tensor(tensor, group, n)
-        assert q == stride_transform(tensor, group, n)
-        back = fourier.inverse_transform(q, group, n)
+    if k in (fourier.Z2, fourier.Z2xZ2):
+        q = fourier.transform_tensor(tensor, k, n)
+        assert q == stride_transform(tensor, k, n)
+        back = fourier.inverse_transform(q, k, n)
         assert back == [Rat(1, k ** n) * v
-                        for v in stride_transform(q, group, n)]
+                        for v in stride_transform(q, k, n)]
         assert back == tensor
     expected = [stride_pattern(i, n, k) for i in sites]
     for i, states in zip(sites, expected):

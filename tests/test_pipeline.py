@@ -182,6 +182,12 @@ def test_score_splits_validates_leaf_count():
         pipeline.score_splits([0.0] * 8, ["1", "2", "3"], 2, 1)
 
 
+@pytest.mark.parametrize("k, rank", [(2, 0), (2, 4), (4, -1), (4, 16)])
+def test_score_splits_validates_rank(k, rank):
+    with pytest.raises(ValueError, match="rank must be in"):
+        pipeline.score_splits([0.0] * k ** 4, ["1", "2", "3", "4"], k, rank)
+
+
 def test_fasta_roundtrip(tmp_path, quartet_setup):
     model, jmap, params = quartet_setup
     aln = pipeline.sample_alignment(jmap, params, 50, seed=9)

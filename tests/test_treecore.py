@@ -1,12 +1,14 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from phyloag import treecore
+from phyloag import make_model, paramap, treecore
 from phyloag.treecore import (NewickError, display_edge_order, edge_split,
                               enumerate_subforests, parse_newick)
 
-from conftest import fibonacci, is_subforest
+from conftest import draw_newick, fibonacci, is_subforest
 
 
 def test_parse_and_roundtrip():
@@ -15,6 +17,28 @@ def test_parse_and_roundtrip():
     assert t.num_edges == 6
     assert t.leaf_labels == ["1", "2", "3", "4"]
     assert t.to_newick() == "((1,2),(3,4));"
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_node_ids_are_the_pre_order(data):
+    # the circuit build and the Fourier flattenings rely on this order
+    nwk = draw_newick(data.draw, 2, 9)
+    tree = parse_newick(nwk)
+    # children are in source order
+    assert tree.to_newick() == nwk
+    order, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree.children[v]))
+    assert order == list(range(len(tree.children)))
+    leaves = [v for v in order if tree.is_leaf(v)]
+    assert tree.leaves == leaves
+    assert tree.leaf_labels == re.findall(r"[^(),;]+", nwk)
+    for no_hidden, observed in [(False, leaves), (True, order)]:
+        model = make_model(tree, "jc-binary", no_hidden=no_hidden)
+        assert paramap.observed_nodes(model) == observed
 
 
 def test_parse_degree_two_root():
