@@ -4,9 +4,9 @@ minors.
 
 Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
 otherwise.  Polynomials are stored sparsely as {monomial: coefficient}; a
-monomial names its variables itself, and terms print in graded-lexicographic
-order on variable names.  There is no global state, so the printed text of a
-polynomial depends only on the polynomial.
+monomial is the sorted tuple of its variable names (see Poly), and terms
+print in graded-lexicographic order on variable names.  There is no global
+state, so the printed text of a polynomial depends only on the polynomial.
 """
 
 from __future__ import annotations
@@ -46,36 +46,21 @@ def residue(x, prime):
     return int(x.numerator) * pow(int(x.denominator), -1, prime) % prime
 
 
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
 def _mono_sort_key(mono):
-    # descending graded order; ties broken lexicographically by variable name
-    # with larger exponents on smaller names first
-    deg = 0
-    pairs = []
-    for v, e in mono:
-        deg += e
-        pairs.append((v, -e))
-    return (-deg, tuple(pairs))
+    # descending graded order; ties broken lexicographically on the sorted
+    # names, so a larger power of a smaller name comes first
+    return (-len(mono), mono)
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Monomials are tuples of (variable name, exponent) pairs sorted by name
-    (Python str order), and every constructor keeps them sorted; zero
-    coefficients and zero exponents are never stored.  Terms are ordered
-    graded-lex on names, so equal polynomials print the same text in any
-    process.
+    A monomial is the tuple of its variable names sorted by name (Python
+    str order), each name repeated as often as its exponent: x^2*y is
+    ("x", "x", "y") and the constant monomial is ().  Its degree is its
+    length, and the product of two is tuple(sorted(m1 + m2)).  Zero
+    coefficients are never stored.  Terms are ordered graded-lex on names,
+    so equal polynomials print the same text in any process.
     """
 
     __slots__ = ("terms",)
@@ -90,9 +75,9 @@ class Poly:
 
     @classmethod
     def var(cls, name, exp=1):
-        if exp == 0:
-            return cls.const(1)
-        return cls({((name, exp),): Rat(1)})
+        if exp < 0:
+            raise ValueError("negative power")
+        return cls({(name,) * exp: Rat(1)})
 
     def is_zero(self):
         return not self.terms
@@ -144,7 +129,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
+                m = tuple(sorted(m1 + m2))
                 nc = out.get(m, 0) + c1 * c2
                 if nc == 0:
                     out.pop(m, None)
@@ -170,18 +155,18 @@ class Poly:
         """Total degree (0 for constants, -1 for the zero polynomial)."""
         if not self.terms:
             return -1
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(map(len, self.terms))
 
     def variables(self):
         """Variable names occurring in this polynomial."""
-        return {v for m in self.terms for v, _ in m}
+        return set().union(*self.terms)
 
     def num_terms(self):
         return len(self.terms)
 
     def coefficient(self, mono_names):
         """Coefficient of the monomial given as {name: exponent}."""
-        m = tuple(sorted((n, e) for n, e in mono_names.items() if e))
+        m = tuple(sorted(n for n, e in mono_names.items() for _ in range(e)))
         return Rat(self.terms.get(m, 0))
 
     def eval(self, assignment):
@@ -190,12 +175,12 @@ class Poly:
         total = Rat(0)
         for m, c in self.terms.items():
             val = c
-            for v, e in m:
+            for v in m:
                 if v not in values:
                     if v not in assignment:
                         raise KeyError(f"unassigned variable {v!r}")
                     values[v] = Rat(assignment[v])
-                val = val * values[v] ** e
+                val = val * values[v]
             total += val
         return total
 
@@ -206,19 +191,13 @@ class Poly:
         reduced right away, so it stays below prime^2, which int64 holds for
         prime < 2^31.  Raises ValueError when the prime divides the
         denominator of a coefficient."""
-        powers = {}
         total = 0
         for m, c in self.terms.items():
             val = residue(c, prime)
-            for v, e in m:
-                ps = powers.get(v)
-                if ps is None:
-                    if v not in assignment:
-                        raise KeyError(f"unassigned variable {v!r}")
-                    ps = powers[v] = [1, assignment[v]]
-                while len(ps) <= e:
-                    ps.append(ps[-1] * ps[1] % prime)
-                val = val * ps[e] % prime
+            for v in m:
+                if v not in assignment:
+                    raise KeyError(f"unassigned variable {v!r}")
+                val = val * assignment[v] % prime
             total = total + val
         return total % prime
 
@@ -228,40 +207,25 @@ class Poly:
         Every variable occurring in self must be covered by subst (values may
         be Poly, Rat or int).
         """
-        cache = {}
         out = Poly()
         for m, c in self.terms.items():
             term = Poly.const(c)
-            for v, e in m:
+            for v in m:
                 if v not in subst:
                     raise KeyError(f"unsubstituted variable {v!r}")
-                key = (v, e)
-                if key not in cache:
-                    rep = subst[v]
-                    if not isinstance(rep, Poly):
-                        rep = Poly.const(rep)
-                    cache[key] = rep ** e
-                term = term * cache[key]
+                term = term * subst[v]
             out = out + term
         return out
 
     def derivative(self, name):
+        # dropping one copy of the name maps distinct monomials to distinct
+        # ones, so no two terms meet
         out = {}
         for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == name:
-                    nc = c * e
-                    if e == 1:
-                        nm = m[:i] + m[i + 1:]
-                    else:
-                        nm = m[:i] + ((v, e - 1),) + m[i + 1:]
-                    prev = out.get(nm, 0)
-                    nc = prev + nc
-                    if nc == 0:
-                        out.pop(nm, None)
-                    else:
-                        out[nm] = nc
-                    break
+            e = m.count(name)
+            if e:
+                i = m.index(name)
+                out[m[:i] + m[i + 1:]] = c * e
         return Poly(out)
 
     def sorted_terms(self):
@@ -277,7 +241,8 @@ class Poly:
             num, den = c.numerator, c.denominator
             coeff = f"{num}" if den == 1 else f"{num}/{den}"
             factors.append(coeff.lstrip("-"))
-            for v, e in m:
+            for v, run in itertools.groupby(m):
+                e = len(list(run))
                 factors.append(v if e == 1 else f"{v}^{e}")
             s = "*".join(factors)
             if not parts:
@@ -356,9 +321,9 @@ _ONE, _MINUS_ONE = Rat(1), Rat(-1)
 
 
 def monomial_binomial(ma, mb):
-    """normalize_poly(x^ma - x^mb) for two monomials, tuples of (name,
-    exponent) pairs sorted by name, written directly as two terms (zero when
-    the monomials are equal)."""
+    """normalize_poly(x^ma - x^mb) for two monomials (sorted tuples of
+    names, as in Poly), written directly as two terms (zero when the
+    monomials are equal)."""
     if ma == mb:
         return Poly()
     # the content is 1, so normalize_poly only makes the leading term positive

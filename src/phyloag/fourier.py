@@ -200,7 +200,7 @@ def monomial_map(model):
     matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
     matrix[rows, np.arange(len(keys))[:, None]] = 1
     one = Rat(1)
-    monos = [Poly({tuple(sorted([(symbols[r], 1) for r in col])): one})
+    monos = [Poly({tuple(sorted(symbols[r] for r in col)): one})
              for col in rows.tolist()]
     return MonomialMap(model=model, coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],
@@ -238,10 +238,9 @@ def binomials_up_to_degree(mono_map, d):
                 itertools.combinations_with_replacement(packed, deg)):
             buckets.setdefault(sum(cols), []).append(combo)
         for image in sorted(i for i, c in buckets.items() if len(c) > 1):
-            # names are sorted, so a combo (sorted indices) read as runs is
-            # its monomial
-            terms = [(set(c), tuple((names[i], c.count(i))
-                                    for i in dict.fromkeys(c)))
+            # names are sorted, so a combo's (sorted indices) names are its
+            # monomial
+            terms = [(set(c), tuple(names[i] for i in c))
                      for c in buckets[image]]
             for (a, ma), (b, mb) in itertools.combinations(terms, 2):
                 if a.isdisjoint(b):
@@ -342,7 +341,7 @@ def all_fourier_flattenings(tree):
 
 def _name_product(a, b):
     """The monomial a*b of two distinct coordinate names."""
-    return ((a, 1), (b, 1)) if a < b else ((b, 1), (a, 1))
+    return (a, b) if a < b else (b, a)
 
 
 def flattening_minors(tree):

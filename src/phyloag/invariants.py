@@ -549,21 +549,20 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     names = [nm for nm, _ in coords]
     polys = [p for _, p in coords]
     params = sorted(set().union(*[p.variables() for p in polys]))
-    monomials = [tuple(sorted((names[i], combo.count(i)) for i in set(combo)))
+    monomials = [tuple(sorted(names[i] for i in combo))
                  for combo in itertools.combinations_with_replacement(
                      range(len(coords)), degree)]
     if not monomials:
         return []   # no coordinates, so no monomial of positive degree
     npoints = len(monomials) + extra_points
 
-    for attempt in range(_MAX_RETRIES):
+    for _ in range(_MAX_RETRIES):
         pts = [random_point(params, rng) for _ in range(npoints)]
-        failed = short = None
+        failed = None
         for basis, modulus in _modular_nullspace(polys, params, pts, degree):
             # a failed basis that one more prime leaves unchanged is the
             # sample's nullspace over Q: the sample is short, not the modulus
-            short = basis == failed
-            if short:
+            if basis == failed:
                 break
             forms = [normalize_poly(Poly({m: c for m, c in zip(monomials, vec)
                                           if c}))
@@ -576,11 +575,12 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                              for f in forms):
                 return forms
             failed = basis
-    if short:
-        raise RuntimeError("interpolation failed: insufficient sample rank "
-                           f"after {_MAX_RETRIES} retries")
-    raise RuntimeError("interpolation failed: the coefficients need more "
-                       f"than the {len(_PRIMES)} primes")
+        else:
+            # new points cannot shorten the coefficients
+            raise RuntimeError("interpolation failed: the coefficients need "
+                               f"more than the {len(_PRIMES)} primes")
+    raise RuntimeError("interpolation failed: insufficient sample rank "
+                       f"after {_MAX_RETRIES} retries")
 
 
 def _modular_nullspace(polys, params, pts, degree):
@@ -619,8 +619,3 @@ def _modular_nullspace(polys, params, pts, degree):
         recon = [[_rat_reconstruct(a, modulus) for a in v] for v in residues]
         if all(x is not None for v in recon for x in v):
             yield recon, modulus
-
-
-def linear_relations(coords, rng=None):
-    """Degree-1 vanishing forms (linear relations among coordinates)."""
-    return interpolate_vanishing_forms(coords, 1, rng=rng)

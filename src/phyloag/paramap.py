@@ -506,9 +506,8 @@ def expanded_op_count(poly):
     free."""
     mults = 0
     for m, c in poly.terms.items():
-        deg = sum(e for _, e in m)
-        mults += max(deg - 1, 0)
-        if abs(c) != 1 and deg > 0:
+        mults += max(len(m) - 1, 0)
+        if abs(c) != 1 and m:
             mults += 1
     adds = max(poly.num_terms() - 1, 0)
     return mults, adds

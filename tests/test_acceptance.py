@@ -88,8 +88,8 @@ def test_criterion_02_three_leaf_map_and_homogeneous_restriction():
         assert jh.coordinate(i) == parse_poly(text), f"coordinate {i}"
 
     # coordinates named h0..h7 by flat index: 001=h1, 010=h2 and so on
-    relations = invariants.linear_relations(
-        [(f"h{i}", jh.coordinate(i)) for i in range(8)])
+    relations = invariants.interpolate_vanishing_forms(
+        [(f"h{i}", jh.coordinate(i)) for i in range(8)], 1)
     assert len(relations) == 2
     got = {str(normalize_poly(f)) for f in relations}
     want = {str(normalize_poly(parse_poly("h1 - h2"))),

@@ -53,6 +53,35 @@ def test_param_coordinate_and_stats(tree_file, capsys):
     assert out["circuit_stats"]["0"]["mul"] > 0
 
 
+# SHA-256 of the stdout of `phylo-ag param`; the homogeneous model's
+# coordinates print powers
+_PARAM_STDOUT = [
+    ("((1,2),((3,4),(5,6)));", ["--model", "jc-dna", "--accumulated"],
+     "0e7e63ee48b89e91c587ca4574f6e30a227f6e3c189b631f55cc14062806f245"),
+    ("(1,(2,3));", ["--model", "homogeneous", "--k", "2", "--root", "free",
+                    "--accumulated"],
+     "27f37ce9c432da6966bbbf0c3c3309b2b94843e37a13fc47c9ccfe35493c633e"),
+    ("(1,(2,3));", ["--model", "homogeneous", "--k", "2", "--root", "free",
+                    "--coordinate", "010", "--format", "json"],
+     "5a204ced754a2945bb4bef8bcc3f0fe64cb567cf0190cd50010281814cf4bbad"),
+]
+
+
+@pytest.mark.parametrize("newick, extra, digest", _PARAM_STDOUT,
+                         ids=["jc-dna-6-accumulated",
+                              "homogeneous-accumulated",
+                              "homogeneous-coordinate-json"])
+def test_param_stdout_is_pinned(tmp_path, newick, extra, digest):
+    # a fresh process, so the digest covers the command's whole output path
+    tree = tmp_path / "t.nwk"
+    tree.write_text(newick + "\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "phyloag.cli", "param", "--tree", str(tree)]
+        + extra, env=fresh_process_env(), capture_output=True,
+        check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_param_bad_pattern(tree_file, capsys):
     assert main(["param", "--tree", tree_file, "--model", "jc-dna",
                  "--coordinate", "AA"]) == 2

@@ -95,6 +95,26 @@ def test_ring_laws(p, q):
     assert (p + q) * p == p * p + q * p
 
 
+@given(polys(), polys(), st.sampled_from("xyz"), st.integers(1, 4),
+       st.tuples(rationals, rationals, rationals))
+@settings(max_examples=60)
+def test_calculus_and_evaluation_agree(p, q, v, e, values):
+    # exponents up to 3 in polys(), so names repeat within a monomial
+    assert (p * q).derivative(v) == p.derivative(v) * q + p * q.derivative(v)
+    assert Poly.var(v, e).derivative(v) == e * Poly.var(v, e - 1)
+    point = dict(zip("xyz", (Rat(x.numerator, x.denominator)
+                             for x in values)))
+    assert p.substitute(point) == p.eval(point)
+    prime = 8388593
+    residues = {name: residue(x, prime) for name, x in point.items()}
+    assert p.eval_mod(residues, prime) == residue(p.eval(point), prime)
+
+
+def test_var_rejects_a_negative_exponent():
+    with pytest.raises(ValueError):
+        Poly.var("x", -1)
+
+
 def test_normalize_poly():
     x, y = Poly.var("x"), Poly.var("y")
     p = Rat(-2, 3) * x * y + Rat(4, 3) * y ** 2
@@ -237,7 +257,7 @@ _names = st.lists(st.sampled_from(["bx", "by", "bz", "bw"]), min_size=1,
 
 def _monomial(names):
     """The product of a list of names as a monomial, sorted by name."""
-    return tuple(sorted((n, names.count(n)) for n in set(names)))
+    return tuple(sorted(names))
 
 
 @given(_names, _names)

@@ -458,7 +458,7 @@ def test_mixture_jacobian_matches_derivatives(tree3):
 def test_interpolate_linear_relations(tree3):
     jm = expand_map(make_model(tree3, "jc-binary"))
     coords = [(f"p{i}", jm.coordinate(i)) for i in range(8)]
-    forms = invariants.linear_relations(coords)
+    forms = invariants.interpolate_vanishing_forms(coords, 1)
     # jc-binary on (1,(2,3)) has 4 distinct coordinates among 8
     assert len(forms) == 4
     cdict = dict(coords)
@@ -626,9 +626,19 @@ def test_interpolation_reconstructs_coefficients_past_ten_primes():
 
 def test_interpolation_reports_running_out_of_primes(monkeypatch):
     monkeypatch.setattr(invariants, "_PRIMES", invariants._PRIMES[:10])
+    calls = []
+    nullspace = invariants._nullspace_mod_p
+
+    def counted(A, prime):
+        calls.append(prime)
+        return nullspace(A, prime)
+
+    monkeypatch.setattr(invariants, "_nullspace_mod_p", counted)
     with pytest.raises(RuntimeError, match="need more than the 10 primes"):
         invariants.interpolate_vanishing_forms(_large_coefficient_coords(), 2,
                                                rng=random.Random(3))
+    # new points cannot shorten the coefficients, so one draw is enough
+    assert len(calls) == 10
 
 
 def test_interpolation_reports_a_short_sample():
