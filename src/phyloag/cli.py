@@ -168,7 +168,7 @@ def cmd_invariants(args):
                 with contextlib.suppress(ValueError):
                     coords[nm] = jmap.coordinate(_paramap.coordinate_index(
                         nm, model.tree.num_leaves, model.k))
-            ok = _invariants.vanishing_check(form, coords)
+            ok, _ = _invariants.vanishing_check(form, coords)
             results.append({"form": tx, "vanishes": ok})
             lines.append(f"{'vanishes' if ok else 'NONZERO'}: {tx}")
         payload["checks"] = results

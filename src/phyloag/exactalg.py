@@ -5,15 +5,16 @@ minors.
 Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
 otherwise.  Polynomials are stored sparsely as {monomial: coefficient}; a
 monomial is the sorted tuple of its variable names (see Poly), and terms
-print in graded-lexicographic order on variable names.  There is no global
-state, so the printed text of a polynomial depends only on the polynomial.
+print in graded-lexicographic order on variable names; parse_poly reads
+that text back by one grammar.  There is no global state, so the printed
+text of a polynomial depends only on the polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Rat
@@ -169,19 +170,18 @@ class Poly:
         m = tuple(sorted(n for n, e in mono_names.items() for _ in range(e)))
         return Rat(self.terms.get(m, 0))
 
-    def eval(self, assignment):
-        """Exact evaluation; assignment maps variable name -> Rat/int."""
-        values = {}
-        total = Rat(0)
+    def eval(self, values):
+        """The value where each variable takes its value in `values`, all in
+        one ring: rationals (or ints) give a rational, Polys the expanded
+        Poly.  A missing variable raises KeyError.  Each coefficient
+        multiplies from the right, so a Rat never stands left of a Poly."""
+        total = self.terms.get((), Rat(0))
         for m, c in self.terms.items():
-            val = c
-            for v in m:
-                if v not in values:
-                    if v not in assignment:
-                        raise KeyError(f"unassigned variable {v!r}")
-                    values[v] = Rat(assignment[v])
-                val = val * values[v]
-            total += val
+            if m:
+                term = values[m[0]]
+                for v in m[1:]:
+                    term = term * values[v]
+                total = term * c + total
         return total
 
     def eval_mod(self, assignment, prime):
@@ -200,22 +200,6 @@ class Poly:
                 val = val * assignment[v] % prime
             total = total + val
         return total % prime
-
-    def substitute(self, subst):
-        """Substitute polynomials for variables; result fully expanded.
-
-        Every variable occurring in self must be covered by subst (values may
-        be Poly, Rat or int).
-        """
-        out = Poly()
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v in m:
-                if v not in subst:
-                    raise KeyError(f"unsubstituted variable {v!r}")
-                term = term * subst[v]
-            out = out + term
-        return out
 
     def derivative(self, name):
         # dropping one copy of the name maps distinct monomials to distinct
@@ -254,46 +238,39 @@ class Poly:
     __repr__ = __str__
 
 
+_SIGN = re.compile(r"\s*([+-])\s*")
+_FACTOR = re.compile(r"\d+(?:/\d+)?|([A-Za-z_]\w*)(?:\^(\d+))?", re.ASCII)
+
+
 def parse_poly(text):
-    """Parse the canonical polynomial text format back into a Poly."""
-    text = text.strip()
-    if text == "0":
-        return Poly()
-    out = Poly()
-    # split on top-level + / - keeping signs
-    tokens = re.split(r"\s*([+-])\s*", text)
-    if tokens[0] == "":
-        tokens = tokens[1:]
-    pending_sign = 1
-    for tok in tokens:
-        if tok == "+":
-            pending_sign = 1
-            continue
-        if tok == "-":
-            pending_sign = -1
-            continue
-        if not tok:
-            continue
-        if tok.startswith("-"):
-            pending_sign = -pending_sign
-            tok = tok[1:]
-        coeff = Rat(1)
-        mono = Poly.const(1)
-        for factor in tok.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"bad term {tok!r}")
-            if factor[0].isdigit():
-                coeff = coeff * rat(factor)
+    """Read polynomial text, such as Poly's own str, into a Poly.
+
+    The text is an optional sign, then terms joined by '+' or '-'; a term is
+    factors joined by '*'; a factor is an integer, a fraction p/q, or a name
+    (a letter or '_', then letters, digits or '_') with an optional ^ and
+    exponent.  Whitespace may stand around '+', '-' and '*' and at either
+    end, nowhere else.  Anything else, a doubled or dangling sign included,
+    raises ValueError naming the bad term.
+    """
+    parts = _SIGN.split(text.strip())
+    if len(parts) > 1 and not parts[0]:
+        parts[0] = "0"   # a leading sign follows an implicit 0
+    out = {}
+    for sign, term in zip(["+"] + parts[1::2], parts[::2]):
+        coeff = Rat(-1 if sign == "-" else 1)
+        names = []
+        for factor in term.split("*"):
+            match = _FACTOR.fullmatch(factor.strip())
+            if match is None:
+                raise ValueError(f"bad term {term!r} in {text!r}")
+            name, exp = match.groups()
+            if name is None:
+                coeff *= rat(match[0])
             else:
-                if "^" in factor:
-                    name, e = factor.split("^")
-                    mono = mono * Poly.var(name, int(e))
-                else:
-                    mono = mono * Poly.var(factor)
-        out = out + mono * (coeff * pending_sign)
-        pending_sign = 1
-    return out
+                names += [name] * int(exp or 1)
+        mono = tuple(sorted(names))
+        out[mono] = out.get(mono, 0) + coeff
+    return Poly({m: c for m, c in out.items() if c})
 
 
 def normalize_poly(p):
@@ -301,14 +278,8 @@ def normalize_poly(p):
     (canonical order) positive."""
     if p.is_zero():
         return p
-    dens = [c.denominator for c in p.terms.values()]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // gcd(lcm, int(d))
-    q = p * lcm
-    g = 0
-    for c in q.terms.values():
-        g = gcd(g, int(c.numerator))
+    q = p * lcm(*(int(c.denominator) for c in p.terms.values()))
+    g = gcd(*(int(c.numerator) for c in q.terms.values()))
     if g > 1:
         q = q * Rat(1, g)
     lead_coeff = q.sorted_terms()[0][1]
@@ -379,12 +350,9 @@ def _clear_rows(mat):
     scale = 1
     for row in mat:
         row = [Rat(x) for x in row]
-        lcm = 1
-        for x in row:
-            d = int(x.denominator)
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x.numerator) * (lcm // int(x.denominator)) for x in row])
-        scale *= lcm
+        mult = lcm(*(int(x.denominator) for x in row))
+        out.append([int(x.numerator) * (mult // int(x.denominator)) for x in row])
+        scale *= mult
     return out, scale
 
 

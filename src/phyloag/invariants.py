@@ -133,8 +133,9 @@ def hankel_matrix():
 # vanishing checks
 
 
-def vanishing_check(form, coords, return_witness=False):
-    """Does a form in coordinate variables vanish on the image of the map?
+def vanishing_check(form, coords):
+    """(vanishes, witness): does a form in coordinate variables vanish on the
+    image of the map, and if not, at which point?
 
     coords maps coordinate names to polynomials in the model parameters; only
     the coordinates the form uses are read.  The form is evaluated at
@@ -149,8 +150,7 @@ def vanishing_check(form, coords, return_witness=False):
     """
     witness = _first_nonzero(form, coords, random.Random(0), _CHECK_POINTS,
                              _PRIMES)
-    ok = witness is None
-    return (ok, witness) if return_witness else ok
+    return witness is None, witness
 
 
 def _first_nonzero(form, coords, rng, points, primes):
@@ -542,9 +542,12 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     #monomials + extra_points random exact rational points, computes an exact
     nullspace basis by multi-modular elimination and rational reconstruction,
     normalizes each form, and re-verifies it at fresh random points before
-    returning.  Coordinate names must be distinct.  Raises RuntimeError when
-    the sample rank or the primes run out.
+    returning.  Coordinate names must be distinct.  Raises ValueError on a
+    negative degree and RuntimeError when the sample rank or the primes run
+    out.
     """
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     rng = rng or random.Random(0)
     names = [nm for nm, _ in coords]
     polys = [p for _, p in coords]

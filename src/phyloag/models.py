@@ -105,8 +105,11 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
     kind selects the template family; k is implied except for general-markov,
     reversible and homogeneous.  homogeneous ties every edge to one shared
     template of the given base kind.  prefix is prepended to every symbol
-    (used to keep mixture components disjoint).
+    (used to keep mixture components disjoint).  A tree with no edges raises
+    ValueError.
     """
+    if tree.num_edges == 0:
+        raise ValueError("the tree has no edges; a model needs at least one")
     base = kind
     if kind == "homogeneous":
         base = homogeneous_base or "general-markov"

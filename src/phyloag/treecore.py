@@ -11,6 +11,7 @@ subforest is a plain tuple of 0/1 edge indicators, one per edge id.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 
@@ -104,15 +105,19 @@ class Tree:
         return text[self.root] + ";"
 
 
+_SPACE = re.compile(r"\s*")
+
+
 def parse_newick(text):
     """Parse a Newick expression (terminated by ';') into a Tree.
 
     Leaf labels must be nonempty alphanumeric (plus '_' and '.') and unique;
-    branch lengths and internal or root labels are rejected.  Raises
-    NewickError with the offending position on malformed input.  The parse
-    is iterative, so a tree of any depth parses.
+    branch lengths and internal or root labels are rejected.  Whitespace may
+    stand between tokens, not inside a label.  Raises NewickError with the
+    offending position on malformed input.  The parse is iterative, so a
+    tree of any depth parses.
     """
-    s = text.strip()
+    s = text.rstrip()
     if not s.endswith(";"):
         raise NewickError("missing terminating ';'", len(text))
     s = s[:-1]
@@ -144,6 +149,7 @@ def parse_newick(text):
 
     while True:
         # a subtree starts at pos; nodes are numbered in pre-order
+        pos = _SPACE.match(s, pos).end()
         v = len(children)
         children[v] = []
         if open_nodes:
@@ -160,12 +166,14 @@ def parse_newick(text):
             raise NewickError(f"duplicate leaf label {label!r}", pos)
         seen.add(label)
         labels[v] = label
-        pos += len(label)
+        pos = _SPACE.match(s, pos + len(label)).end()
+        if label_at(pos):
+            raise NewickError(f"whitespace inside leaf label {label!r}", pos)
         reject_annotation(v)
         while open_nodes and s[pos:pos + 1] != ",":
             if s[pos:pos + 1] != ")":
                 raise NewickError("unbalanced parentheses", pos)
-            pos += 1
+            pos = _SPACE.match(s, pos + 1).end()
             reject_annotation(open_nodes.pop())
         if not open_nodes:
             break

@@ -526,6 +526,40 @@ def test_check_reports_an_unknown_coordinate(tree_file, tmp_path, capsys):
         "error: form uses unknown coordinates ['pXXXXX']\n"
 
 
+def test_check_rejects_a_doubled_sign(tree_file, tmp_path, capsys):
+    # 'pAAAA - -pAAAA' is no form of the grammar; it was once read as 0
+    forms = tmp_path / "forms.txt"
+    forms.write_text("pAAAA - -pAAAA\n")
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--check", str(forms)]) == 2
+    assert capsys.readouterr().err == \
+        "error: bad term '' in 'pAAAA - -pAAAA'\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ["param"], ["fourier", "--map"], ["dim"],
+    ["invariants", "--flatten", "A|A"],
+    ["simulate", "--params", "p.json", "--length", "5", "--seed", "1",
+     "--out", "a.fasta"],
+], ids=lambda extra: extra[0])
+def test_a_tree_without_edges_is_validation_error(tmp_path, capsys, extra):
+    tree = tmp_path / "leaf.nwk"
+    tree.write_text("A;\n")
+    argv = [extra[0], "--tree", str(tree), "--model", "jc-dna"] + extra[1:]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: the tree has no edges; a model needs at least one\n"
+
+
+def test_invariants_rejects_a_negative_degree(tree_file, tmp_path, capsys):
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({"x": "u", "y": "v"}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "-1", "--coords", str(coords)]) == 2
+    assert capsys.readouterr().err == \
+        "error: degree must be non-negative, got -1\n"
+
+
 def test_simulate_reports_a_missing_symbol(tree_file, params_file, tmp_path,
                                            capsys):
     path, params = params_file

@@ -51,10 +51,10 @@ def test_poly_eval_and_derivative():
         p.eval({"x": 1})
 
 
-def test_substitute_expands():
+def test_eval_at_polynomials_expands():
     x, y, u = Poly.var("x"), Poly.var("y"), Poly.var("u")
     p = x ** 2 + y
-    q = p.substitute({"x": u + 1, "y": Poly.const(2)})
+    q = p.eval({"x": u + 1, "y": Poly.const(2)})
     assert q == u ** 2 + 2 * u + 3
 
 
@@ -87,6 +87,27 @@ def test_text_round_trip(p):
     assert parse_poly(str(p)) == p
 
 
+@pytest.mark.parametrize("text", [
+    "x - -y", "- - x", "x -", "+", "", "x y", "(x)",
+])
+def test_parse_rejects_text_outside_the_grammar(text):
+    # a doubled or dangling sign, no term, or a name with a space or
+    # parenthesis
+    with pytest.raises(ValueError, match="bad term"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-x + 2/3*y^2", "2/3*y^2 - 1*x"),
+    ("- x  *  y -  2*x", "-1*x*y - 2*x"),
+    ("pACGT*q0101 - _a*ua0^3", "-1*_a*ua0^3 + 1*pACGT*q0101"),
+    ("x + x - 2*x", "0"),
+    ("0", "0"),
+])
+def test_parse_reads_the_grammar(text, want):
+    assert str(parse_poly(text)) == want
+
+
 @given(polys(), polys())
 @settings(max_examples=40)
 def test_ring_laws(p, q):
@@ -104,7 +125,8 @@ def test_calculus_and_evaluation_agree(p, q, v, e, values):
     assert Poly.var(v, e).derivative(v) == e * Poly.var(v, e - 1)
     point = dict(zip("xyz", (Rat(x.numerator, x.denominator)
                              for x in values)))
-    assert p.substitute(point) == p.eval(point)
+    assert p.eval({name: Poly.const(x) for name, x in point.items()}) == \
+        p.eval(point)
     prime = 8388593
     residues = {name: residue(x, prime) for name, x in point.items()}
     assert p.eval_mod(residues, prime) == residue(p.eval(point), prime)

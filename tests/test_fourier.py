@@ -102,7 +102,7 @@ def test_transformed_tensor_factors(tree3):
             continue
         states = paramap.pattern_of_flat(i, 3, 4)
         labels = fourier.leaf_to_edge_labels(tree3, states, fourier.Z2xZ2)
-        assert (by_ind[support(labels)].substitute(tp) - poly).is_zero()
+        assert (by_ind[support(labels)].eval(tp) - poly).is_zero()
         checked += 1
     assert checked == 16
 
@@ -201,7 +201,7 @@ def test_binomials_vanish_on_monomial_map(tree4):
     mm = fourier.monomial_map(make_model(tree4, "jc-dna"))
     coords = mm.coords()
     for form in fourier.binomials_up_to_degree(mm, 3):
-        assert form.substitute(coords).is_zero()
+        assert form.eval(coords).is_zero()
 
 
 def test_binomials_degree2_match_flattening_minors(tree4):
@@ -222,7 +222,7 @@ def test_flattening_minors_5_leaf(tree5):
     forms = fourier.flattening_minors(tree5)
     assert forms
     for f in forms:
-        assert f.substitute(coords).is_zero()
+        assert f.eval(coords).is_zero()
 
 
 def test_support_classes_equal_subforests(tree4):

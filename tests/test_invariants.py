@@ -97,15 +97,14 @@ def test_vanishing_check_modes(tree3):
     # total probability identity only holds for stochastic values, so this
     # form must NOT vanish identically
     nonzero = parse_poly("p0 + p1 - p2")
-    assert not invariants.vanishing_check(nonzero, coords)
+    assert not invariants.vanishing_check(nonzero, coords)[0]
     # symmetry of the cherry: p(0,0,1) == p(0,1,0)? no; use class equality
     classes = paramap.symmetry_classes(jm)
     a, b = next((c[0], c[1]) for c in classes if len(c) > 1)
     form = Poly.var(f"p{a}") - Poly.var(f"p{b}")
-    assert form.substitute(coords).is_zero()
-    assert invariants.vanishing_check(form, coords)
-    ok, witness = invariants.vanishing_check(nonzero, coords,
-                                             return_witness=True)
+    assert form.eval(coords).is_zero()
+    assert invariants.vanishing_check(form, coords) == (True, None)
+    ok, witness = invariants.vanishing_check(nonzero, coords)
     assert not ok and witness is not None
     with pytest.raises(KeyError):
         invariants.vanishing_check(parse_poly("nope"), coords)
@@ -128,13 +127,11 @@ def test_vanishing_check_reads_only_the_coordinates_it_uses(tree3):
     # an unused coordinate in other parameters: it is never evaluated, and
     # its parameters take no draws, so the points are those of `used` alone
     coords = dict(used, pspare=_Unevaluable(Poly.var("z9").terms))
-    assert invariants.vanishing_check(form, coords)
+    assert invariants.vanishing_check(form, coords) == (True, None)
     nonzero = Poly.var(f"p{a}") - Poly.const(2) * Poly.var(f"p{b}")
-    ok, witness = invariants.vanishing_check(nonzero, coords,
-                                             return_witness=True)
+    ok, witness = invariants.vanishing_check(nonzero, coords)
     assert not ok
-    assert witness == invariants.vanishing_check(nonzero, used,
-                                                 return_witness=True)[1]
+    assert witness == invariants.vanishing_check(nonzero, used)[1]
 
 
 def test_vanishing_check_witness_is_exact():
@@ -145,8 +142,7 @@ def test_vanishing_check_witness_is_exact():
     coords = {"q": Poly.var("x") - Poly.const(first["x"] + p)}
     form = Poly.var("q")
     assert form.eval({"q": coords["q"].eval(first)}) == -p
-    ok, witness = invariants.vanishing_check(form, coords,
-                                             return_witness=True)
+    ok, witness = invariants.vanishing_check(form, coords)
     assert not ok
     assert witness != first
     assert form.eval({"q": coords["q"].eval(witness)}) != 0
@@ -161,8 +157,8 @@ def test_vanishing_check_skips_a_prime_in_a_denominator():
     for text in ("q - 1/{p}*s", "r*q - 1/{p}*r*s", "q - s", "1/{p}*r - q"):
         form = parse_poly(text.format(p=p))
         want = exact_witness(form, coords)
-        assert invariants.vanishing_check(form, coords, return_witness=True) \
-            == (want is None, want)
+        assert invariants.vanishing_check(form, coords) == \
+            (want is None, want)
 
 
 def test_checks_evaluate_modulo_a_prime(monkeypatch):
@@ -180,8 +176,7 @@ def test_checks_evaluate_modulo_a_prime(monkeypatch):
 
     monkeypatch.setattr(Poly, "eval", unavailable)
     for f, w in zip(forms, want):
-        assert invariants.vanishing_check(f, coords, return_witness=True) \
-            == (w is None, w)
+        assert invariants.vanishing_check(f, coords) == (w is None, w)
     assert invariants.interpolate_vanishing_forms(jc3_class_coords(), 3) \
         == cubic
 
@@ -463,7 +458,7 @@ def test_interpolate_linear_relations(tree3):
     assert len(forms) == 4
     cdict = dict(coords)
     for f in forms:
-        assert f.substitute(cdict).is_zero()
+        assert f.eval(cdict).is_zero()
 
 
 def test_interpolate_segre_quadric():
@@ -540,7 +535,7 @@ def test_interpolation_verifies_on_fresh_points():
     forms = invariants.interpolate_vanishing_forms(coords, 3)
     assert len(forms) == 1
     cdict = dict(coords)
-    assert forms[0].substitute(cdict).is_zero()
+    assert forms[0].eval(cdict).is_zero()
 
 
 def test_modular_path_agrees_with_exact():
@@ -581,6 +576,24 @@ def test_modular_path_skips_a_prime_in_a_denominator():
     assert forced == exact == [normalize_poly(parse_poly(f"{P}*x - y"))]
 
 
+@given(st.integers(2 ** 39, 2 ** 250 - 1), st.integers(2 ** 39, 2 ** 250 - 1))
+@settings(max_examples=25, deadline=None)
+def test_interpolation_reconstructs_random_large_coefficients(a, b):
+    # the reconstruction of a/b needs about 2 * 250 bits of modulus, so
+    # many of the primes
+    u = Poly.var("u")
+    coords = [("x", u), ("y", u * Rat(a, b))]
+    want = normalize_poly(Poly.var("y") * b - Poly.var("x") * a)
+    assert invariants.interpolate_vanishing_forms(coords, 1) == [want]
+
+
+def test_interpolation_rejects_a_negative_degree():
+    coords = [("x", Poly.var("u")), ("y", Poly.var("v"))]
+    with pytest.raises(ValueError,
+                       match="degree must be non-negative, got -1"):
+        invariants.interpolate_vanishing_forms(coords, -1)
+
+
 def test_no_coordinates_have_no_forms_of_positive_degree():
     assert invariants.interpolate_vanishing_forms([], 2) == []
 
@@ -618,7 +631,7 @@ def test_interpolation_reconstructs_coefficients_past_ten_primes():
     forms = invariants.interpolate_vanishing_forms(coords, 2,
                                                    rng=random.Random(3))
     assert len(forms) == 9
-    assert all(f.substitute(dict(coords)).is_zero() for f in forms)
+    assert all(f.eval(dict(coords)).is_zero() for f in forms)
     # more bits than rational reconstruction gets from ten primes
     assert max(max(abs(c.numerator), c.denominator).bit_length()
                for f in forms for c in f.terms.values()) == 164

@@ -188,3 +188,8 @@ def test_root_weights_must_not_share_edge_symbols(kind, shared):
     m = make_model(tree, kind, root_mode="free", k=18)
     cells = {s for tpl in m.templates for row in tpl for s in row}
     assert not cells & set(m.root.symbols)
+
+
+def test_a_tree_without_edges_has_no_model():
+    with pytest.raises(ValueError, match="the tree has no edges"):
+        make_model(parse_newick("A;"), "jc-dna")

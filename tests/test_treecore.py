@@ -65,6 +65,32 @@ def test_parse_errors(bad, snippet):
     assert snippet in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    "( (A, B) ,(C ,D) ) ;",
+    "((A,\nB),\n (C,D))\n;\n",
+    "\t((A,B),\r\n(C,D));",
+], ids=["spaced", "wrapped", "tab-crlf"])
+def test_parse_allows_whitespace_between_tokens(tmp_path, text):
+    compact = parse_newick("((A,B),(C,D));")
+    path = tmp_path / "t.nwk"
+    path.write_bytes(text.encode("utf-8"))
+    for tree in (parse_newick(text), treecore.read_newick(path)):
+        assert tree.to_newick() == compact.to_newick()
+        assert (tree.children, tree.edges, tree.labels) == \
+            (compact.children, compact.edges, compact.labels)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("(A B,C);", "whitespace inside leaf label 'A' (at position 3)"),
+    ("  (1, ,2);", "empty subtree or missing label (at position 6)"),
+])
+def test_parse_errors_count_the_whitespace(bad, message):
+    # positions are offsets into the text as given
+    with pytest.raises(NewickError) as err:
+        parse_newick(bad)
+    assert str(err.value) == message
+
+
 def _deep_caterpillar():
     # deeper than the interpreter's recursion limit
     text = "1"
