@@ -216,7 +216,8 @@ def cmd_check(args):
     lines = [f"stochastic: {report['stochastic']}"]
     _emit(args, payload, lines)
     if not report["stochastic"]:
-        raise ValidationError("parameters are not stochastic")
+        raise ValidationError("parameters are not stochastic: "
+                              + "; ".join(report["faults"][:3]))
 
 
 def cmd_dim(args):

@@ -239,6 +239,10 @@ class Poly:
 
 
 _SIGN = re.compile(r"\s*([+-])\s*")
+# a monomial holds a name once per unit of its exponent, so parse_poly
+# rejects an exponent above this: every map and invariant here has far
+# smaller degrees, and a few characters of text cannot cost gigabytes
+MAX_EXPONENT = 1000
 _FACTOR = re.compile(r"\d+(?:/\d+)?|([A-Za-z_]\w*)(?:\^(\d+))?", re.ASCII)
 
 
@@ -250,7 +254,8 @@ def parse_poly(text):
     (a letter or '_', then letters, digits or '_') with an optional ^ and
     exponent.  Whitespace may stand around '+', '-' and '*' and at either
     end, nowhere else.  Anything else, a doubled or dangling sign included,
-    raises ValueError naming the bad term.
+    raises ValueError naming the bad term, and so does an exponent above
+    MAX_EXPONENT.
     """
     parts = _SIGN.split(text.strip())
     if len(parts) > 1 and not parts[0]:
@@ -266,8 +271,12 @@ def parse_poly(text):
             name, exp = match.groups()
             if name is None:
                 coeff *= rat(match[0])
-            else:
-                names += [name] * int(exp or 1)
+                continue
+            power = int(exp or 1)
+            if power > MAX_EXPONENT:
+                raise ValueError(f"exponent {power} of {name} is above "
+                                 f"{MAX_EXPONENT} in {text!r}")
+            names += [name] * power
         mono = tuple(sorted(names))
         out[mono] = out.get(mono, 0) + coeff
     return Poly({m: c for m, c in out.items() if c})

@@ -151,34 +151,46 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
 
 
 def _row_check(symbols, params):
-    """(exact sum, is a probability vector) of one row of symbols."""
+    """(exact sum, what is wrong with the row as a probability vector in
+    plain text, or None)."""
     values = []
     for s in symbols:
         if s not in params:
             raise KeyError(f"missing symbol {s!r}")
         values.append(Rat(params[s]))
     total = sum(values, Rat(0))
-    return total, total == 1 and all(0 <= v <= 1 for v in values)
+    outside = [f"{s} = {v}" for s, v in dict(zip(symbols, values)).items()
+               if not 0 <= v <= 1]
+    faults = []
+    if total != 1:
+        faults.append(f"sums to {total}, not 1")
+    if outside:
+        faults.append(f"has entries outside [0, 1]: {', '.join(outside)}")
+    return total, " and ".join(faults) or None
 
 
 def validate_stochastic(model, params):
-    """Advisory report on row sums and entry ranges.
+    """Advisory report on row sums and entry ranges; "faults" names each row
+    that is not a probability vector, and why, in plain text.
 
     Never raises on non-stochastic values; raises KeyError when a symbol is
     missing from params.
     """
-    rows = []
+    rows, faults = [], []
     for eid, tpl in enumerate(model.templates):
         for i, row in enumerate(tpl):
-            total, ok = _row_check(row, params)
+            total, fault = _row_check(row, params)
             rows.append({"edge": eid, "row": i, "sum": total,
-                         "row_stochastic": ok})
-    report = {"rows": rows}
+                         "row_stochastic": fault is None})
+            if fault:
+                faults.append(f"edge {eid} row {i} {fault}")
+    report = {"rows": rows, "faults": faults}
     if model.root.mode == "free":
-        report["root_sum"], report["root_stochastic"] = \
-            _row_check(model.root.symbols, params)
-    report["stochastic"] = all(r["row_stochastic"] for r in rows) and \
-        report.get("root_stochastic", True)
+        report["root_sum"], fault = _row_check(model.root.symbols, params)
+        report["root_stochastic"] = fault is None
+        if fault:
+            faults.append(f"the root distribution {fault}")
+    report["stochastic"] = not faults
     return report
 
 

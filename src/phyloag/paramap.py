@@ -8,14 +8,16 @@ circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
 tables per model, each sum or product made once per distinct table row, and
 its outputs are the weighted sums.  The circuit is built on first use.  A
-single evaluation pass over the circuit serves every ring: exact values and
-polynomials for the expanded coordinates (read off lazily, once per output
-node).
+single pass over the circuit expands the coordinates into polynomials (read
+off lazily, once per output node).
 
-The Jacobian's rank needs neither the circuit nor the k^n coordinates:
-projected_jacobian runs Felsenstein's pruning with soft leaf vectors, once
-forward and once in reverse per component, on residues modulo a prime, and
-its rows are random combinations of the Jacobian's rows.
+The numeric questions need no circuit; each is Felsenstein's pruning in
+some ring.  pattern_weights gives a model's exact distribution as Python
+ints over one common denominator, every pattern in one pass.  The
+Jacobian's rank needs neither the circuit nor the k^n coordinates:
+projected_jacobian runs the pruning with soft leaf vectors, once forward and
+once in reverse per component, on residues modulo a prime, and its rows are
+random combinations of the Jacobian's rows.
 
 This module also owns the site-pattern format.  A pattern is one state per
 observed node (observed_nodes), in pre-order; its flat index is leaf-major
@@ -26,6 +28,7 @@ indexes is named "p" and the label.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -191,6 +194,10 @@ class Circuit:
                 mults += max(len(priced) - 1, 0)
         return mults, adds
 
+    # No library caller: exact distributions use pattern_weights.  The tests
+    # keep this pass as a reference for the circuit's values, and
+    # perfbench/spans.py traces it by name, so it goes together with that
+    # span.
     def eval(self, assignment):
         """Exact values (Rat) of the outputs at a symbol assignment, in flat
         index order."""
@@ -414,6 +421,62 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
         grads = np.concatenate([grads, beta[tree.root]], axis=1)
         cols = np.concatenate([cols, [column[w] for w in roots]])
     return total, grads, cols
+
+
+def pattern_weights(model, params):
+    """(weights, D): every coordinate of one model at rational parameter
+    values as an integer over one common denominator, coordinate x being
+    weights[x] / D, in flat index order.  weights is a 1-D numpy object
+    array of Python ints.
+
+    Each edge's matrix, and the root weights, are scaled by the lcm of their
+    entries' denominators, so they hold integers, and D is the product of
+    those lcms.  Felsenstein's pruning then runs once over all patterns:
+    node v's message has shape (k, patterns of the observed nodes below v),
+    an edge enters it as T @ beta_c, or as T[:, j] * beta_c[j] with c's
+    own state j as the leading digit when c is observed (every node of a
+    model without hidden nodes, as in projected_jacobian), and siblings
+    combine by outer products over the pattern axis.  A hidden root folds
+    its last child in with one (patterns, k) @ (k, patterns) product, so no
+    (k, k^n) table is held.  Raises KeyError on a missing symbol.
+    """
+    tree, k = model.tree, model.k
+    observed = set(observed_nodes(model))
+    denominator = 1
+
+    def scaled(rows):
+        nonlocal denominator
+        vals = [[Rat(params[s] if isinstance(s, str) else s) for s in row]
+                for row in rows]
+        lcm = math.lcm(*(int(x.denominator) for row in vals for x in row))
+        denominator *= lcm
+        return np.array([[int(x.numerator) * (lcm // int(x.denominator))
+                          for x in row] for row in vals], dtype=object)
+
+    def entered(v, c):
+        mat, b = scaled(model.templates[tree.edge_id(v, c)]), beta.pop(c)
+        if c in observed:
+            return (mat[:, :, None] * b[None, :, :]).reshape(k, -1)
+        return mat @ b
+
+    def product(messages):
+        b = np.ones((k, 1), dtype=object)
+        for mu in messages:
+            b = (b[:, :, None] * mu[:, None, :]).reshape(k, -1)
+        return b
+
+    beta = {}
+    root, kids = tree.root, tree.children[tree.root]
+    for v in tree.postorder():
+        if v != root:
+            beta[v] = product([entered(v, c) for c in tree.children[v]])
+    pi = scaled([model.root.weights(k)])[0][:, None]
+    if root in observed:
+        weights = pi * product([entered(root, c) for c in kids])
+    else:
+        weights = (pi * product([entered(root, c) for c in kids[:-1]])).T \
+            @ entered(root, kids[-1])
+    return weights.reshape(-1), denominator
 
 
 def build_circuit(models, weight_symbols=()):

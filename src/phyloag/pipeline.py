@@ -1,9 +1,9 @@
-"""Simulation and split inference: exact model distributions, alignment
+"""Simulation and split inference: exact model distributions (integer
+pruning, every pattern's weight over one common denominator), alignment
 sampling, empirical tensors and SVD-based quartet split scoring."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,36 +38,71 @@ def _single_model(joint_map):
     return joint_map.models[0]
 
 
-def exact_distribution(joint_map, params):
-    """Exact coordinate vector of a single model at stochastic parameters.
-
-    Rejects parameter values whose rows do not sum to one; the result is
-    checked to sum to one exactly.  Raises ValueError on the map of a
-    mixture.
-    """
-    report = _models.validate_stochastic(_single_model(joint_map), params)
+def _cumulative_weights(joint_map, params):
+    """(cum, D): the cumulative sums of paramap.pattern_weights, checked as
+    exact_distribution describes; pattern x has probability
+    (cum[x] - cum[x - 1]) / D."""
+    model = _single_model(joint_map)
+    report = _models.validate_stochastic(model, params)
     if not report["stochastic"]:
-        bad = [r for r in report["rows"] if not r["row_stochastic"]]
-        raise ValueError(f"parameters are not stochastic: {bad[:3]}")
-    probs = joint_map.circuit.eval(params)
-    total = sum(probs, Rat(0))
-    if total != 1:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    return probs
+        raise ValueError("parameters are not stochastic: "
+                         + "; ".join(report["faults"][:3]))
+    cum, D = _paramap.pattern_weights(model, params)
+    np.add.accumulate(cum, out=cum)
+    if cum[-1] != D:
+        raise ValueError(f"distribution sums to {Rat(int(cum[-1]), D)}, "
+                         f"not 1")
+    return cum, D
 
 
-def _inverse_cdf(probs, u):
-    """Index of the first pattern whose cumulative probability is >= u.
+def exact_distribution(joint_map, params):
+    """Exact coordinate vector of a single model at stochastic parameters:
+    one Rat per pattern, each the pruning's integer weight over its common
+    denominator (paramap.pattern_weights).
+
+    Rejects parameter values whose rows are not probability vectors, naming
+    the rows; the result is checked to sum to one exactly.  Raises
+    ValueError on the map of a mixture.
+    """
+    cum, D = _cumulative_weights(joint_map, params)
+    return [Rat(int(w), D) for w in np.diff(cum, prepend=0)]
+
+
+# thresholds are computed this many patterns at a time, so the Python-int
+# temporaries of cum * 2^53 // D stay small
+_CHUNK = 1 << 14
+# the guide table has 2^8 buckets per pattern, rounded up to a power of two,
+# and at most 2^16 buckets
+_BUCKET_BITS, _MAX_BUCKET_BITS = 8, 16
+
+
+def _inverse_cdf(cum, D, u):
+    """Index of the first pattern whose cumulative weight cum[x] / D is >= u,
+    per draw, for integer cumulative weights ending at D.
 
     Philox doubles are m * 2^-53 with an integer m < 2^53, and for an exact
-    rational c, c < m * 2^-53 iff floor(c * 2^53) < m, so comparing integer
-    thresholds with m reproduces the exact scan, ties included.
+    rational c, c < m * 2^-53 iff floor(c * 2^53) < m, so comparing the
+    integer thresholds cum * 2^53 // D with m reproduces the exact scan,
+    ties included.  The search is Chen and Asau's guide table ("indexed
+    search", 1974): the top bits of m name a bucket, the bucket gives the
+    first threshold >= its lower end, and only the draws for which that is
+    not yet the answer are searched on.
     """
-    thresholds = np.array(
-        [int(c.numerator * 2**53 // c.denominator)
-         for c in itertools.accumulate(probs)], dtype=np.int64)
+    thresholds = np.empty(len(cum), dtype=np.int64)
+    for s in range(0, len(cum), _CHUNK):
+        thresholds[s:s + _CHUNK] = \
+            np.asarray(cum[s:s + _CHUNK], dtype=object) * 2**53 // D
     m = (u * 2**53).astype(np.int64)
-    return np.searchsorted(thresholds, m, side="left")
+    bits = min((len(cum) - 1).bit_length() + _BUCKET_BITS, _MAX_BUCKET_BITS)
+    shift = 53 - bits
+    guide = np.searchsorted(thresholds,
+                            np.arange(1 << bits, dtype=np.int64) << shift)
+    idx = guide[m >> shift]
+    # every threshold before guide[b] is below bucket b, so guide[b] is the
+    # answer unless its own threshold, inside the bucket, is below m
+    open_ = np.flatnonzero(thresholds[idx] < m)
+    idx[open_] = np.searchsorted(thresholds, m[open_])
+    return idx
 
 
 def sample_alignment(joint_map, params, num_sites, seed):
@@ -75,22 +110,30 @@ def sample_alignment(joint_map, params, num_sites, seed):
 
     Uses numpy's Philox counter-based generator, so a given (seed, num_sites)
     pair is reproducible across runs and platforms.  Sampling is exact integer
-    inverse CDF: each draw is m * 2^-53 and lands on the first pattern with
-    floor(cum * 2^53) >= m, exactly as a rational comparison would.
-    Raises ValueError on a model without hidden nodes.
+    inverse CDF (_inverse_cdf): each draw is m * 2^-53 and lands on the first
+    pattern with cum * 2^53 // D >= m, exactly as a rational comparison
+    would; no Rat is made.  Rows are written from a table of each pattern's
+    characters, or from each draw's digits when there are more patterns
+    than sites.  Raises ValueError on a model without hidden nodes.
     """
     if num_sites < 0:
         raise ValueError(f"num_sites must be non-negative, got {num_sites}")
     model = _single_model(joint_map)
     if model.no_hidden:
         raise ValueError("internal nodes have no sequence names")
-    probs = exact_distribution(joint_map, params)
+    cum, D = _cumulative_weights(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
-    idx = _inverse_cdf(probs, rng.random(num_sites))
-    states = _paramap.pattern_of_flat(idx, model.tree.num_leaves, model.k)
+    idx = _inverse_cdf(cum, D, rng.random(num_sites))
+    n, k = model.tree.num_leaves, model.k
+    chars = np.frombuffer(_models.alphabet(k).encode("ascii"), dtype=np.uint8)
+    if len(cum) <= num_sites:
+        table = chars[np.stack(_paramap.pattern_of_flat(
+            np.arange(len(cum)), n, k))]
+        block = np.take(table, idx, axis=1)
+    else:
+        block = chars[np.stack(_paramap.pattern_of_flat(idx, n, k))]
     return Alignment(names=list(model.tree.leaf_labels),
-                     rows=[_paramap.pattern_label(s, model.k)
-                           for s in states])
+                     rows=[row.tobytes().decode("ascii") for row in block])
 
 
 def pattern_counts(alignment, k):

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phyloag import Rat, parse_newick
 from phyloag.cli import main
 
-from conftest import draw_newick, fresh_process_env
+from conftest import draw_newick, fresh_process_env, stochastic_jc_params
 
 
 @pytest.fixture
@@ -307,6 +308,92 @@ def test_simulate_fasta_is_pinned(tree_file, params_file, tmp_path):
         "4e7d92aa5bbd11b73d3e945f845d9ae28b577c62c22aa1d1a80ffb12e2af6d56"
 
 
+def _general_markov_params(tree):
+    """Row-stochastic two-state general Markov values and free root
+    weights, different on every edge."""
+    params = {"pi0": Rat(3, 10), "pi1": Rat(7, 10)}
+    for eid in range(tree.num_edges):
+        letter = "abcdefghij"[eid]
+        x, y = Rat(1, 7 + eid), Rat(2, 11 + 3 * eid)
+        params.update({f"{letter}00": 1 - x, f"{letter}01": x,
+                       f"{letter}10": y, f"{letter}11": 1 - y})
+    return params
+
+
+# SHA-256 of the FASTA of `phylo-ag simulate`, 2000 sites at seed 11, beyond
+# the quartet: the eight-leaf tree fixes the order in which the pruning
+# combines patterns, the free root its root weights
+_SIMULATE_FASTA = [
+    ("(((1,2),(3,4)),((5,6),(7,8)));", ["--model", "jc-dna"],
+     lambda tree: stochastic_jc_params(tree, 4, denom_base=80),
+     "0a182f90b68ff4f69a39c8384a30cf3d7863794982d511ca4af7964466ca1cb7"),
+    ("((1,2),(3,4));",
+     ["--model", "general-markov", "--k", "2", "--root", "free"],
+     _general_markov_params,
+     "3be6b0a5e988b04e0d8717601a5b1186c6d33fb5cf38752133b58b5e95ea99db"),
+]
+
+
+@pytest.mark.parametrize("newick, model, make_params, digest",
+                         _SIMULATE_FASTA, ids=["jc-dna-8", "gm2-free-root"])
+def test_simulate_fasta_beyond_the_quartet_is_pinned(tmp_path, newick, model,
+                                                     make_params, digest):
+    tree = tmp_path / "t.nwk"
+    tree.write_text(newick + "\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(
+        {s: str(v) for s, v in make_params(parse_newick(newick)).items()}))
+    out = tmp_path / "a.fasta"
+    assert main(["simulate", "--tree", str(tree), *model, "--params",
+                 str(params), "--length", "2000", "--seed", "11", "--out",
+                 str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("changes, fault", [
+    ({"a0": "1/2"}, "edge 0 row 0 sums to 23/40, not 1; edge 0 row 1 sums "
+     "to 23/40, not 1; edge 0 row 2 sums to 23/40, not 1"),
+    ({"a0": "-7/2", "a1": "3/2"}, "edge 0 row 0 has entries outside "
+     "[0, 1]: a0 = -7/2, a1 = 3/2; edge 0 row 1 has entries outside "
+     "[0, 1]: a1 = 3/2, a0 = -7/2; edge 0 row 2 has entries outside "
+     "[0, 1]: a1 = 3/2, a0 = -7/2"),
+    ({"b0": "2"}, "edge 1 row 0 sums to 85/41, not 1 and has entries "
+     "outside [0, 1]: b0 = 2; edge 1 row 1 sums to 85/41, not 1 and has "
+     "entries outside [0, 1]: b0 = 2; edge 1 row 2 sums to 85/41, not 1 "
+     "and has entries outside [0, 1]: b0 = 2"),
+], ids=["sum", "range", "both"])
+def test_non_stochastic_parameters_are_named_in_plain_text(
+        tree_file, params_file, tmp_path, capsys, changes, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(params_file[1], **changes)))
+    argv = _simulate_argv(tree_file, (str(bad),), str(tmp_path / "a.fasta"),
+                          10)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error: parameters are not stochastic: {fault}\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"newick": "((1,2),(3,4));", "kind": "jc-dna",
+                               "params": dict(params_file[1], **changes)}))
+    assert main(["check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: parameters are not stochastic: {fault}\n")
+
+
+def test_non_stochastic_root_weights_are_named(tmp_path, capsys):
+    tree = tmp_path / "t.nwk"
+    tree.write_text("((1,2),(3,4));\n")
+    params = dict(_general_markov_params(parse_newick("((1,2),(3,4));")),
+                  pi0=Rat(1, 2), pi1=Rat(1, 3))
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({s: str(v) for s, v in params.items()}))
+    assert main(["simulate", "--tree", str(tree), "--model",
+                 "general-markov", "--k", "2", "--root", "free", "--params",
+                 str(path), "--length", "10", "--seed", "1", "--out",
+                 str(tmp_path / "a.fasta")]) == 2
+    assert capsys.readouterr().err == "error: parameters are not " \
+        "stochastic: the root distribution sums to 5/6, not 1\n"
+
+
 def test_simulate_length(tree_file, params_file, tmp_path, capsys):
     out = tmp_path / "a.fasta"
     assert main(_simulate_argv(tree_file, params_file, str(out), -3)) == 2
@@ -524,6 +611,23 @@ def test_check_reports_an_unknown_coordinate(tree_file, tmp_path, capsys):
                  "--check", str(forms)]) == 2
     assert capsys.readouterr().err == \
         "error: form uses unknown coordinates ['pXXXXX']\n"
+
+
+def test_polynomial_text_rejects_an_exponent_above_the_bound(
+        tree_file, tmp_path, capsys):
+    # 'u^1000000' once took 30 MB, a monomial holding u a million times
+    forms = tmp_path / "forms.txt"
+    forms.write_text("pAAAA^1000000 - pAAAA\n")
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--check", str(forms)]) == 2
+    assert capsys.readouterr().err == "error: exponent 1000000 of pAAAA is " \
+        "above 1000 in 'pAAAA^1000000 - pAAAA'\n"
+    coords = tmp_path / "coords.json"
+    coords.write_text(json.dumps({"x": "u^1000000", "y": "u"}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(coords)]) == 2
+    assert "exponent 1000000 of u is above 1000 in 'u^1000000'" in \
+        capsys.readouterr().err
 
 
 def test_check_rejects_a_doubled_sign(tree_file, tmp_path, capsys):

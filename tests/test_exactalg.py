@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phyloag import invariants
-from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace,
+from phyloag.exactalg import (MAX_EXPONENT, Poly, Rat, mat_det,
+                              mat_rank_nullspace,
                               minors, monomial_binomial, normalize_poly,
                               parse_poly, rat, residue)
 
@@ -95,6 +96,14 @@ def test_parse_rejects_text_outside_the_grammar(text):
     # parenthesis
     with pytest.raises(ValueError, match="bad term"):
         parse_poly(text)
+
+
+def test_parse_bounds_the_exponent():
+    assert parse_poly(f"u^{MAX_EXPONENT}*v").degree() == MAX_EXPONENT + 1
+    for text in [f"u^{MAX_EXPONENT + 1}", "2*u^1000000 + v",
+                 "u^" + "9" * 400]:
+        with pytest.raises(ValueError, match=f"is above {MAX_EXPONENT}"):
+            parse_poly(text)
 
 
 @pytest.mark.parametrize("text, want", [

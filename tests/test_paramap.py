@@ -212,8 +212,9 @@ def oracle_models(draw):
         ("general-markov", "free", 2, False),
         ("general-markov", "uniform", 2, True),
         ("reversible", "uniform", 3, False),
+        ("homogeneous", "free", 2, False),
     ]))
-    two_states = kind in ("jc-binary", "general-markov")
+    two_states = kind == "jc-binary" or k == 2
     nwk = draw_newick(draw, 3, 5 if two_states else 4)
     return make_model(parse_newick(nwk), kind, root_mode=root, k=k,
                       no_hidden=no_hidden)
@@ -229,6 +230,33 @@ def test_table_build_matches_brute_force(m, seed):
     assert len(vec) == m.k ** observed
     for value, states in zip(vec, patterns):
         assert value == brute_force_eval(m, params, states)
+
+
+@given(oracle_models(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_pattern_weights_match_brute_force(m, seed):
+    params = random_params(m.symbols, seed)
+    weights, denominator = paramap.pattern_weights(m, params)
+    observed = len(m.tree.children) if m.no_hidden else m.tree.num_leaves
+    patterns = itertools.product(range(m.k), repeat=observed)
+    assert len(weights) == m.k ** observed
+    for w, states in zip(weights.tolist(), patterns):
+        assert type(w) is int
+        assert Rat(w, denominator) == brute_force_eval(m, params, states)
+
+
+def _no_circuit(self):
+    raise AssertionError("the circuit was built")
+
+
+def test_simulation_builds_no_circuit(tree4):
+    jm = expand_map(make_model(tree4, "jc-dna"))
+    params = stochastic_jc_params(tree4, 4)
+    with mock.patch.object(paramap.JointMap, "circuit", property(_no_circuit)):
+        probs = pipeline.exact_distribution(jm, params)
+        aln = pipeline.sample_alignment(jm, params, 100, seed=1)
+    assert sum(probs, Rat(0)) == 1 and aln.num_sites == 100
+    assert probs == jm.circuit.eval(params)
 
 
 def test_build_makes_one_node_call_per_distinct_row(monkeypatch):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,11 +120,19 @@ def distributions_and_draws(draw):
     return probs, np.array(ms, dtype=np.float64) * 2.0**-53
 
 
+def integer_cdf(probs):
+    """(cum, D): the cumulative sums of exact probabilities as integers over
+    their common denominator D."""
+    D = math.lcm(*(int(p.denominator) for p in probs))
+    return list(itertools.accumulate(
+        int(p.numerator) * (D // int(p.denominator)) for p in probs)), D
+
+
 @given(distributions_and_draws())
 @settings(max_examples=200, deadline=None)
 def test_inverse_cdf_matches_rational_scan(case):
     probs, u = case
-    assert pipeline._inverse_cdf(probs, u).tolist() == \
+    assert pipeline._inverse_cdf(*integer_cdf(probs), u).tolist() == \
         rational_scan_inverse_cdf(probs, u)
 
 
