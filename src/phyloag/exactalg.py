@@ -239,10 +239,11 @@ class Poly:
 
 
 _SIGN = re.compile(r"\s*([+-])\s*")
-# a monomial holds a name once per unit of its exponent, so parse_poly
-# rejects an exponent above this: every map and invariant here has far
-# smaller degrees, and a few characters of text cannot cost gigabytes
-MAX_EXPONENT = 1000
+# a monomial holds a name once per unit of its degree, so parse_poly rejects
+# a term of higher degree: every map and invariant here has far smaller
+# degrees, and no text can then hold more than about 100 bytes per character
+# (the 9 characters of 'a^50*b^50+' hold 100 names)
+MAX_DEGREE = 100
 _FACTOR = re.compile(r"\d+(?:/\d+)?|([A-Za-z_]\w*)(?:\^(\d+))?", re.ASCII)
 
 
@@ -254,8 +255,8 @@ def parse_poly(text):
     (a letter or '_', then letters, digits or '_') with an optional ^ and
     exponent.  Whitespace may stand around '+', '-' and '*' and at either
     end, nowhere else.  Anything else, a doubled or dangling sign included,
-    raises ValueError naming the bad term, and so does an exponent above
-    MAX_EXPONENT.
+    raises ValueError naming the bad term, and so does a term of degree
+    above MAX_DEGREE.
     """
     parts = _SIGN.split(text.strip())
     if len(parts) > 1 and not parts[0]:
@@ -273,9 +274,9 @@ def parse_poly(text):
                 coeff *= rat(match[0])
                 continue
             power = int(exp or 1)
-            if power > MAX_EXPONENT:
-                raise ValueError(f"exponent {power} of {name} is above "
-                                 f"{MAX_EXPONENT} in {text!r}")
+            if len(names) + power > MAX_DEGREE:
+                raise ValueError(f"term {term.strip()!r} has degree above "
+                                 f"{MAX_DEGREE} in {text!r}")
             names += [name] * power
         mono = tuple(sorted(names))
         out[mono] = out.get(mono, 0) + coeff

@@ -71,9 +71,6 @@ def exact_distribution(joint_map, params):
 # thresholds are computed this many patterns at a time, so the Python-int
 # temporaries of cum * 2^53 // D stay small
 _CHUNK = 1 << 14
-# the guide table has 2^8 buckets per pattern, rounded up to a power of two,
-# and at most 2^16 buckets
-_BUCKET_BITS, _MAX_BUCKET_BITS = 8, 16
 
 
 def _inverse_cdf(cum, D, u):
@@ -83,26 +80,14 @@ def _inverse_cdf(cum, D, u):
     Philox doubles are m * 2^-53 with an integer m < 2^53, and for an exact
     rational c, c < m * 2^-53 iff floor(c * 2^53) < m, so comparing the
     integer thresholds cum * 2^53 // D with m reproduces the exact scan,
-    ties included.  The search is Chen and Asau's guide table ("indexed
-    search", 1974): the top bits of m name a bucket, the bucket gives the
-    first threshold >= its lower end, and only the draws for which that is
-    not yet the answer are searched on.
+    ties included.
     """
     thresholds = np.empty(len(cum), dtype=np.int64)
     for s in range(0, len(cum), _CHUNK):
         thresholds[s:s + _CHUNK] = \
             np.asarray(cum[s:s + _CHUNK], dtype=object) * 2**53 // D
     m = (u * 2**53).astype(np.int64)
-    bits = min((len(cum) - 1).bit_length() + _BUCKET_BITS, _MAX_BUCKET_BITS)
-    shift = 53 - bits
-    guide = np.searchsorted(thresholds,
-                            np.arange(1 << bits, dtype=np.int64) << shift)
-    idx = guide[m >> shift]
-    # every threshold before guide[b] is below bucket b, so guide[b] is the
-    # answer unless its own threshold, inside the bucket, is below m
-    open_ = np.flatnonzero(thresholds[idx] < m)
-    idx[open_] = np.searchsorted(thresholds, m[open_])
-    return idx
+    return np.searchsorted(thresholds, m, side="left")
 
 
 def sample_alignment(joint_map, params, num_sites, seed):
@@ -112,9 +97,8 @@ def sample_alignment(joint_map, params, num_sites, seed):
     pair is reproducible across runs and platforms.  Sampling is exact integer
     inverse CDF (_inverse_cdf): each draw is m * 2^-53 and lands on the first
     pattern with cum * 2^53 // D >= m, exactly as a rational comparison
-    would; no Rat is made.  Rows are written from a table of each pattern's
-    characters, or from each draw's digits when there are more patterns
-    than sites.  Raises ValueError on a model without hidden nodes.
+    would; no Rat is made.  Raises ValueError on a model without hidden
+    nodes.
     """
     if num_sites < 0:
         raise ValueError(f"num_sites must be non-negative, got {num_sites}")
@@ -124,16 +108,10 @@ def sample_alignment(joint_map, params, num_sites, seed):
     cum, D = _cumulative_weights(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
     idx = _inverse_cdf(cum, D, rng.random(num_sites))
-    n, k = model.tree.num_leaves, model.k
-    chars = np.frombuffer(_models.alphabet(k).encode("ascii"), dtype=np.uint8)
-    if len(cum) <= num_sites:
-        table = chars[np.stack(_paramap.pattern_of_flat(
-            np.arange(len(cum)), n, k))]
-        block = np.take(table, idx, axis=1)
-    else:
-        block = chars[np.stack(_paramap.pattern_of_flat(idx, n, k))]
+    states = _paramap.pattern_of_flat(idx, model.tree.num_leaves, model.k)
     return Alignment(names=list(model.tree.leaf_labels),
-                     rows=[row.tobytes().decode("ascii") for row in block])
+                     rows=[_paramap.pattern_label(s, model.k)
+                           for s in states])
 
 
 def pattern_counts(alignment, k):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from phyloag import invariants
-from phyloag.exactalg import (MAX_EXPONENT, Poly, Rat, mat_det,
+from phyloag.exactalg import (MAX_DEGREE, Poly, Rat, mat_det,
                               mat_rank_nullspace,
                               minors, monomial_binomial, normalize_poly,
                               parse_poly, rat, residue)
@@ -98,11 +98,15 @@ def test_parse_rejects_text_outside_the_grammar(text):
         parse_poly(text)
 
 
-def test_parse_bounds_the_exponent():
-    assert parse_poly(f"u^{MAX_EXPONENT}*v").degree() == MAX_EXPONENT + 1
-    for text in [f"u^{MAX_EXPONENT + 1}", "2*u^1000000 + v",
-                 "u^" + "9" * 400]:
-        with pytest.raises(ValueError, match=f"is above {MAX_EXPONENT}"):
+def test_parse_bounds_the_degree_of_a_term():
+    top = f"u^{MAX_DEGREE - 1}*v + u^{MAX_DEGREE}"
+    assert parse_poly(top).degree() == MAX_DEGREE
+    # the bound is on the whole term, not on each factor: a term of many
+    # small powers would otherwise hold its names many times over
+    for text in [f"u^{MAX_DEGREE + 1}", f"u^{MAX_DEGREE}*v",
+                 "2*u^1000000 + v", "u^" + "9" * 400,
+                 "*".join(["u^1000"] * 3), "*".join(["u"] * 101)]:
+        with pytest.raises(ValueError, match=f"degree above {MAX_DEGREE}"):
             parse_poly(text)
 
 
