@@ -42,7 +42,8 @@ from . import paramap as _paramap
 # partial sum is an integer that float64 represents exactly, in any order.
 # A leaf entry gathers at most _LEAF - 1 such products, and a leaf's inverse
 # triangle multiplies at most _LEAF entries below p by ones below p (< 2^50).
-# _PRIMES holds the 32 largest primes below 2^23, in descending order.
+# _PRIMES holds the 32 largest primes below 2^23, in descending order; the
+# modular paths read _primes(), which goes on below them.
 _PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
            8388539, 8388473, 8388461, 8388451, 8388449,
            8388439, 8388427, 8388421, 8388409, 8388377,
@@ -60,6 +61,28 @@ _ROWS = 256
 _CHECK_POINTS = 25
 _VERIFY_POINTS = 10
 _MAX_RETRIES = 3
+# numbers per block of _primes()'s sieve, about 4000 primes near 2^23
+_SIEVE = 2 ** 16
+
+
+def _primes():
+    """Every prime below 2^23 in descending order, read lazily: _PRIMES,
+    then the primes below them, sieved _SIEVE numbers at a time by the
+    primes up to the square root of the largest."""
+    yield from _PRIMES
+    top = _PRIMES[-1]
+    small = np.ones(isqrt(top) + 1, dtype=bool)   # small[d]: d is prime
+    small[:2] = False
+    for d in range(2, isqrt(len(small)) + 1):
+        small[d * d::d] = False
+    divisors = np.flatnonzero(small).tolist()
+    while top > 2:
+        low = max(top - _SIEVE, 2)
+        block = np.ones(top - low, dtype=bool)   # block[i]: low + i is prime
+        for d in divisors:
+            block[max(d * d, -(-low // d) * d) - low::d] = False
+        yield from map(int, low + np.flatnonzero(block)[::-1])
+        top = low
 
 
 def random_rat(rng):
@@ -141,15 +164,16 @@ def vanishing_check(form, coords):
     the coordinates the form uses are read.  The form is evaluated at
     _CHECK_POINTS random rational points from random.Random(0), with values
     drawn in sorted name order for the parameters of the used coordinates
-    only, read modulo the first prime of _PRIMES that divides no denominator
-    (ValueError if every one does).  A nonzero residue proves the form
-    nonzero at that point, so the witness, the first such point, is exact.
+    only, read modulo the first prime of _primes() that divides no
+    denominator (ValueError if every one does).  A nonzero residue proves
+    the form nonzero at that point, so the witness, the first such point, is
+    exact.
     All residues zero is a Monte Carlo verdict: the form may vanish at every
     point drawn but not on the image, or the prime may divide the numerator
     of every value.
     """
     witness = _first_nonzero(form, coords, random.Random(0), _CHECK_POINTS,
-                             _PRIMES)
+                             _primes())
     return witness is None, witness
 
 
@@ -572,23 +596,24 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                      for vec in basis]
             # a form of the basis vanishes modulo each prime of the modulus
             # at every point, so it is verified modulo the other primes
-            fresh = [p for p in _PRIMES if modulus % p]
-            if fresh and all(_first_nonzero(f, dict(coords), rng,
-                                            _VERIFY_POINTS, fresh) is None
-                             for f in forms):
+            if all(_first_nonzero(f, dict(coords), rng, _VERIFY_POINTS,
+                                  (p for p in _primes() if modulus % p))
+                   is None for f in forms):
                 return forms
             failed = basis
         else:
             # new points cannot shorten the coefficients
             raise RuntimeError("interpolation failed: the coefficients need "
-                               f"more than the {len(_PRIMES)} primes")
+                               f"more than the {sum(1 for _ in _primes())} "
+                               "primes")
     raise RuntimeError("interpolation failed: insufficient sample rank "
                        f"after {_MAX_RETRIES} retries")
 
 
 def _modular_nullspace(polys, params, pts, degree):
     """Candidate nullspace bases over Q, each with its modulus: one per
-    prime of _PRIMES whose accumulated residues pass rational reconstruction.
+    prime of _primes() whose accumulated residues pass rational
+    reconstruction.
 
     The sample matrix at the points `pts` is built mod each prime from the
     residues of the parameters; a prime that divides a denominator of the
@@ -600,7 +625,7 @@ def _modular_nullspace(polys, params, pts, degree):
     one with fewer or later pivots is skipped.
     """
     residues = modulus = best = None
-    for prime in _PRIMES:
+    for prime in _primes():
         try:
             C = _coordinate_residues(polys, params, pts, prime)
         except ValueError:

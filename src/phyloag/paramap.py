@@ -6,10 +6,11 @@ weighted by a mixing-weight symbol when it has one; a single model is the
 mixture with one component.  Either is held as one factored sum-product
 circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
-tables per model, each sum or product made once per distinct table row, and
-its outputs are the weighted sums.  The circuit is built on first use.  A
-single pass over the circuit expands the coordinates into polynomials (read
-off lazily, once per output node).
+tables per model; each sorted table row is keyed by one int64, and each sum
+or product is made once per distinct key (Circuit.per_row).  Its outputs
+are the weighted sums.  The circuit is built on first use.  A single pass
+over the circuit expands the coordinates into polynomials (read off lazily,
+once per output node).
 
 The numeric questions need no circuit; each is Felsenstein's pruning in
 some ring.  pattern_weights gives a model's exact distribution as Python
@@ -117,12 +118,10 @@ class Circuit:
         self.outputs = np.zeros(0, dtype=np.int64)
 
     def _node(self, kind, payload):
-        key = (kind, payload)
-        nid = self._memo.get(key)
-        if nid is None:
-            nid = len(self.ops)
-            self.ops.append((kind, payload))
-            self._memo[key] = nid
+        op = (kind, payload)
+        nid = self._memo.setdefault(op, len(self.ops))
+        if nid == len(self.ops):
+            self.ops.append(op)
         return nid
 
     def sym(self, name):
@@ -131,26 +130,32 @@ class Circuit:
     def const(self, value):
         return self._node(CONST, Rat(value))
 
-    def add(self, children):
-        children = tuple(sorted(children))
-        if len(children) == 1:
-            return children[0]
-        return self._node(ADD, children)
-
-    def mul(self, children):
-        # drop unit constants, fold in a single constant factor
-        flat = []
-        for c in children:
-            kind, payload = self.ops[c]
-            if kind == CONST and payload == 1:
-                continue
-            flat.append(c)
-        if not flat:
-            return self.const(1)
-        flat = tuple(sorted(flat))
-        if len(flat) == 1:
-            return flat[0]
-        return self._node(MUL, flat)
+    def per_row(self, kind, rows):
+        """Node ids of ADD or MUL nodes over the rows of a 2-D int64 array of
+        child ids, one per row.  Each distinct sorted row is keyed by one
+        int64 and made once: a unit constant is dropped from a product, an
+        empty product is the constant 1, one child is that child, and more
+        make the hash-consed (kind, sorted children) node.  A row folds into
+        its key a column at a time, key * base + child; before a fold would
+        reach 2^62 the keys are renumbered densely, which keeps their order,
+        so distinct rows are made in lexicographic order."""
+        rows = np.sort(rows, axis=1)
+        base = int(rows.max(initial=0)) + 1
+        key, top = np.zeros(len(rows), dtype=np.int64), 1  # keys below top
+        for col in rows.T:
+            if top * base > 2 ** 62:
+                distinct, key = np.unique(key, return_inverse=True)
+                top = len(distinct)
+            key, top = key * base + col, top * base
+        _, first, key = np.unique(key, return_index=True, return_inverse=True)
+        unit = self._memo.get((CONST, Rat(1))) if kind == MUL else None
+        made, node = [], self._node
+        for row in rows[first].tolist():
+            if unit is not None and unit in row:
+                row = [c for c in row if c != unit]
+            made.append(row[0] if len(row) == 1 else
+                        node(kind, tuple(row)) if row else self.const(1))
+        return np.array(made, dtype=np.int64)[key]
 
     # -- traversal ---------------------------------------------------------
 
@@ -484,15 +489,15 @@ def build_circuit(models, weight_symbols=()):
     _build_into): output i is the sum over j of s_j * (output i of model j)
     with a weight symbol s_j per model, the plain sum without weight
     symbols.  Every product and sum is made once per distinct row of
-    component nodes.  With one model there is nothing to sum: the outputs
-    are that model's (weighted) outputs."""
+    component nodes (Circuit.per_row).  With one model there is nothing to
+    sum: the outputs are that model's (weighted) outputs."""
     circ = Circuit()
     outs = np.stack([_build_into(circ, m) for m in models], axis=1)
     for j, w in enumerate(weight_symbols):
         pairs = np.stack([np.full(len(outs), circ.sym(w)), outs[:, j]], axis=1)
-        outs[:, j] = _per_distinct_row(pairs, circ.mul)
+        outs[:, j] = circ.per_row(MUL, pairs)
     circ.outputs = outs[:, 0] if len(models) == 1 else \
-        _per_distinct_row(outs, circ.add)
+        circ.per_row(ADD, outs)
     return circ
 
 
@@ -507,9 +512,9 @@ def _build_into(circ, model):
     message.  A node's table holds, per node state and per pattern of the
     observed states below it, the node ids of its children's factors, built
     from the children's tables with `np.repeat`/`np.tile`.  Messages,
-    weight-times-message products and sums are each made once per distinct
-    sorted row of their tables, never pattern by pattern.  The root's table
-    gives the outputs.
+    weight-times-message products and sums are each made by one
+    Circuit.per_row call per table, never pattern by pattern.  The root's
+    table gives the outputs.
     """
     tree, k = model.tree, model.k
     observed = set(observed_nodes(model))
@@ -528,12 +533,12 @@ def _build_into(circ, model):
                 [np.broadcast_to(w[:, :, None, None], (ps, k, patterns, 1)),
                  np.broadcast_to(table, (ps, k, patterns, width))], axis=3)
             return out.reshape(ps, k * patterns, width + 1)
-        msg = _per_distinct_row(table.reshape(k * patterns, width), circ.mul)
+        msg = circ.per_row(MUL, table.reshape(k * patterns, width))
         pairs = np.stack(np.broadcast_arrays(
             w[:, :, None], msg.reshape(1, k, patterns)), axis=3)
-        pair = _per_distinct_row(pairs.reshape(-1, 2), circ.mul)
-        sums = _per_distinct_row(pair.reshape(ps, k, patterns)
-                                 .transpose(0, 2, 1).reshape(-1, k), circ.add)
+        pair = circ.per_row(MUL, pairs.reshape(-1, 2))
+        sums = circ.per_row(ADD, pair.reshape(ps, k, patterns)
+                             .transpose(0, 2, 1).reshape(-1, k))
         return sums.reshape(ps, patterns, 1)
 
     for v in tree.postorder():
@@ -547,20 +552,7 @@ def _build_into(circ, model):
     # the root's patterns run over the observed nodes in pre-order, which
     # parse_newick makes node-id order: the flat-index order of observed_nodes
     factors = entered([model.root.weights(k)], tree.root)
-    return _per_distinct_row(factors[0], circ.mul)
-
-
-def _per_distinct_row(rows, make):
-    """Node ids for the rows of a 2-D array of child ids, made by `make`
-    (Circuit.add or .mul) once per distinct sorted row.  Rows are keyed a
-    column at a time, renumbered densely by `np.unique` so keys stay small."""
-    rows = np.sort(rows, axis=1)
-    key = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        _, first, key = np.unique(key * (int(col.max()) + 1) + col,
-                                  return_index=True, return_inverse=True)
-    made = np.array([make(r) for r in rows[first].tolist()], dtype=np.int64)
-    return made[key]
+    return circ.per_row(MUL, factors[0])
 
 
 def expanded_op_count(poly):

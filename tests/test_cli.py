@@ -65,13 +65,16 @@ _PARAM_STDOUT = [
     ("(1,(2,3));", ["--model", "homogeneous", "--k", "2", "--root", "free",
                     "--coordinate", "010", "--format", "json"],
      "5a204ced754a2945bb4bef8bcc3f0fe64cb567cf0190cd50010281814cf4bbad"),
+    ("((1,2),((3,4),(5,6)));", ["--model", "jc-dna", "--circuit-stats"],
+     "220bbb51f06780b8131683258fecf542e5841dd35ad01ab1bba2e28e817bfcd8"),
 ]
 
 
 @pytest.mark.parametrize("newick, extra, digest", _PARAM_STDOUT,
                          ids=["jc-dna-6-accumulated",
                               "homogeneous-accumulated",
-                              "homogeneous-coordinate-json"])
+                              "homogeneous-coordinate-json",
+                              "jc-dna-6-circuit-stats"])
 def test_param_stdout_is_pinned(tmp_path, newick, extra, digest):
     # a fresh process, so the digest covers the command's whole output path
     tree = tmp_path / "t.nwk"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import (Poly, Rat, mat_det, mat_rank_nullspace, minors,
@@ -266,6 +266,29 @@ def test_dimension_circuits_are_pinned():
             _circuit_digest(paramap.build_circuit([model]), digest)
     assert digest.hexdigest() == \
         "074bd1bf79d4adde03860e43e935b507d36a53860c7cae4941db7aeed3431d20"
+
+
+def test_circuit_shapes_outside_the_benchmark_are_pinned():
+    # renumbering-invariant digest of shapes the benchmark's cases lack,
+    # recorded from the build that keyed rows a column at a time: k = 1,
+    # whose uniform root weight is the unit constant, a model with no hidden
+    # nodes, a homogeneous free root, a 2-mixture with no weight symbols
+    # built as one circuit, and jc-dna on eight leaves
+    quartet = parse_newick("((1,2),(3,4));")
+    cases = [
+        [make_model(quartet, "general-markov", k=1)],
+        [make_model(quartet, "general-markov", k=2, no_hidden=True)],
+        [make_model(quartet, "homogeneous", root_mode="free", k=2)],
+        [make_model(quartet, "general-markov", root_mode="free", k=2,
+                    prefix=prefix) for prefix in ("x0", "x1")],
+        [make_model(parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"),
+                    "jc-dna")],
+    ]
+    digest = hashlib.sha256()
+    for models in cases:
+        _circuit_digest(paramap.build_circuit(models), digest)
+    assert digest.hexdigest() == \
+        "d2c453a49f052d245da36911db9efdb9f5cfcfec959c7e155c66f20ff4f32890"
 
 
 @st.composite
@@ -576,11 +599,13 @@ def test_modular_path_skips_a_prime_in_a_denominator():
     assert forced == exact == [normalize_poly(parse_poly(f"{P}*x - y"))]
 
 
-@given(st.integers(2 ** 39, 2 ** 250 - 1), st.integers(2 ** 39, 2 ** 250 - 1))
+@given(st.integers(2 ** 39, 2 ** 400 - 1), st.integers(2 ** 39, 2 ** 400 - 1))
+@example(2 ** 400 - 1, 2 ** 400 - 3)
 @settings(max_examples=25, deadline=None)
 def test_interpolation_reconstructs_random_large_coefficients(a, b):
-    # the reconstruction of a/b needs about 2 * 250 bits of modulus, so
-    # many of the primes
+    # the reconstruction of a/b needs about 2 * 400 bits of modulus, more
+    # than the 32 primes of _PRIMES hold (about 736 bits), so the prime
+    # stream goes on below them
     u = Poly.var("u")
     coords = [("x", u), ("y", u * Rat(a, b))]
     want = normalize_poly(Poly.var("y") * b - Poly.var("x") * a)
@@ -601,10 +626,17 @@ def test_no_coordinates_have_no_forms_of_positive_degree():
 def test_modular_primes_keep_float64_exact():
     # a GEMM adds _CHUNK products of centered residues, |x| <= (p + 1)/2 + 2,
     # to an entry below p before it is reduced; a leaf's inverse triangle
-    # multiplies at most _LEAF entries below p by ones below p
-    primes = invariants._PRIMES
-    assert len(set(primes)) == len(primes)
-    assert all(all(p % d for d in range(2, isqrt(p) + 1)) for p in primes)
+    # multiplies at most _LEAF entries below p by ones below p.  The stream
+    # is _PRIMES, then every other prime below 2^23 (pi(2^23) = 564163),
+    # descending, checked against one sieve of the whole range
+    primes = list(invariants._primes())
+    assert primes[:32] == list(invariants._PRIMES)
+    sieve = np.ones(2 ** 23, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, isqrt(2 ** 23) + 1):
+        sieve[d * d::d] = False
+    assert primes == np.flatnonzero(sieve)[::-1].tolist()
+    assert len(primes) == 564163
     p = max(primes)
     assert invariants._CHUNK * ((p + 1) // 2 + 2) ** 2 + p < 2 ** 53
     assert invariants._LEAF * p ** 2 < 2 ** 53
@@ -638,7 +670,9 @@ def test_interpolation_reconstructs_coefficients_past_ten_primes():
 
 
 def test_interpolation_reports_running_out_of_primes(monkeypatch):
-    monkeypatch.setattr(invariants, "_PRIMES", invariants._PRIMES[:10])
+    # a stream of ten primes, which the coefficients outgrow
+    monkeypatch.setattr(invariants, "_primes",
+                        lambda: iter(invariants._PRIMES[:10]))
     calls = []
     nullspace = invariants._nullspace_mod_p
 

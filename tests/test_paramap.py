@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Poly, Rat, residue
@@ -274,6 +274,57 @@ def test_build_makes_one_node_call_per_distinct_row(monkeypatch):
         parse_newick("(((1,2),(3,4)),((5,6),(7,8)));"), "jc-dna")])
     assert len(circ.outputs) == 4 ** 8
     assert calls <= 5 * len(circ.ops)
+
+
+@st.composite
+def child_id_tables(draw):
+    """(kind, unit, width, rows) for Circuit.per_row: ADD or MUL, whether
+    child id 0 is the unit constant, and a table of child ids of that width
+    (0 to 6 columns, 0 for products only), ids up to 2^20 so that six
+    columns fold past 2^62, and small ones common so that rows repeat."""
+    kind = draw(st.sampled_from([paramap.ADD, paramap.MUL]))
+    width = draw(st.integers(0 if kind == paramap.MUL else 1, 6))
+    ids = st.one_of(st.integers(0, 3), st.integers(0, 2 ** 20))
+    rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width),
+                         max_size=30))
+    return kind, draw(st.booleans()), width, rows
+
+
+@given(child_id_tables())
+@example((paramap.MUL, True, 6, [[2 ** 20, 0, 3, 2 ** 20 - 1, 7, 0],
+                                  [0, 3, 7, 2 ** 20 - 1, 0, 2 ** 20],
+                                  [0, 0, 0, 0, 0, 0], [5, 0, 0, 0, 0, 0],
+                                  [2 ** 20] * 6]))
+# keys that wrapped round 2^64 would collide here: base 2^16, six columns
+@example((paramap.ADD, False, 6, [[0, 1, 2, 3, 4, 2 ** 16 - 1],
+                                  [1, 1, 2, 3, 4, 2 ** 16 - 1]]))
+@settings(max_examples=200, deadline=None)
+def test_per_row_makes_one_node_per_distinct_sorted_row(case):
+    kind, unit, width, rows = case
+    circ = paramap.Circuit()
+    zero = circ.const(1) if unit else circ.sym("x")
+    made = circ.per_row(kind, np.array(rows, dtype=np.int64)
+                        .reshape(len(rows), width))
+    assert zero == 0 and made.shape == (len(rows),)
+    # the node rules, on a plain dict from sorted children to node id, and
+    # the least sorted row before the unit constant is dropped
+    nodes, least = {}, {}
+    for row, nid in zip(rows, made.tolist()):
+        drop = unit and kind == paramap.MUL
+        kids = tuple(sorted(c for c in row if not (drop and c == 0)))
+        if len(kids) == 1:
+            assert nid == kids[0]
+            continue
+        op = (kind, kids) if kids else (paramap.CONST, 1)
+        assert circ.ops[nid] == op
+        assert nodes.setdefault(kids, nid) == nid
+        least[kids] = min(least.get(kids, tuple(sorted(row))),
+                          tuple(sorted(row)))
+    # one new node per distinct row, none when the unit constant is reused,
+    # made in lexicographic order of the sorted rows
+    assert len(circ.ops) == 1 + len(nodes) - (unit and () in nodes)
+    assert [nodes[kids] for kids in sorted(nodes, key=least.get)] == \
+        sorted(nodes.values())
 
 
 def test_op_counts_homogeneous(tree3):
