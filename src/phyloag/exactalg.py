@@ -2,24 +2,21 @@
 dense rational/polynomial matrices with rank, nullspace, determinants and
 minors.
 
-Rationals are gmpy2.mpq when available (much faster), fractions.Fraction
-otherwise.  Polynomials are stored sparsely as {monomial: coefficient}; a
-monomial is the sorted tuple of its variable names (see Poly), and terms
-print in graded-lexicographic order on variable names; parse_poly reads
-that text back by one grammar.  There is no global state, so the printed
-text of a polynomial depends only on the polynomial.
+Rat is fractions.Fraction.  A coefficient is an int when integral and a Rat
+only when it has a denominator; the two compare, hash and print alike, and
+int arithmetic is far cheaper.  Polynomials are stored sparsely as
+{monomial: coefficient}; a monomial is the sorted tuple of its variable
+names (see Poly), and terms print in graded-lexicographic order on variable
+names; parse_poly reads that text back by one grammar.  There is no global
+state, so the printed text of a polynomial depends only on the polynomial.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction as Rat
 from math import gcd, lcm
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
 
 __all__ = [
     "Rat", "rat", "residue", "Poly",
@@ -42,9 +39,14 @@ def rat(num, den=1):
 
 
 def residue(x, prime):
-    """Residue of a rational (Fraction, mpq or int) modulo a prime; raises
-    ValueError when the prime divides the denominator."""
-    return int(x.numerator) * pow(int(x.denominator), -1, prime) % prime
+    """Residue of a rational (Rat or int) modulo a prime; raises ValueError
+    when the prime divides the denominator."""
+    return x.numerator * pow(x.denominator, -1, prime) % prime
+
+
+def _coefficient(c):
+    """A rational (Rat or int) as a coefficient: an int when integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_sort_key(mono):
@@ -71,14 +73,14 @@ class Poly:
 
     @classmethod
     def const(cls, c):
-        c = Rat(c)
+        c = _coefficient(Rat(c))
         return cls({(): c} if c != 0 else {})
 
     @classmethod
     def var(cls, name, exp=1):
         if exp < 0:
             raise ValueError("negative power")
-        return cls({(name,) * exp: Rat(1)})
+        return cls({(name,) * exp: 1})
 
     def is_zero(self):
         return not self.terms
@@ -90,7 +92,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.terms == other.terms
         if isinstance(other, (int, Rat)):
-            return self.terms == ({(): Rat(other)} if other != 0 else {})
+            return self.terms == ({(): other} if other != 0 else {})
         return NotImplemented
 
     def __hash__(self):
@@ -123,7 +125,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = Rat(other)
+            c = _coefficient(Rat(other))
             if c == 0:
                 return Poly()
             return Poly({m: co * c for m, co in self.terms.items()})
@@ -175,7 +177,7 @@ class Poly:
         one ring: rationals (or ints) give a rational, Polys the expanded
         Poly.  A missing variable raises KeyError.  Each coefficient
         multiplies from the right, so a Rat never stands left of a Poly."""
-        total = self.terms.get((), Rat(0))
+        total = self.terms.get((), 0)
         for m, c in self.terms.items():
             if m:
                 term = values[m[0]]
@@ -263,7 +265,7 @@ def parse_poly(text):
         parts[0] = "0"   # a leading sign follows an implicit 0
     out = {}
     for sign, term in zip(["+"] + parts[1::2], parts[::2]):
-        coeff = Rat(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         names = []
         for factor in term.split("*"):
             match = _FACTOR.fullmatch(factor.strip())
@@ -280,25 +282,21 @@ def parse_poly(text):
             names += [name] * power
         mono = tuple(sorted(names))
         out[mono] = out.get(mono, 0) + coeff
-    return Poly({m: c for m, c in out.items() if c})
+    return Poly({m: _coefficient(c) for m, c in out.items() if c})
 
 
 def normalize_poly(p):
     """Canonical representative: integer-cleared, content-free, leading term
-    (canonical order) positive."""
+    (canonical order) positive; its coefficients are ints."""
     if p.is_zero():
         return p
-    q = p * lcm(*(int(c.denominator) for c in p.terms.values()))
-    g = gcd(*(int(c.numerator) for c in q.terms.values()))
-    if g > 1:
-        q = q * Rat(1, g)
-    lead_coeff = q.sorted_terms()[0][1]
-    if lead_coeff < 0:
-        q = -q
-    return q
-
-
-_ONE, _MINUS_ONE = Rat(1), Rat(-1)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator)
+            for m, c in p.terms.items()}
+    g = gcd(*ints.values())
+    if p.sorted_terms()[0][1] < 0:
+        g = -g
+    return Poly({m: c // g for m, c in ints.items()})
 
 
 def monomial_binomial(ma, mb):
@@ -309,8 +307,8 @@ def monomial_binomial(ma, mb):
         return Poly()
     # the content is 1, so normalize_poly only makes the leading term positive
     if _mono_sort_key(ma) < _mono_sort_key(mb):
-        return Poly({ma: _ONE, mb: _MINUS_ONE})
-    return Poly({ma: _MINUS_ONE, mb: _ONE})
+        return Poly({ma: 1, mb: -1})
+    return Poly({ma: -1, mb: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +358,8 @@ def _clear_rows(mat):
     scale = 1
     for row in mat:
         row = [Rat(x) for x in row]
-        mult = lcm(*(int(x.denominator) for x in row))
-        out.append([int(x.numerator) * (mult // int(x.denominator)) for x in row])
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
         scale *= mult
     return out, scale
 

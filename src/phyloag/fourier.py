@@ -199,8 +199,7 @@ def monomial_map(model):
     rows = np.array(keys) + len(indices) * np.arange(tree.num_edges)
     matrix = np.zeros((len(symbols), len(keys)), dtype=np.int64)
     matrix[rows, np.arange(len(keys))[:, None]] = 1
-    one = Rat(1)
-    monos = [Poly({tuple(sorted(symbols[r] for r in col)): one})
+    monos = [Poly({tuple(sorted(symbols[r] for r in col)): 1})
              for col in rows.tolist()]
     return MonomialMap(model=model, coord_keys=keys,
                        coord_names=[coord_name(k) for k in keys],

@@ -22,6 +22,7 @@ them the same way, modulo a prime that the basis was not found modulo.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from math import comb, isqrt
@@ -42,15 +43,6 @@ from . import paramap as _paramap
 # partial sum is an integer that float64 represents exactly, in any order.
 # A leaf entry gathers at most _LEAF - 1 such products, and a leaf's inverse
 # triangle multiplies at most _LEAF entries below p by ones below p (< 2^50).
-# _PRIMES holds the 32 largest primes below 2^23, in descending order; the
-# modular paths read _primes(), which goes on below them.
-_PRIMES = (8388593, 8388587, 8388581, 8388571, 8388547,
-           8388539, 8388473, 8388461, 8388451, 8388449,
-           8388439, 8388427, 8388421, 8388409, 8388377,
-           8388371, 8388319, 8388301, 8388287, 8388283,
-           8388277, 8388239, 8388209, 8388187, 8388113,
-           8388109, 8388091, 8388071, 8388059, 8388019,
-           8388013, 8387999)
 _CHUNK = 256
 _LEAF = 16
 # points per block when building the sample matrix
@@ -66,11 +58,9 @@ _SIEVE = 2 ** 16
 
 
 def _primes():
-    """Every prime below 2^23 in descending order, read lazily: _PRIMES,
-    then the primes below them, sieved _SIEVE numbers at a time by the
-    primes up to the square root of the largest."""
-    yield from _PRIMES
-    top = _PRIMES[-1]
+    """Every prime below 2^23 in descending order, read lazily: sieved
+    _SIEVE numbers at a time by the primes up to the square root of 2^23."""
+    top = 2 ** 23
     small = np.ones(isqrt(top) + 1, dtype=bool)   # small[d]: d is prime
     small[:2] = False
     for d in range(2, isqrt(len(small)) + 1):
@@ -83,6 +73,11 @@ def _primes():
             block[max(d * d, -(-low // d) * d) - low::d] = False
         yield from map(int, low + np.flatnonzero(block)[::-1])
         top = low
+
+
+# the 32 largest primes below 2^23, in descending order; the modular paths
+# read _primes(), which goes on below them
+_PRIMES = tuple(itertools.islice(_primes(), 32))
 
 
 def random_rat(rng):
@@ -112,12 +107,18 @@ def flatten(tensor, leaf_order, split, k):
     indexed lexicographically by the states of the below leaves, columns by
     the above leaves, both in leaf order.  The flat tensor is leaf-major
     (paramap.flat_index), so the matrix is its (k,)*n reshape with the below
-    leaves' axes moved first.
+    leaves' axes moved first.  A leaf named twice in the leaf order or in
+    the split raises ValueError naming it.
     """
+    for what, labels in (("leaf order", leaf_order),
+                         ("split", [*split[0], *split[1]])):
+        twice = [l for l, c in collections.Counter(labels).items() if c > 1]
+        if twice:
+            raise ValueError(f"the {what} names leaf {twice[0]!r} twice")
     below, above = map(set, split)
     if not below or not above:
         raise ValueError("trivial split")
-    if below | above != set(leaf_order) or below & above:
+    if below | above != set(leaf_order):
         raise ValueError("split is not a bipartition of the leaves")
     n = len(leaf_order)
     axes = [i for i, l in enumerate(leaf_order) if l in below] + \

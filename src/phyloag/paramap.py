@@ -453,10 +453,10 @@ def pattern_weights(model, params):
         nonlocal denominator
         vals = [[Rat(params[s] if isinstance(s, str) else s) for s in row]
                 for row in rows]
-        lcm = math.lcm(*(int(x.denominator) for row in vals for x in row))
+        lcm = math.lcm(*(x.denominator for row in vals for x in row))
         denominator *= lcm
-        return np.array([[int(x.numerator) * (lcm // int(x.denominator))
-                          for x in row] for row in vals], dtype=object)
+        return np.array([[x.numerator * (lcm // x.denominator) for x in row]
+                         for row in vals], dtype=object)
 
     def entered(v, c):
         mat, b = scaled(model.templates[tree.edge_id(v, c)]), beta.pop(c)

@@ -161,6 +161,25 @@ def test_invariants_bad_split(tree_file):
                  "--flatten", "1|2"]) == 2
 
 
+@pytest.mark.parametrize("split, leaf", [("1,1|2,3,4", "'1'"),
+                                         ("1|2,3,4,4", "'4'")])
+def test_invariants_split_naming_a_leaf_twice(tree_file, capsys, split,
+                                              leaf):
+    # a repeated leaf must not collapse into the 1|2,3,4 flattening
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--flatten", split]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"the split names leaf {leaf} twice" in captured.err
+
+
+def test_infer_quartet_rejects_a_repeated_sequence_name(tmp_path, capsys):
+    aln = tmp_path / "twice.fasta"
+    aln.write_text(">a\nACGT\n>a\nACGA\n>b\nACGT\n>c\nAGGT\n")
+    assert main(["infer-quartet", "--alignment", str(aln)]) == 2
+    assert "the leaf order names leaf 'a' twice" in capsys.readouterr().err
+
+
 def test_dim_command(tree_file, capsys):
     rc = main(["dim", "--tree", tree_file, "--model", "jc-dna",
                "--format", "json"])

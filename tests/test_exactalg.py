@@ -12,6 +12,9 @@ from phyloag.exactalg import (MAX_DEGREE, Poly, Rat, mat_det,
                               parse_poly, rat, residue)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+# a coefficient is an int or a Fraction, Fraction(n, 1) included
+coefficients = st.one_of(rationals, st.integers(-50, 50),
+                         st.integers(-50, 50).map(Fraction))
 
 
 def test_rat_from_string():
@@ -69,16 +72,17 @@ def test_coefficient_lookup():
 
 @st.composite
 def polys(draw):
+    """Polynomials in x, y, z whose terms are made with the drawn
+    coefficient objects, so ints and Fractions mix in one polynomial."""
     nterms = draw(st.integers(0, 5))
     p = Poly()
     for _ in range(nterms):
-        c = draw(rationals)
+        c = draw(coefficients)
         if c == 0:
             continue
-        mono = Poly.const(Rat(c.numerator, c.denominator))
-        for name in ("x", "y", "z"):
-            mono = mono * Poly.var(name, draw(st.integers(0, 3)))
-        p = p + mono
+        mono = tuple(name for name in "xyz"
+                     for _ in range(draw(st.integers(0, 3))))
+        p = p + Poly({mono: c})
     return p
 
 
@@ -157,6 +161,23 @@ def test_normalize_poly():
     assert n == x * y - 2 * y ** 2
     assert normalize_poly(n) == n
     assert normalize_poly(Poly()).is_zero()
+    # an integral coefficient prints alike as an int or a Fraction
+    a, b = ("x",), ("y",)
+    assert str(normalize_poly(Poly({a: 2, b: -4}))) == \
+        str(normalize_poly(Poly({a: Fraction(2), b: Fraction(-4)}))) == \
+        "1*x - 2*y"
+
+
+@given(polys())
+@settings(max_examples=60)
+def test_text_does_not_depend_on_the_type_of_an_integral_coefficient(p):
+    as_fractions = Poly({m: Fraction(c) for m, c in p.terms.items()})
+    as_ints = Poly({m: c.numerator if c.denominator == 1 else c
+                    for m, c in p.terms.items()})
+    texts = {str(q) for q in (p, as_fractions, as_ints)}
+    assert len(texts) == 1
+    assert len({str(normalize_poly(q))
+                for q in (p, as_fractions, as_ints)}) == 1
 
 
 _fresh = itertools.count()

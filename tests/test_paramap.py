@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -243,6 +244,53 @@ def test_pattern_weights_match_brute_force(m, seed):
     for w, states in zip(weights.tolist(), patterns):
         assert type(w) is int
         assert Rat(w, denominator) == brute_force_eval(m, params, states)
+
+
+@st.composite
+def group_based_models(draw):
+    """A group-based model with a uniform root on a random tree (up to 8
+    leaves for jc-binary, 6 otherwise), and random stochastic parameters:
+    each off-diagonal symbol of an edge's first row below 1/3, so the
+    diagonal is positive."""
+    kind = draw(st.sampled_from(["jc-binary", "jc-dna", "kimura2",
+                                 "kimura3"]))
+    tree = parse_newick(draw_newick(draw, 2, 8 if kind == "jc-binary" else 6))
+    m = make_model(tree, kind)
+    params = {}
+    for tpl in m.templates:
+        diagonal, *rest = tpl[0]
+        for s in rest:
+            params[s] = Rat(draw(st.integers(1, 20)),
+                            draw(st.integers(61, 97)))
+        params[diagonal] = 1 - sum(params[s] for s in rest)
+    return m, params
+
+
+@given(group_based_models())
+@settings(max_examples=50, deadline=None)
+def test_pattern_weights_match_the_hadamard_route(model_params):
+    # for a group-based model with a uniform root, the Fourier coordinate of
+    # a zero-sum leaf labeling g is q_g = prod_e u_e(h_e), with h_e the
+    # label of edge e and u_e(h) = sum_x chi_h(x) T_e[0][x], every other q_g
+    # is 0, and p = H q / k^n (transform_tensor is H); u_e is scaled by the
+    # lcm L_e of its denominators, so q and H q hold ints
+    m, params = model_params
+    k, n = m.k, m.tree.num_leaves
+    u, scale = [], 1
+    for tpl in m.templates:
+        row = [sum(fourier.char(h, x) * params[s] for x, s in
+                   enumerate(tpl[0])) for h in range(k)]
+        lcm = math.lcm(*(x.denominator for x in row))
+        u.append([int(x * lcm) for x in row])
+        scale *= lcm
+    leaf, edge = fourier.zero_sum_labelings(m.tree, k)
+    q = np.zeros(k ** n, dtype=object)
+    q[paramap.flat_index(leaf.T, k)] = [
+        np.prod([u[e][h] for e, h in enumerate(labels)], dtype=object)
+        for labels in edge.tolist()]
+    weights, D = paramap.pattern_weights(m, params)
+    assert (k ** n * scale * weights).tolist() == \
+        [D * x for x in fourier.transform_tensor(q, k, n)]
 
 
 def _no_circuit(self):
