@@ -96,6 +96,10 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a polynomial equal to a number (no terms, or only a constant term)
+        # hashes as that number; the length test keeps this O(1)
+        if len(self.terms) < 2 and not any(self.terms):
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

@@ -23,6 +23,7 @@ them the same way, modulo a prime that the basis was not found modulo.
 from __future__ import annotations
 
 import collections
+import contextlib
 import itertools
 import random
 from math import comb, isqrt
@@ -596,11 +597,13 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
                                           if c}))
                      for vec in basis]
             # a form of the basis vanishes modulo each prime of the modulus
-            # at every point, so it is verified modulo the other primes
-            if all(_first_nonzero(f, dict(coords), rng, _VERIFY_POINTS,
-                                  (p for p in _primes() if modulus % p))
-                   is None for f in forms):
-                return forms
+            # at every point, so it is verified modulo the other primes; a
+            # candidate that no prime is left to verify fails
+            with contextlib.suppress(ValueError):
+                if all(_first_nonzero(f, dict(coords), rng, _VERIFY_POINTS,
+                                      (p for p in _primes() if modulus % p))
+                       is None for f in forms):
+                    return forms
             failed = basis
         else:
             # new points cannot shorten the coefficients

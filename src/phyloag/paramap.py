@@ -8,9 +8,9 @@ circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
 tables per model; each sorted table row is keyed by one int64, and each sum
 or product is made once per distinct key (Circuit.per_row).  Its outputs
-are the weighted sums.  The circuit is built on first use.  A single pass
-over the circuit expands the coordinates into polynomials (read off lazily,
-once per output node).
+are the weighted sums.  The circuit is built on first use.  Its one pass
+expands coordinates into polynomials, lazily, once per output node;
+Circuit.eval and Circuit.jacobian read values and derivatives off them.
 
 The numeric questions need no circuit; each is Felsenstein's pruning in
 some ring.  pattern_weights gives a model's exact distribution as Python
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -109,7 +108,8 @@ class Circuit:
 
     Nodes are hash-consed: commutative children are sorted, so a0*a0 built
     twice is a single node.  Constants are free in the operation counters.
-    A node's children always have smaller ids than the node itself.
+    A node's children always have smaller ids than the node itself.  Its one
+    pass is _expand; eval and jacobian read off the expanded outputs.
     """
 
     def __init__(self):
@@ -172,10 +172,9 @@ class Circuit:
                 stack.extend(payload)
         return seen
 
-    def _pass(self, roots, leaf):
-        """Values of the nodes `roots` in one ring: `leaf(kind, payload)` maps
-        a SYM or CONST node into the ring, sums and products use the ring's
-        + and *.  Children have smaller ids, so ascending ids are a
+    def _expand(self, roots):
+        """Expanded polynomials of the nodes `roots`, in one pass over the
+        nodes they reach.  Children have smaller ids, so ascending ids are a
         topological order."""
         val = {}
         for v in sorted(self._reachable(roots)):
@@ -183,7 +182,8 @@ class Circuit:
             if kind in _RING_OPS:
                 val[v] = reduce(_RING_OPS[kind], [val[c] for c in payload])
             else:
-                val[v] = leaf(kind, payload)
+                val[v] = Poly.var(payload) if kind == SYM else \
+                    Poly.const(payload)
         return [val[r] for r in roots]
 
     def op_counts(self, nid):
@@ -199,75 +199,27 @@ class Circuit:
                 mults += max(len(priced) - 1, 0)
         return mults, adds
 
-    # No library caller: exact distributions use pattern_weights.  The tests
-    # keep this pass as a reference for the circuit's values, and
-    # perfbench/spans.py traces it by name, so it goes together with that
-    # span.
+    # No library caller: exact distributions use pattern_weights and
+    # dimensions projected_jacobian; perfbench/spans.py traces both by name,
+    # so they go together with those spans.
     def eval(self, assignment):
         """Exact values (Rat) of the outputs at a symbol assignment, in flat
         index order."""
+        point = {s: Rat(v) for s, v in assignment.items()}
+        nodes = sorted(set(self.outputs.tolist()))
+        values = {node: Rat(p.eval(point))
+                  for node, p in zip(nodes, self._expand(nodes))}
+        return [values[node] for node in self.outputs.tolist()]
 
-        def leaf(kind, payload):
-            if kind == CONST:
-                return payload
-            if payload not in assignment:
-                raise KeyError(f"missing symbol {payload!r}")
-            return Rat(assignment[payload])
-
-        return self._pass(self.outputs.tolist(), leaf)
-
-    # No library caller: dimensions use projected_jacobian.  The tests keep
-    # this pass (and _Dual) as the exact reference for projected_jacobian's
-    # rows, and perfbench/spans.py traces it by name, so it goes together
-    # with that span.
     def jacobian(self, assignment, symbols, prime):
-        """Forward-mode derivatives modulo `prime` of the distinct output
-        nodes w.r.t. symbols: one dense row per node, in ascending node id,
-        in the given symbol order.  Every symbol value and constant enters
-        the pass as its residue, a plain int, and each row is reduced once at
-        the end.
-        """
-        sym_pos = {s: j for j, s in enumerate(symbols)}
-
-        def leaf(kind, payload):
-            if kind == CONST:
-                return _Dual(residue(payload, prime), {})
-            grad = {sym_pos[payload]: 1} if payload in sym_pos else {}
-            return _Dual(residue(Rat(assignment[payload]), prime), grad)
-
-        rows = []
-        for d in self._pass(sorted(set(self.outputs.tolist())), leaf):
-            row = [0] * len(symbols)
-            for j, g in d.grad.items():
-                row[j] = g % prime
-            rows.append(row)
-        return rows
-
-
-@dataclass(slots=True)
-class _Dual:
-    """Value with a sparse gradient {symbol position: derivative} over the
-    ints; the ring in which the circuit pass is forward-mode
-    differentiation."""
-
-    val: object
-    grad: dict
-
-    def __add__(self, other):
-        grad = dict(self.grad)
-        for j, g in other.grad.items():
-            grad[j] = grad.get(j, 0) + g
-        return _Dual(self.val + other.val, grad)
-
-    def __mul__(self, other):
-        grad = {j: g * other.val for j, g in self.grad.items()}
-        for j, g in other.grad.items():
-            grad[j] = grad.get(j, 0) + self.val * g
-        return _Dual(self.val * other.val, grad)
-
-
-def _poly_leaf(kind, payload):
-    return Poly.var(payload) if kind == SYM else Poly.const(payload)
+        """Derivatives modulo `prime` of the distinct output nodes w.r.t.
+        symbols: one dense row per node, in ascending node id, in the given
+        symbol order."""
+        polys = self._expand(sorted(set(self.outputs.tolist())))
+        x = {s: residue(Rat(assignment[s]), prime)
+             for s in set().union(*(p.variables() for p in polys))}
+        return [[p.derivative(s).eval_mod(x, prime) for s in symbols]
+                for p in polys]
 
 
 class JointMap:
@@ -295,7 +247,7 @@ class JointMap:
         coordinates that share a node are expanded once."""
         node = int(self.circuit.outputs[flat_index])
         if node not in self._polys:
-            self._polys[node] = self.circuit._pass([node], _poly_leaf)[0]
+            self._polys[node] = self.circuit._expand([node])[0]
         return self._polys[node]
 
     def coordinates(self):

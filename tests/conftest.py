@@ -1,10 +1,10 @@
-import collections
 import itertools
 import math
 import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -109,47 +109,62 @@ def first_flat_index(joint_map):
 
 
 def brute_force_jacobian(joint_map, params, symbols, prime):
-    """Exact Jacobian rows reduced mod prime, one per distinct output node of
-    the joint map's circuit, in ascending node id: the derivatives of the
-    direct sum that brute_force_expand expands (for a mixture, of the
-    weighted sum over its component models), at a point with nonzero
-    parameters.
+    """Jacobian rows modulo prime, one per distinct output node of the joint
+    map's circuit, in ascending node id: the derivatives of the direct sum
+    that brute_force_expand expands (for a mixture, of the weighted sum over
+    its component models), at a point whose parameters are nonzero modulo
+    the prime.
 
     Independent oracle for Circuit.jacobian: the circuit only picks one
-    coordinate per output node.  The sum is evaluated in integers: with each
-    parameter written a_s / L over a common denominator L, the derivative of
-    a term c * x_1 ... x_d in x_i is c * a_1 ... a_d / a_i / L^(d - 1).
+    coordinate per output node.  Each term of the sum, one per full
+    assignment of the hidden nodes, is a product of symbols and at most one
+    constant; its derivative in a symbol is the term over that symbol, once
+    per factor, so each symbol sums the terms it divides and is divided once
+    at the end.  All rows and assignments are numpy arrays of residues.
     """
+    names = sorted(params)
+    index = {s: j for j, s in enumerate(names)}
+    x = np.array([residue(Rat(params[s]), prime) for s in names])
     models = joint_map.models
     weights = joint_map.weight_symbols or [None] * len(models)
-    L = math.lcm(*(Rat(v).denominator for v in params.values()))
-    a = {s: int(Rat(v) * L) for s, v in params.items()}
     k, tree = joint_map.k, models[0].tree
-    width = len(tree.children) if models[0].no_hidden else tree.num_leaves
-    rows = []
-    for i in first_flat_index(joint_map).values():
-        states = [i // k ** e % k for e in reversed(range(width))]
-        terms = collections.Counter()
-        for model, weight in zip(models, weights):
-            for w, factors in _brute_force_terms(model, states):
-                if isinstance(w, str):
-                    factors.append(w)
-                    w = 1
-                if weight is not None:
-                    factors.append(weight)
-                coef = w.numerator, w.denominator
-                terms[coef, tuple(sorted(factors))] += 1
-        sums = {}   # (coefficient, degree) -> symbol -> integer numerator
-        for (coef, factors), count in terms.items():
-            total = math.prod(a[f] for f in factors)
-            acc = sums.setdefault((Rat(*coef), len(factors)), {})
-            for f in factors:
-                acc[f] = acc.get(f, 0) + count * (total // a[f])
-        rows.append([residue(sum((coef * Rat(acc.get(s, 0), L ** (d - 1))
-                                  for (coef, d), acc in sums.items()),
-                                 Rat(0)), prime)
-                     for s in symbols])
-    return rows
+    observed = sorted(tree.children) if models[0].no_hidden else tree.leaves
+    hidden = [v for v in tree.children if v not in observed]
+    first = list(first_flat_index(joint_map).values())
+    width = len(observed)
+    patterns = np.array([[i // k ** e % k for e in reversed(range(width))]
+                         for i in first])
+    assignments = np.array(list(itertools.product(range(k),
+                                                  repeat=len(hidden))),
+                           dtype=np.int64).reshape(k ** len(hidden), -1)
+    shape = (len(first), len(assignments))
+    state = {v: np.broadcast_to(patterns[:, [j]], shape)
+             for j, v in enumerate(observed)}
+    state.update({v: np.broadcast_to(assignments[:, j], shape)
+                  for j, v in enumerate(hidden)})
+    sums = np.zeros((len(first), len(names)), dtype=np.int64)
+    rows = np.arange(len(first))[:, None]
+    for model, weight in zip(models, weights):
+        root = model.root.weights(k)
+        at_root = state[tree.root]
+        if isinstance(root[0], str):
+            term = np.ones(shape, dtype=np.int64)
+            factors = [np.array([index[s] for s in root])[at_root]]
+        else:
+            term = np.array([residue(w, prime) for w in root])[at_root]
+            factors = []
+        for eid, (p, c) in enumerate(tree.edges):
+            cells = [[index[s] for s in row] for row in model.templates[eid]]
+            factors.append(np.array(cells)[state[p], state[c]])
+        if weight is not None:
+            factors.append(np.full(shape, index[weight]))
+        for f in factors:
+            term = term * x[f] % prime
+        for f in factors:
+            np.add.at(sums, (rows, f), term)
+    inverse = np.array([pow(int(v), -1, prime) for v in x])
+    return (sums % prime * inverse % prime)[:, [index[s] for s in symbols]] \
+        .tolist()
 
 
 def exact_interpolation(coords, degree, rng=None, extra_points=10):

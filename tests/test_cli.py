@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phyloag import Rat, parse_newick
+from phyloag import Rat, invariants, parse_newick
 from phyloag.cli import main
 
 from conftest import draw_newick, fresh_process_env, stochastic_jc_params
@@ -161,6 +161,12 @@ def test_invariants_bad_split(tree_file):
                  "--flatten", "1|2"]) == 2
 
 
+def test_invariants_split_without_a_bar(tree_file, capsys):
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--flatten", "1,2"]) == 2
+    assert "split must look like '1,2|3,4'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("split, leaf", [("1,1|2,3,4", "'1'"),
                                          ("1|2,3,4,4", "'4'")])
 def test_invariants_split_naming_a_leaf_twice(tree_file, capsys, split,
@@ -238,6 +244,35 @@ def test_invariants_bad_coords_polynomial(tree_file, tmp_path, capsys):
     assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
                  "--interpolate", "1", "--coords", str(coords)]) == 2
     assert "bad coords" in capsys.readouterr().err
+
+
+def test_invariants_interpolate_needs_coords(tree_file, capsys):
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1"]) == 2
+    assert "--interpolate needs --coords FILE" in capsys.readouterr().err
+
+
+def test_interpolation_out_of_primes_is_degenerate(tree_file, tmp_path,
+                                                   capsys, monkeypatch):
+    # a coefficient of 2 * 200 bits outgrows two primes of 23 bits
+    monkeypatch.setattr(invariants, "_primes",
+                        lambda: iter(invariants._PRIMES[:2]))
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"x": "u",
+                                "y": f"{2 ** 200 - 1}/{2 ** 200 - 3}*u"}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate: interpolation failed")
+
+
+def test_check_config_without_params(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"newick": "((1,2),(3,4));",
+                                "kind": "jc-dna"}))
+    assert main(["check", "--config", str(path)]) == 2
+    assert "config has no params to check" in capsys.readouterr().err
 
 
 def test_check_command(tmp_path, params_file, capsys):
@@ -428,6 +463,14 @@ def test_simulate_length(tree_file, params_file, tmp_path, capsys):
 def test_missing_tree_is_validation_error():
     assert main(["param", "--tree", "/nonexistent.nwk",
                  "--model", "jc-dna"]) == 2
+
+
+def test_infer_quartet_rejects_data_before_the_first_header(tmp_path,
+                                                           capsys):
+    aln = tmp_path / "headless.fasta"
+    aln.write_text("ACGT\n>1\nACGT\n>2\nACGT\n>3\nACGT\n>4\nACGT\n")
+    assert main(["infer-quartet", "--alignment", str(aln)]) == 2
+    assert "sequence data before first '>' header" in capsys.readouterr().err
 
 
 def test_degenerate_exit_code(tmp_path, capsys):

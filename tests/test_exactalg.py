@@ -125,6 +125,27 @@ def test_parse_reads_the_grammar(text, want):
     assert str(parse_poly(text)) == want
 
 
+@given(polys(), coefficients)
+@settings(max_examples=60)
+def test_a_poly_equal_to_a_number_has_its_hash(p, c):
+    # the constant c stored as drawn (an int, a Fraction or a Fraction n/1),
+    # the same constant made by arithmetic, and p, which equals a number
+    # only when it has no term but a constant one
+    const = Poly({(): c} if c != 0 else {})
+    numbers = [c, Rat(c), p.terms.get((), 0)]
+    if Rat(c).denominator == 1:
+        numbers.append(int(c))
+    equal = 0
+    for q in (const, const + p - p, p):
+        for n in numbers:
+            if q == n:
+                equal += 1
+                assert hash(q) == hash(n)
+                assert {n: "a"}.get(q) == "a" and len({q, n}) == 1
+    # const and const + p - p each equal c and Rat(c)
+    assert equal >= 4
+
+
 @given(polys(), polys())
 @settings(max_examples=40)
 def test_ring_laws(p, q):

@@ -230,7 +230,6 @@ def test_distinct_rows_give_the_full_rank(case):
     prime = invariants._PRIMES[0]
     rows = brute_force_jacobian(jm, pt, symbols, prime)
     assert len(rows) == len(np.unique(jm.circuit.outputs))
-    assert jm.circuit.jacobian(pt, symbols, prime) == rows
     assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
     # ranking the Jacobian leaves the circuit as it was built
     assert circuit == (jm.circuit.ops, jm.circuit.outputs.tolist())
@@ -321,7 +320,6 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
     prime = invariants._PRIMES[0]
     pt = invariants.random_point(symbols, random.Random(seed))
     rows = brute_force_jacobian(jm, pt, symbols, prime)
-    assert jm.circuit.jacobian(pt, symbols, prime) == rows
     rank, _ = invariants.jacobian_dimension(jm, rng=random.Random(seed),
                                             tries=1)
     assert rank == len(rref_nullspace_mod_p(rows, prime)[0])
@@ -332,8 +330,9 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
 @settings(max_examples=25, deadline=None)
 def test_projected_rows_are_combinations_of_circuit_rows(case, seed):
     # row r is the sum over flat x of prod_i r_i[x_i] times the Jacobian row
-    # of coordinate x, taken from Circuit.jacobian (one row per output node,
-    # in ascending node id); residues are drawn from all of [0, p)
+    # of coordinate x, taken from brute_force_jacobian (one row per circuit
+    # output node, keyed by its first flat index); residues are drawn from
+    # all of [0, p)
     jm = _dimension_map(*case)
     symbols = jm.symbols()
     prime = invariants._PRIMES[0]
@@ -345,8 +344,8 @@ def test_projected_rows_are_combinations_of_circuit_rows(case, seed):
                          for _ in range(R)] for _ in observed],
                        dtype=np.int64)
     rows = paramap.projected_jacobian(jm, pt, vectors, prime)
-    node_rows = dict(zip(sorted(set(jm.circuit.outputs.tolist())),
-                         jm.circuit.jacobian(pt, symbols, prime)))
+    node_rows = dict(zip(first_flat_index(jm),
+                         brute_force_jacobian(jm, pt, symbols, prime)))
     J = np.array([node_rows[node] for node in jm.circuit.outputs.tolist()],
                  dtype=np.int64)
     # W[r, x] = prod_i vectors[i, r, x_i], one factor at a time
@@ -589,6 +588,33 @@ def test_modular_path_survives_unlucky_first_prime(polys, want):
     assert forced == [normalize_poly(parse_poly(want.format(P=P)))]
 
 
+def test_modular_path_skips_an_unlucky_later_prime(monkeypatch):
+    # modulo P, y = (A/B)*u is a multiple of x, so P's pivots are [0, 2]
+    # against [0, 1] for the good prime before it: P is skipped, and no
+    # candidate that verifies was combined with P's residues
+    A, B = 2 ** 40 - 87, 2 ** 40 - 57
+    stream = list(itertools.islice(invariants._primes(), 40))
+    P = stream[4]
+    good = [p for p in stream if p != P]
+    monkeypatch.setattr(invariants, "_primes",
+                        lambda: iter([good[0], P] + good[1:]))
+    moduli = []
+    nullspace = invariants._modular_nullspace
+
+    def recorded(*args):
+        for basis, modulus in nullspace(*args):
+            moduli.append(modulus)
+            yield basis, modulus
+
+    monkeypatch.setattr(invariants, "_modular_nullspace", recorded)
+    u, v = Poly.var("u"), Poly.var("v")
+    coords = [("x", u), ("y", u * Rat(A, B) + v * P), ("z", v)]
+    forms = invariants.interpolate_vanishing_forms(coords, 1)
+    x, y, z = (Poly.var(name) for name in "xyz")
+    assert forms == [normalize_poly(y * B - x * A - z * (P * B))]
+    assert moduli[-1] % P
+
+
 def test_modular_path_skips_a_prime_in_a_denominator():
     # the first prime divides a coefficient's denominator, so the
     # coordinates have no residues modulo it
@@ -819,6 +845,10 @@ def modular_matrices(draw):
 
 
 @given(modular_matrices())
+# random residues, 20 x 40: the left 32 columns fill every row, so the right
+# block starts below the last row
+@example((np.random.default_rng(20).integers(0, invariants._PRIMES[0],
+                                             (20, 40)), invariants._PRIMES[0]))
 @settings(max_examples=60, deadline=None)
 def test_blocked_elimination_matches_rref(case):
     A, p = case

@@ -184,6 +184,15 @@ def test_jacobian_matches_derivative_of_expansion(tree4):
                        for s in m.symbols]
 
 
+def test_jacobian_without_hidden_nodes(tree4):
+    # every node is observed, so each row is one monomial's derivatives
+    m = make_model(tree4, "general-markov", k=2, no_hidden=True)
+    jm = expand_map(m)
+    params = random_params(m.symbols, 11)
+    assert jm.circuit.jacobian(params, m.symbols, _PRIME) == \
+        brute_force_jacobian(jm, params, m.symbols, _PRIME)
+
+
 def test_circuit_matches_brute_force_oracle():
     # every k=2 shape with up to 4 leaves
     shapes = ["(1);", "(1,2);", "(1,(2,3));", "(1,2,3);",
@@ -298,13 +307,15 @@ def _no_circuit(self):
 
 
 def test_simulation_builds_no_circuit(tree4):
-    jm = expand_map(make_model(tree4, "jc-dna"))
+    m = make_model(tree4, "jc-dna")
+    jm = expand_map(m)
     params = stochastic_jc_params(tree4, 4)
     with mock.patch.object(paramap.JointMap, "circuit", property(_no_circuit)):
         probs = pipeline.exact_distribution(jm, params)
         aln = pipeline.sample_alignment(jm, params, 100, seed=1)
     assert sum(probs, Rat(0)) == 1 and aln.num_sites == 100
-    assert probs == jm.circuit.eval(params)
+    assert probs == [brute_force_eval(m, params, states)
+                     for states in itertools.product(range(4), repeat=4)]
 
 
 def test_build_makes_one_node_call_per_distinct_row(monkeypatch):
