@@ -269,8 +269,10 @@ def mixture_map(models):
     Models should be built with distinct symbol prefixes.  Components keep
     their own root vectors; when there are several and every one has a
     uniform root, global mixing weights s0..s_{m-1} restore the mixing
-    freedom.
+    freedom.  An empty list raises ValueError.
     """
+    if not models:
+        raise ValueError("a mixture needs at least one model")
     first = models[0]
     for m in models[1:]:
         if m.k != first.k or m.tree.leaf_labels != first.tree.leaf_labels:
@@ -568,14 +570,17 @@ def interpolate_vanishing_forms(coords, degree, rng=None, extra_points=10):
     #monomials + extra_points random exact rational points, computes an exact
     nullspace basis by multi-modular elimination and rational reconstruction,
     normalizes each form, and re-verifies it at fresh random points before
-    returning.  Coordinate names must be distinct.  Raises ValueError on a
-    negative degree and RuntimeError when the sample rank or the primes run
+    returning.  Raises ValueError on a negative degree or a repeated
+    coordinate name and RuntimeError when the sample rank or the primes run
     out.
     """
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
     rng = rng or random.Random(0)
     names = [nm for nm, _ in coords]
+    repeated = [nm for nm, n in collections.Counter(names).items() if n > 1]
+    if repeated:
+        raise ValueError(f"coordinate names repeat: {', '.join(repeated)}")
     polys = [p for _, p in coords]
     params = sorted(set().union(*[p.variables() for p in polys]))
     monomials = [tuple(sorted(names[i] for i in combo))

@@ -92,10 +92,8 @@ def _template(kind, k, letter):
         top = 2 if kind == "kimura2" else 3
         return [[f"{letter}{min(g ^ h, top)}" for h in range(4)]
                 for g in range(4)]
-    if kind == "reversible":
-        return [[f"{letter}{STATES[min(i, j)]}{STATES[max(i, j)]}"
-                 for j in range(k)] for i in range(k)]
-    raise ValueError(f"unsupported model kind {kind!r}")
+    return [[f"{letter}{STATES[min(i, j)]}{STATES[max(i, j)]}"
+             for j in range(k)] for i in range(k)]     # reversible
 
 
 def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
@@ -110,9 +108,13 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
     """
     if tree.num_edges == 0:
         raise ValueError("the tree has no edges; a model needs at least one")
+    if kind not in KINDS:
+        raise ValueError(f"unsupported model kind {kind!r}")
     base = kind
     if kind == "homogeneous":
         base = homogeneous_base or "general-markov"
+        if base not in KINDS or base == "homogeneous":
+            raise ValueError(f"unsupported homogeneous base {base!r}")
     implied = {"jc-binary": 2, "jc-dna": 4, "kimura2": 4, "kimura3": 4}
     if base in implied:
         if k is not None and k != implied[base]:
@@ -124,8 +126,6 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
         raise ValueError(f"k must be at least 1, got {k}")
     elif k > len(STATES):
         raise ValueError(f"k must be at most {len(STATES)}, got {k}")
-    if base not in KINDS or base == "homogeneous":
-        raise ValueError(f"unsupported model kind {kind!r}")
 
     if kind == "homogeneous":
         shared = _template(base, k, prefix + edge_letter(0))

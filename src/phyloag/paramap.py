@@ -388,18 +388,18 @@ def pattern_weights(model, params):
 
     Each edge's matrix, and the root weights, are scaled by the lcm of their
     entries' denominators, so they hold integers, and D is the product of
-    those lcms.  Felsenstein's pruning then runs once over all patterns:
-    node v's message has shape (k, patterns of the observed nodes below v),
-    an edge enters it as T @ beta_c, or as T[:, j] * beta_c[j] with c's
-    own state j as the leading digit when c is observed (every node of a
-    model without hidden nodes, as in projected_jacobian), and siblings
-    combine by outer products over the pattern axis.  A hidden root folds
-    its last child in with one (patterns, k) @ (k, patterns) product, so no
-    (k, k^n) table is held.  Raises KeyError on a missing symbol.
+    those lcms.  Felsenstein's pruning then runs once over all patterns,
+    a node's state on the last axis as in projected_jacobian.  An observed
+    node starts as evidence, the k x k identity with its own state as the
+    pattern digit, a hidden one as a row of ones, and the root's table is
+    scaled by the root weights.  Child c sends beta_c @ T.T, and siblings
+    combine by outer products over the pattern axis, the earlier one more
+    significant, so patterns come out in observed_nodes order.  The root's
+    last child folds in with one (patterns, k) @ (k, patterns) product, so
+    no (k, k^n) table is held.  Raises KeyError on a missing symbol.
     """
-    tree, k = model.tree, model.k
-    observed = set(observed_nodes(model))
-    denominator = 1
+    tree, k, denominator = model.tree, model.k, 1
+    last = tree.children[tree.root][-1]
 
     def scaled(rows):
         nonlocal denominator
@@ -410,30 +410,18 @@ def pattern_weights(model, params):
         return np.array([[x.numerator * (lcm // x.denominator) for x in row]
                          for row in vals], dtype=object)
 
-    def entered(v, c):
-        mat, b = scaled(model.templates[tree.edge_id(v, c)]), beta.pop(c)
-        if c in observed:
-            return (mat[:, :, None] * b[None, :, :]).reshape(k, -1)
-        return mat @ b
-
-    def product(messages):
-        b = np.ones((k, 1), dtype=object)
-        for mu in messages:
-            b = (b[:, :, None] * mu[:, None, :]).reshape(k, -1)
-        return b
-
-    beta = {}
-    root, kids = tree.root, tree.children[tree.root]
+    one = np.ones((1, k), dtype=object)
+    beta = {v: np.identity(k, dtype=object) for v in observed_nodes(model)}
+    beta[tree.root] = beta.get(tree.root, one) * \
+        scaled([model.root.weights(k)])
     for v in tree.postorder():
-        if v != root:
-            beta[v] = product([entered(v, c) for c in tree.children[v]])
-    pi = scaled([model.root.weights(k)])[0][:, None]
-    if root in observed:
-        weights = pi * product([entered(root, c) for c in kids])
-    else:
-        weights = (pi * product([entered(root, c) for c in kids[:-1]])).T \
-            @ entered(root, kids[-1])
-    return weights.reshape(-1), denominator
+        b = beta.get(v, one)
+        for c in tree.children[v]:
+            mu = beta.pop(c) @ scaled(model.templates[tree.edge_id(v, c)]).T
+            if c == last:
+                return (b @ mu.T).reshape(-1), denominator
+            b = (b[:, None, :] * mu[None, :, :]).reshape(-1, k)
+        beta[v] = b
 
 
 def build_circuit(models, weight_symbols=()):

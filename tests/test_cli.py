@@ -552,9 +552,16 @@ def test_invariants_integer_coordinate_is_a_constant(tree_file, tmp_path,
     ({"newick": "((1,2),(3,4));", "kind": "general-markov", "k": "2",
       "params": {}}, "config: 'k' must be an int, got \"2\""),
     ({"kind": "jc-dna", "params": {}}, "config has no 'newick'"),
+    # an unknown kind was once reported as needing k, an unknown base as
+    # an unsupported kind 'homogeneous'
+    ({"newick": "((1,2),(3,4));", "kind": "jukes-cantor", "params": {}},
+     "unsupported model kind 'jukes-cantor'"),
+    ({"newick": "((1,2),(3,4));", "kind": "homogeneous", "k": 2,
+      "homogeneous_base": "foo", "params": {}},
+     "unsupported homogeneous base 'foo'"),
 ], ids=["float-param", "list-params", "list-config", "int-newick",
         "list-kind", "int-root", "null-base", "bool-k", "string-k",
-        "no-newick"])
+        "no-newick", "unknown-kind", "unknown-base"])
 def test_check_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -676,6 +683,12 @@ def test_check_reports_an_unknown_coordinate(tree_file, tmp_path, capsys):
                  "--check", str(forms)]) == 2
     assert capsys.readouterr().err == \
         "error: form uses unknown coordinates ['pXXXXX']\n"
+    # a name that is not a coordinate name at all
+    forms.write_text("x - pAAAA\n")
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--check", str(forms)]) == 2
+    assert capsys.readouterr().err == \
+        "error: form uses unknown coordinates ['x']\n"
 
 
 def test_polynomial_text_rejects_a_term_above_the_degree_bound(

@@ -308,6 +308,12 @@ def test_det_singular():
     assert mat_det(mat) == 0
 
 
+def test_det_of_the_empty_and_of_a_non_square_matrix():
+    assert mat_det([]) == 1
+    with pytest.raises(ValueError, match="non-square"):
+        mat_det([[Rat(1), Rat(2)]])
+
+
 def test_det_polynomial_entries():
     a, b, c, d = (Poly.var(n) for n in "abcd")
     assert mat_det([[a, b], [c, d]]) == a * d - b * c

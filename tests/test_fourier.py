@@ -294,7 +294,7 @@ def test_accumulated_combination_q0011(tree3):
                                            fourier.Z2xZ2) == [Rat(1)] * 5
 
 
-def test_mixture_monomial_coords(tree4):
+def test_mixture_monomial_coords(tree3, tree4):
     maps = [fourier.monomial_map(make_model(tree4, "jc-dna", prefix=p))
             for p in ("x0", "x1")]
     coords = fourier.mixture_monomial_coords(maps)
@@ -302,6 +302,9 @@ def test_mixture_monomial_coords(tree4):
     some = coords["q000000"]
     assert some.num_terms() == 2
     assert {"s0", "s1"} <= some.variables()
+    other = fourier.monomial_map(make_model(tree3, "jc-dna", prefix="x1"))
+    with pytest.raises(ValueError, match="index different coordinates"):
+        fourier.mixture_monomial_coords([maps[0], other])
 
 
 @st.composite

@@ -459,6 +459,16 @@ def test_mixture_rejects_shared_symbols(tree3):
         invariants.mixture_map([a, make_model(tree3, "jc-dna", prefix="y")])
 
 
+@pytest.mark.parametrize("mixture", [
+    lambda tree: invariants.mixture_map([]),
+    lambda tree: invariants.make_mixture(tree, "jc-binary", 0),
+    lambda tree: invariants.make_mixture(tree, "jc-binary", -1),
+], ids=["empty-list", "m=0", "m=-1"])
+def test_mixture_needs_a_model(tree3, mixture):
+    with pytest.raises(ValueError, match="a mixture needs at least one model"):
+        mixture(tree3)
+
+
 def test_mixture_jacobian_matches_derivatives(tree3):
     mix = invariants.make_mixture(tree3, "jc-binary", 2)
     syms = mix.symbols()
@@ -643,6 +653,14 @@ def test_interpolation_rejects_a_negative_degree():
     with pytest.raises(ValueError,
                        match="degree must be non-negative, got -1"):
         invariants.interpolate_vanishing_forms(coords, -1)
+
+
+def test_interpolation_rejects_a_repeated_coordinate_name(monkeypatch):
+    # repeated names once sampled three times and ran out of retries
+    monkeypatch.setattr(invariants, "random_point", None)   # no sampling
+    coords = [("x", Poly.var("u")), ("x", Poly.var("v"))]
+    with pytest.raises(ValueError, match="coordinate names repeat: x"):
+        invariants.interpolate_vanishing_forms(coords, 1)
 
 
 def test_no_coordinates_have_no_forms_of_positive_degree():

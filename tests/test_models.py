@@ -135,6 +135,22 @@ def test_config_of_the_wrong_type_is_a_value_error(tmp_path, cfg, message):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (dict(_QUARTET, kind="jukes-cantor"), "unsupported model kind "
+     "'jukes-cantor'"),
+    (dict(_QUARTET, kind="homogeneous", homogeneous_base="foo", k=2),
+     "unsupported homogeneous base 'foo'"),
+    (dict(_QUARTET, kind="homogeneous", homogeneous_base="homogeneous", k=2),
+     "unsupported homogeneous base 'homogeneous'"),
+], ids=["kind", "base", "nested-base"])
+def test_config_names_the_unsupported_kind(cfg, message):
+    # the kind was once checked after k, so an unknown kind without k was
+    # reported as needing k, and a bad base as an unsupported 'homogeneous'
+    with pytest.raises(ValueError) as info:
+        models.load_model_config(cfg)
+    assert str(info.value) == message
+
+
 def test_params_are_read_exactly():
     assert models.read_params({"a0": "1/4", "a1": 3}) == \
         {"a0": Rat(1, 4), "a1": Rat(3)}
