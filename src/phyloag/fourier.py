@@ -367,10 +367,14 @@ def flattening_minors(tree):
 
 
 def mixture_monomial_coords(mono_maps):
-    """Coordinate polynomials of a sum of monomial maps with fresh mixing
-    weights s0, s1, ...: q_f = sum_i s_i * (component-i monomial)."""
+    """Coordinate polynomials of a sum of monomial maps on one tree with fresh
+    mixing weights s0, s1, ...: q_f = sum_i s_i * (component-i monomial)."""
+    if not mono_maps:
+        raise ValueError("a mixture needs at least one model")
     names = mono_maps[0].coord_names
-    if any(mm.coord_names != names for mm in mono_maps[1:]):
+    newick = mono_maps[0].model.tree.to_newick()
+    if any(mm.coord_names != names or mm.model.tree.to_newick() != newick
+           for mm in mono_maps[1:]):
         raise ValueError("mixture components index different coordinates")
     coords = {}
     for idx, name in enumerate(names):

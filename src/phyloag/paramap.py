@@ -329,11 +329,12 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
     mu_c, with mu_c = beta_c T^t for the edge's matrix T and e_v the node's
     leaf vector (observed) or all ones (hidden).  In reverse, the adjoint of
     mu_c is alpha_v * e_v * prod over c's siblings of their mu, with
-    alpha_root the root weights; the product over siblings is a prefix times
-    a suffix product, since a residue can be 0.  The edge's gradient is the
-    outer product of that adjoint and beta_c, and alpha_c is the adjoint
-    times T.  Every product of two residues is below 2^46 and a matrix
-    product sums k of them, so int64 stays exact.
+    alpha_root the root weights; the sibling product is taken directly, with
+    no division, since a residue can be 0.  The edge's gradient is the outer
+    product of that adjoint and beta_c, and alpha_c is the adjoint times T.
+    Both passes walk the pre-order edges, the forward one in reverse.  Every
+    product of two residues is below 2^46 and a matrix product sums k of
+    them, so int64 stays exact.
     """
     tree, k = model.tree, model.k
     rows = leaf_vectors.shape[1]
@@ -345,34 +346,23 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
                    residue(w, prime) for w in roots], dtype=np.int64)
     evidence = dict(zip(observed_nodes(model), leaf_vectors))
 
-    beta, mu = {}, {}
-    for v in tree.postorder():
-        b = evidence.get(v)
-        for c in tree.children[v]:
-            mu[c] = beta[c] @ mats[tree.edge_id(v, c)].T % prime
-            b = mu[c] if b is None else b * mu[c] % prime
-        beta[v] = b
+    beta, mu = dict(evidence), {}
+    for e in reversed(range(len(tree.edges))):
+        v, c = tree.edges[e]
+        mu[c] = beta[c] @ mats[e].T % prime
+        beta[v] = beta[v] * mu[c] % prime if v in beta else mu[c]
     total = beta[tree.root] @ pi % prime
 
     grads = np.empty((rows, len(mats), k, k), dtype=np.int64)
     alpha = {tree.root: np.broadcast_to(pi, (rows, k))}
-    for v in [tree.root] + [c for _, c in tree.edges]:
-        a = alpha.pop(v)
-        kids = tree.children[v]
-        if not kids:
-            continue
-        if v in evidence:
-            a = a * evidence[v] % prime
-        prefix = [a]
-        for c in kids[:-1]:
-            prefix.append(prefix[-1] * mu[c] % prime)
-        suffix = None
-        for c, left in zip(reversed(kids), reversed(prefix)):
-            adjoint = left if suffix is None else left * suffix % prime
-            e = tree.edge_id(v, c)
-            grads[:, e] = adjoint[:, :, None] * beta[c][:, None, :] % prime
+    for e, (v, c) in enumerate(tree.edges):
+        adjoint = alpha[v] * evidence[v] % prime if v in evidence else alpha[v]
+        for sib in tree.children[v]:
+            if sib != c:
+                adjoint = adjoint * mu[sib] % prime
+        grads[:, e] = adjoint[:, :, None] * beta[c][:, None, :] % prime
+        if tree.children[c]:
             alpha[c] = adjoint @ mats[e] % prime
-            suffix = mu[c] if suffix is None else suffix * mu[c] % prime
     grads = grads.reshape(rows, -1)
     if model.root.mode == "free":
         grads = np.concatenate([grads, beta[tree.root]], axis=1)

@@ -34,10 +34,6 @@ class Tree:
     leaves: list           # leaf node ids in source order
     labels: dict           # leaf node id -> label
     _below: dict = field(default_factory=dict, repr=False)
-    _edge_ids: dict = field(init=False, repr=False)   # (parent, child) -> id
-
-    def __post_init__(self):
-        self._edge_ids = {e: eid for eid, e in enumerate(self.edges)}
 
     # -- construction ------------------------------------------------------
 
@@ -57,10 +53,10 @@ class Tree:
         return not self.children[v]
 
     def edge_id(self, parent, child):
-        try:
-            return self._edge_ids[parent, child]
-        except KeyError:
-            raise ValueError(f"({parent}, {child}) is not an edge") from None
+        # nodes are numbered in pre-order, so the edge into child c has id c-1
+        if child not in self.parent or self.parent[child] != parent:
+            raise ValueError(f"({parent}, {child}) is not an edge")
+        return child - 1
 
     def child_of_edge(self, eid):
         return self.edges[eid][1]

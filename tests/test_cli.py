@@ -559,9 +559,11 @@ def test_invariants_integer_coordinate_is_a_constant(tree_file, tmp_path,
     ({"newick": "((1,2),(3,4));", "kind": "homogeneous", "k": 2,
       "homogeneous_base": "foo", "params": {}},
      "unsupported homogeneous base 'foo'"),
+    ({"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "weird",
+      "params": {}}, "error: unsupported root mode 'weird'"),
 ], ids=["float-param", "list-params", "list-config", "int-newick",
         "list-kind", "int-root", "null-base", "bool-k", "string-k",
-        "no-newick", "unknown-kind", "unknown-base"])
+        "no-newick", "unknown-kind", "unknown-base", "unknown-root"])
 def test_check_config_of_the_wrong_shape(tmp_path, capsys, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

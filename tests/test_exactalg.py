@@ -53,6 +53,8 @@ def test_poly_eval_and_derivative():
     assert p.derivative("y") == 3 * x ** 2 - 1
     with pytest.raises(KeyError):
         p.eval({"x": 1})
+    with pytest.raises(KeyError, match="unassigned variable 'y'"):
+        p.eval_mod({"x": 1}, 7)
 
 
 def test_eval_at_polynomials_expands():
@@ -173,6 +175,8 @@ def test_calculus_and_evaluation_agree(p, q, v, e, values):
 def test_var_rejects_a_negative_exponent():
     with pytest.raises(ValueError):
         Poly.var("x", -1)
+    with pytest.raises(ValueError, match="negative power"):
+        Poly.var("x") ** -1
 
 
 def test_normalize_poly():
@@ -327,6 +331,9 @@ def test_minors_order_and_count():
     assert out[0] == mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     with pytest.raises(ValueError):
         minors(mat, 3)
+    # a 1 x 1 polynomial minor is its entry
+    x, y = Poly.var("x"), Poly.var("y")
+    assert minors([[x, y], [y, x]], 1) == [x, y, y, x]
 
 
 def test_empty_matrix_rank():

@@ -305,6 +305,14 @@ def test_mixture_monomial_coords(tree3, tree4):
     other = fourier.monomial_map(make_model(tree3, "jc-dna", prefix="x1"))
     with pytest.raises(ValueError, match="index different coordinates"):
         fourier.mixture_monomial_coords([maps[0], other])
+    # the same 13 names, but each indexes another leaf coordinate
+    swapped = fourier.monomial_map(make_model(
+        treecore.parse_newick("((1,3),(2,4));"), "jc-dna", prefix="x1"))
+    assert set(swapped.coord_names) == set(maps[0].coord_names)
+    with pytest.raises(ValueError, match="index different coordinates"):
+        fourier.mixture_monomial_coords([maps[0], swapped])
+    with pytest.raises(ValueError, match="at least one model"):
+        fourier.mixture_monomial_coords([])
 
 
 @st.composite

@@ -328,6 +328,13 @@ def test_modular_jacobian_is_the_exact_one_reduced(case, seed):
 
 @given(small_dimension_models(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=25, deadline=None)
+# polytomies, which draw_newick never makes: a root of degree 5, a node of
+# degree 4 below the root with evidence at it and in a free-root mixture,
+# and an internal node of degree 3
+@example(("(1,2,3,4,5);", "jc-dna", "uniform", None, 1, False), 0)
+@example(("((1,2,3,4),5);", "general-markov", "uniform", 2, 1, True), 1)
+@example(("((1,2,3,4),5);", "general-markov", "free", 2, 2, False), 2)
+@example(("(1,(2,3,4),5);", "kimura3", "uniform", None, 1, False), 3)
 def test_projected_rows_are_combinations_of_circuit_rows(case, seed):
     # row r is the sum over flat x of prod_i r_i[x_i] times the Jacobian row
     # of coordinate x, taken from brute_force_jacobian (one row per circuit

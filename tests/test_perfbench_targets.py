@@ -4,6 +4,7 @@ here first."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -31,6 +32,20 @@ def test_every_span_target_resolves():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(owner.__dict__[attr]), path
+
+
+def test_counted_arguments_keep_their_names():
+    # the counters of spans.TARGETS read these names from the bound
+    # arguments, so a rename would break only the traced run
+    counted = {(module, path) for _, module, path, counter
+               in _load("spans").TARGETS if counter is not None}
+    for func, names in [
+            (exactalg.mat_rank_nullspace, {"mat"}),
+            (invariants.interpolate_vanishing_forms,
+             {"coords", "degree", "extra_points"}),
+            (pipeline.sample_alignment, {"num_sites"})]:
+        assert (func.__module__, func.__name__) in counted
+        assert names <= set(inspect.signature(func).parameters), func
 
 
 def test_rank_is_bound_where_the_selftest_traces_it():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Rat
-from phyloag import invariants, pipeline
+from phyloag import invariants, paramap, pipeline
 
 from conftest import rational_scan_inverse_cdf, stochastic_jc_params
 
@@ -27,11 +27,18 @@ def test_exact_distribution_sums_to_one(quartet_setup):
     assert all(v > 0 for v in probs)
 
 
-def test_exact_distribution_rejects_bad_params(quartet_setup):
+def test_exact_distribution_rejects_bad_params(quartet_setup, monkeypatch):
     model, jmap, params = quartet_setup
     bad = dict(params, a0=Rat(1, 2))
     with pytest.raises(ValueError):
         pipeline.exact_distribution(jmap, bad)
+    # weights that miss their denominator by one fail the exact check
+    weights, D = paramap.pattern_weights(model, params)
+    weights[0] += 1
+    monkeypatch.setattr(paramap, "pattern_weights",
+                        lambda model, params: (weights.copy(), D))
+    with pytest.raises(ValueError, match=r"sums to \d+/\d+, not 1"):
+        pipeline.exact_distribution(jmap, params)
 
 
 def test_exact_distribution_rejects_a_mixture(tree4):

@@ -115,6 +115,8 @@ def test_edge_id_lookup():
     p, c = t.edges[0]
     with pytest.raises(ValueError):
         t.edge_id(c, p)
+    with pytest.raises(ValueError):
+        t.edge_id(None, t.root)
 
 
 def test_newick_file_roundtrip(tmp_path):
