@@ -296,12 +296,15 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except (ValidationError, ValueError, KeyError, OSError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError,
+            MemoryError) as exc:
         # ValueError covers NewickError, JSONDecodeError and
-        # UnicodeDecodeError; other exceptions are bugs and keep their
-        # traceback
+        # UnicodeDecodeError, and numpy's MemoryError names the allocation
+        # that failed; other exceptions are bugs and keep their traceback
         # a KeyError's str is the repr of its message
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        if isinstance(exc, MemoryError):
+            msg = "out of memory" + (str(exc) and f": {exc}")
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:

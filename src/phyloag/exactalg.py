@@ -29,12 +29,13 @@ def rat(num, den=1):
     """Exact rational from ints or a 'p/q' string; a malformed string or a
     zero denominator in one raises ValueError."""
     if isinstance(num, str):
-        if "/" in num:
-            a, b = num.split("/")
-            if int(b) == 0:
-                raise ValueError(f"zero denominator in {num!r}")
-            return Rat(int(a), int(b))
-        return Rat(int(num))
+        try:
+            a, b = map(int, num.split("/")) if "/" in num else (int(num), 1)
+        except ValueError:
+            raise ValueError(f"{num!r} is not an integer or p/q") from None
+        if b == 0:
+            raise ValueError(f"zero denominator in {num!r}")
+        return Rat(a, b)
     return Rat(num, den)
 
 

@@ -220,7 +220,13 @@ def json_mapping(raw, what):
 
 def read_params(raw):
     """Parameter values from a JSON object {symbol: "num/den" or int}."""
-    return {sym: rat(val) for sym, val in json_mapping(raw, "params").items()}
+    params = {}
+    for sym, val in json_mapping(raw, "params").items():
+        try:
+            params[sym] = rat(val)
+        except ValueError as exc:
+            raise ValueError(f"params: {sym!r}: {exc}") from None
+    return params
 
 
 def load_model_config(path_or_dict):

@@ -38,21 +38,19 @@ def _single_model(joint_map):
     return joint_map.models[0]
 
 
-def _cumulative_weights(joint_map, params):
-    """(cum, D): the cumulative sums of paramap.pattern_weights, checked as
-    exact_distribution describes; pattern x has probability
-    (cum[x] - cum[x - 1]) / D."""
+def _checked_weights(joint_map, params):
+    """(weights, D): paramap.pattern_weights, checked as exact_distribution
+    describes; pattern x has probability weights[x] / D."""
     model = _single_model(joint_map)
     report = _models.validate_stochastic(model, params)
     if not report["stochastic"]:
         raise ValueError("parameters are not stochastic: "
                          + "; ".join(report["faults"][:3]))
-    cum, D = _paramap.pattern_weights(model, params)
-    np.add.accumulate(cum, out=cum)
-    if cum[-1] != D:
-        raise ValueError(f"distribution sums to {Rat(int(cum[-1]), D)}, "
-                         f"not 1")
-    return cum, D
+    weights, D = _paramap.pattern_weights(model, params)
+    total = weights.sum()
+    if total != D:
+        raise ValueError(f"distribution sums to {Rat(total, D)}, not 1")
+    return weights, D
 
 
 def exact_distribution(joint_map, params):
@@ -64,8 +62,8 @@ def exact_distribution(joint_map, params):
     the rows; the result is checked to sum to one exactly.  Raises
     ValueError on the map of a mixture.
     """
-    cum, D = _cumulative_weights(joint_map, params)
-    return [Rat(int(w), D) for w in np.diff(cum, prepend=0)]
+    weights, D = _checked_weights(joint_map, params)
+    return [Rat(w, D) for w in weights]
 
 
 # thresholds are computed this many patterns at a time, so the Python-int
@@ -105,9 +103,9 @@ def sample_alignment(joint_map, params, num_sites, seed):
     model = _single_model(joint_map)
     if model.no_hidden:
         raise ValueError("internal nodes have no sequence names")
-    cum, D = _cumulative_weights(joint_map, params)
+    weights, D = _checked_weights(joint_map, params)
     rng = np.random.Generator(np.random.Philox(seed))
-    idx = _inverse_cdf(cum, D, rng.random(num_sites))
+    idx = _inverse_cdf(np.cumsum(weights), D, rng.random(num_sites))
     states = _paramap.pattern_of_flat(idx, model.tree.num_leaves, model.k)
     return Alignment(names=list(model.tree.leaf_labels),
                      rows=[_paramap.pattern_label(s, model.k)

@@ -101,7 +101,8 @@ class Tree:
         return text[self.root] + ";"
 
 
-_SPACE = re.compile(r"\s*")
+# a token: punctuation, a label, a branch length, or any other character
+_TOKEN = re.compile(r"\s*(?:([(),])|([\w.]+)|(:[^,();]*)|(\S))")
 
 
 def parse_newick(text):
@@ -109,73 +110,58 @@ def parse_newick(text):
 
     Leaf labels must be nonempty alphanumeric (plus '_' and '.') and unique;
     branch lengths and internal or root labels are rejected.  Whitespace may
-    stand between tokens, not inside a label.  Raises NewickError with the
-    offending position on malformed input.  The parse is iterative, so a
-    tree of any depth parses.
+    stand between tokens, not inside a label.  One loop reads the _TOKEN
+    matches in two states: a subtree is due ('(' opens a node, a label makes
+    a leaf) or one was just read (',' makes a sibling due, ')' closes the
+    open node, the final ';' ends the tree).  Any other token raises
+    NewickError at its start; a tree of any depth parses.
     """
     s = text.rstrip()
     if not s.endswith(";"):
         raise NewickError("missing terminating ';'", len(text))
-    s = s[:-1]
     children = {}
     parent = {}
     labels = {}
     seen = set()
     open_nodes = []        # internal nodes whose ')' is still to come
-    pos = 0
-
-    def label_at(start):
-        end = start
-        while end < len(s) and (s[end].isalnum() or s[end] in "_."):
-            end += 1
-        return s[start:end]
-
-    def reject_annotation(node):
-        # a label or branch length written after a subtree's ')' or a leaf
-        if s[pos:pos + 1] == ":":
-            end = pos + 1
-            while end < len(s) and s[end] not in ",();":
-                end += 1
-            raise NewickError(f"branch length {s[pos:end]!r} is not "
-                              "supported", pos)
-        label = label_at(pos)
-        if label:
+    node = None            # the subtree just read; None while one is due
+    for m in _TOKEN.finditer(s):
+        punct, label, length = m.group(1, 2, 3)
+        pos = m.start(m.lastindex)
+        if node is None:
+            v = len(children)          # nodes are numbered in pre-order
+            children[v] = []
+            if open_nodes:
+                parent[v] = open_nodes[-1]
+                children[parent[v]].append(v)
+            if punct == "(":
+                open_nodes.append(v)
+                continue
+            if not label:
+                raise NewickError("empty subtree or missing label", pos)
+            if label in seen:
+                raise NewickError(f"duplicate leaf label {label!r}", pos)
+            seen.add(label)
+            labels[v] = label
+            node = v
+        elif length:
+            raise NewickError(f"branch length {length!r} is not supported",
+                              pos)
+        elif label:
             where = "internal node" if node in parent else "root"
-            raise NewickError(f"{where} label {label!r} is not supported", pos)
-
-    while True:
-        # a subtree starts at pos; nodes are numbered in pre-order
-        pos = _SPACE.match(s, pos).end()
-        v = len(children)
-        children[v] = []
-        if open_nodes:
-            parent[v] = open_nodes[-1]
-            children[open_nodes[-1]].append(v)
-        if s[pos:pos + 1] == "(":
-            open_nodes.append(v)
-            pos += 1
-            continue
-        label = label_at(pos)
-        if not label:
-            raise NewickError("empty subtree or missing label", pos)
-        if label in seen:
-            raise NewickError(f"duplicate leaf label {label!r}", pos)
-        seen.add(label)
-        labels[v] = label
-        pos = _SPACE.match(s, pos + len(label)).end()
-        if label_at(pos):
-            raise NewickError(f"whitespace inside leaf label {label!r}", pos)
-        reject_annotation(v)
-        while open_nodes and s[pos:pos + 1] != ",":
-            if s[pos:pos + 1] != ")":
-                raise NewickError("unbalanced parentheses", pos)
-            pos = _SPACE.match(s, pos + 1).end()
-            reject_annotation(open_nodes.pop())
-        if not open_nodes:
-            break
-        pos += 1
-    if pos != len(s):
-        raise NewickError("trailing characters after tree", pos)
+            raise NewickError(f"whitespace inside leaf label {labels[node]!r}"
+                              if node in labels else
+                              f"{where} label {label!r} is not supported", pos)
+        elif not open_nodes:
+            if m.end() < len(s):
+                raise NewickError("trailing characters after tree", pos)
+            break          # the terminating ';'
+        elif punct == ",":
+            node = None
+        elif punct == ")":
+            node = open_nodes.pop()
+        else:
+            raise NewickError("unbalanced parentheses", pos)
 
     # pre-order edge ids: a child's id is its pre-order number
     edges = [(parent[c], c) for c in range(1, len(children))]

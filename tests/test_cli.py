@@ -267,6 +267,26 @@ def test_interpolation_out_of_primes_is_degenerate(tree_file, tmp_path,
     assert captured.err.startswith("degenerate: interpolation failed")
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 4.20 GiB for an array with shape "
+                 "(23761, 23751) and data type float64"),
+     "error: out of memory: Unable to allocate 4.20 GiB for an array with "
+     "shape (23761, 23751) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_2(tree_file, tmp_path, capsys, monkeypatch,
+                               exc, message):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(invariants, "interpolate_vanishing_forms", fail)
+    path = tmp_path / "coords.json"
+    path.write_text(json.dumps({"x": "u", "y": "u"}))
+    assert main(["invariants", "--tree", tree_file, "--model", "jc-dna",
+                 "--interpolate", "1", "--coords", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
 def test_check_config_without_params(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"newick": "((1,2),(3,4));",
@@ -294,6 +314,17 @@ def test_check_zero_denominator(tmp_path, params_file, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["check", "--config", str(cfg_path)]) == 2
     assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1/2/3", "abc", "1e5"])
+def test_check_malformed_rational(tmp_path, params_file, capsys, text):
+    cfg = {"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "uniform",
+           "params": dict(params_file[1], a0=text)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'a0'" in err and f"{text!r} is not an integer or p/q" in err
 
 
 def test_simulate_zero_denominator(tree_file, params_file, tmp_path, capsys):

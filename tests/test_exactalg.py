@@ -21,6 +21,15 @@ def test_rat_from_string():
     assert rat("3/4") == Rat(3, 4)
     assert rat("-7") == Rat(-7)
     assert rat(5, 10) == Rat(1, 2)
+    # int() forms: surrounding whitespace, a sign, '_' between digits
+    assert rat(" -3 / 4 ") == Rat(-3, 4)
+    assert rat("1_000") == 1000
+    assert rat("1/-2") == Rat(-1, 2)
+    for bad in ["1/2/3", "abc", "1e5", "", "1/"]:
+        with pytest.raises(ValueError, match="is not an integer or p/q"):
+            rat(bad)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        rat("1/0")
 
 
 @given(rationals, st.sampled_from([7, 97, 8388593]))

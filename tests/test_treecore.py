@@ -58,6 +58,9 @@ def test_parse_degree_two_root():
      "branch length ':0.1' is not supported (at position 2)"),
     ("((1,2)x,3);", "internal node label 'x' is not supported (at position 6)"),
     ("(1,(2,3))root;", "root label 'root' is not supported (at position 9)"),
+    ("(A,B):1;", "branch length ':1' is not supported (at position 5)"),
+    ("(A,[B]);", "empty subtree or missing label (at position 3)"),
+    ("(A,B)(C);", "trailing characters after tree (at position 5)"),
 ])
 def test_parse_errors(bad, snippet):
     with pytest.raises(NewickError) as err:
@@ -83,12 +86,37 @@ def test_parse_allows_whitespace_between_tokens(tmp_path, text):
 @pytest.mark.parametrize("bad, message", [
     ("(A B,C);", "whitespace inside leaf label 'A' (at position 3)"),
     ("  (1, ,2);", "empty subtree or missing label (at position 6)"),
+    ("(A,B)C D;", "root label 'C' is not supported (at position 5)"),
+    ("A B;", "whitespace inside leaf label 'A' (at position 2)"),
 ])
 def test_parse_errors_count_the_whitespace(bad, message):
     # positions are offsets into the text as given
     with pytest.raises(NewickError) as err:
         parse_newick(bad)
     assert str(err.value) == message
+
+
+NEWICK_ALPHABET = "(),;: AB1x.\t\n_é²-[]'"
+
+
+@given(st.one_of(st.text(NEWICK_ALPHABET, max_size=30),
+                 st.lists(st.sampled_from(["(", ")", ",", ";", ":1", " ", "\n",
+                                           "A", "B", "x", "1", "A B", "[B]"]),
+                          max_size=20).map("".join)))
+@settings(max_examples=500)
+def test_parse_rejects_or_round_trips(text):
+    # a text parses to the tree it spells out, or raises NewickError
+    try:
+        tree = parse_newick(text)
+    except NewickError:
+        return
+    assert tree.to_newick() == re.sub(r"\s", "", text)
+
+
+def test_parse_unicode_labels_and_a_single_leaf():
+    assert parse_newick("(é,²,x_1.5);").to_newick() == "(é,²,x_1.5);"
+    t = parse_newick("A;")
+    assert (t.children, t.edges, t.leaf_labels) == ({0: []}, [], ["A"])
 
 
 def _deep_caterpillar():
