@@ -26,15 +26,22 @@ __all__ = [
 
 
 def rat(num, den=1):
-    """Exact rational from ints or a 'p/q' string; a malformed string or a
-    zero denominator in one raises ValueError."""
+    """Exact rational from ints or a 'p/q' string; a malformed string, one
+    with too many digits or a zero denominator raises ValueError quoting at
+    most 40 characters of it."""
     if isinstance(num, str):
+        shown = repr(num) if len(num) <= 40 else \
+            f"{num[:40]!r}... ({len(num)} characters)"
         try:
             a, b = map(int, num.split("/")) if "/" in num else (int(num), 1)
-        except ValueError:
-            raise ValueError(f"{num!r} is not an integer or p/q") from None
+        except ValueError as err:
+            # int() refuses more digits than sys.get_int_max_str_digits()
+            why = ("has too many digits for an integer"
+                   if str(err).startswith("Exceeds the limit") else
+                   "is not an integer or p/q")
+            raise ValueError(f"{shown} {why}") from None
         if b == 0:
-            raise ValueError(f"zero denominator in {num!r}")
+            raise ValueError(f"zero denominator in {shown}")
         return Rat(a, b)
     return Rat(num, den)
 

@@ -60,8 +60,11 @@ def transform_tensor(p, k, n):
 
     p has length k^n with leaf-major flat indexing (paramap.flat_index), so
     it is the (k,)*n tensor of the leaf axes, and the character table acts
-    on each axis in turn; exact when the input is exact.
+    on each axis in turn; exact when the input is exact.  k must be a
+    power of two: the characters are those of Z2^m.
     """
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"k = {k} is not a power of two, the order of Z2^m")
     if len(p) != k ** n:
         raise ValueError(f"tensor length {len(p)} != {k}^{n}")
     # Python int entries keep Rat and Poly arithmetic exact
@@ -81,9 +84,9 @@ def inverse_transform(q, k, n):
 
 def edge_leaf_positions(tree):
     """Per edge id, the positions in tree.leaves of the leaves below it."""
-    pos = {tree.labels[v]: i for i, v in enumerate(tree.leaves)}
-    return [sorted(pos[l] for l in tree.leaves_below(tree.child_of_edge(e)))
-            for e in range(tree.num_edges)]
+    pos = {v: i for i, v in enumerate(tree.leaves)}
+    return [[pos[u] for u in range(c, tree.last(c) + 1) if u in pos]
+            for _, c in tree.edges]
 
 
 def zero_sum_labelings(tree, group):
@@ -303,12 +306,10 @@ def fourier_flattening(tree, edge, h):
 
 def _fourier_flattening(tree, edge, h, indicators):
     """fourier_flattening from the indicators of every subforest."""
-    under = tree.leaves_below(tree.child_of_edge(edge))
-    # in pre-order the edges below come right after the edge
-    below = [e for e in range(edge + 1, tree.num_edges)
-             if tree.leaves_below(tree.child_of_edge(e)) <= under]
-    above = [e for e in range(tree.num_edges)
-             if e != edge and e not in below]
+    # the edges below are those into the child's range c+1..last(c)
+    last = tree.last(tree.child_of_edge(edge))
+    below = list(range(edge + 1, last))
+    above = [*range(edge), *range(last, tree.num_edges)]
     cells = {(tuple(ind[e] for e in below), tuple(ind[e] for e in above)):
              ind for ind in indicators if ind[edge] == h}
     rows = sorted({r for r, _ in cells})

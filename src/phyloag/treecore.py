@@ -2,17 +2,19 @@
 enumeration.
 
 Node ids are pre-order numbers from the root 0 with children in source
-order, and edge ids 0..E-1 follow the same pre-order; every edge/indicator
-vector downstream of this module uses that order.  Leaves keep their
-first-appearance order from the source text, which is pre-order.  A
-subforest is a plain tuple of 0/1 edge indicators, one per edge id.
+order, so a subtree is the id range v..last(v) and the edge into node c
+has id c - 1: edge ids 0..E-1 follow the same pre-order, which every
+edge/indicator vector downstream uses.  Leaves keep their source order,
+which is pre-order.  A subforest is a plain tuple of 0/1 edge indicators,
+one per edge id.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 
 class NewickError(ValueError):
@@ -25,7 +27,8 @@ class NewickError(ValueError):
 
 @dataclass
 class Tree:
-    """Rooted tree with ordered labeled leaves and pre-order edge ids."""
+    """Rooted tree with ordered labeled leaves and pre-order node ids: a
+    subtree is the id range v..last(v), and the edge into c has id c - 1."""
 
     root: int
     children: dict
@@ -33,7 +36,6 @@ class Tree:
     edges: list            # list of (parent, child); index = edge id
     leaves: list           # leaf node ids in source order
     labels: dict           # leaf node id -> label
-    _below: dict = field(default_factory=dict, repr=False)
 
     # -- construction ------------------------------------------------------
 
@@ -66,18 +68,16 @@ class Tree:
         edge ids, reversed."""
         return [c for _, c in reversed(self.edges)] + [self.root]
 
+    def last(self, v):
+        """The subtree's last pre-order id: follow last children to a leaf."""
+        while self.children[v]:
+            v = self.children[v][-1]
+        return v
+
     def leaves_below(self, v):
-        """Set of leaf labels in the subtree under node v (cached)."""
-        if v not in self._below:
-            found = []
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if self.is_leaf(u):
-                    found.append(self.labels[u])
-                stack.extend(self.children[u])
-            self._below[v] = frozenset(found)
-        return self._below[v]
+        """Leaf labels of the subtree under v, the id range v..last(v)."""
+        return frozenset(self.labels[u] for u in range(v, self.last(v) + 1)
+                         if u in self.labels)
 
     # -- layout ------------------------------------------------------------
 
@@ -186,37 +186,24 @@ def edge_split(tree, edge):
 
 
 def enumerate_subforests(tree):
-    """All subforests as edge-indicator tuples, in lexicographic order.
+    """All subforests, the edge sets in which no internal vertex has degree
+    1, as edge-indicator tuples in lexicographic order.
 
-    Recursive two-state enumeration: for each node, collect edge sets that are
-    valid standalone versus valid once the parent edge is attached.
+    One loop over the pre-order edge ids grows the partial sets, each row
+    followed by its two extensions, so the rows stay in lex order.  At the
+    edge into a node's last child all the node's edges are placed (its
+    child edges, and its parent edge unless it is the root), and the rows
+    where it has degree 1 are dropped.
     """
-    def collect(v):
-        # returns (standalone, attachable): lists of frozensets of edge ids
-        if tree.is_leaf(v):
-            return [frozenset()], [frozenset()]
-        options = []  # per child: list of (included?, edge set)
-        for c in tree.children[v]:
-            eid = tree.edge_id(v, c)
-            c_stand, c_attach = collect(c)
-            opts = [(0, s) for s in c_stand]
-            opts += [(1, s | {eid}) for s in c_attach]
-            options.append(opts)
-        standalone, attachable = [], []
-        for combo in itertools.product(*options):
-            inc = sum(flag for flag, _ in combo)
-            merged = frozenset().union(*(s for _, s in combo))
-            if inc != 1:
-                standalone.append(merged)
-            if inc >= 1:
-                attachable.append(merged)
-        return standalone, attachable
-
-    standalone, _ = collect(tree.root)
-    E = tree.num_edges
-    return sorted(
-        tuple(1 if e in s else 0 for e in range(E)) for s in standalone
-    )
+    sets = np.zeros((1, 0), dtype=np.int8)
+    for p, c in tree.edges:
+        sets = np.column_stack([np.repeat(sets, 2, axis=0),
+                                np.tile(np.int8([0, 1]), len(sets))])
+        if c == tree.children[p][-1]:
+            incident = [d - 1 for d in tree.children[p]] + \
+                ([p - 1] if p != tree.root else [])
+            sets = sets[sets[:, incident].sum(axis=1) != 1]
+    return list(map(tuple, sets.tolist()))
 
 
 def display_edge_order(tree):

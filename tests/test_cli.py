@@ -327,6 +327,17 @@ def test_check_malformed_rational(tmp_path, params_file, capsys, text):
     assert "'a0'" in err and f"{text!r} is not an integer or p/q" in err
 
 
+def test_check_rational_with_too_many_digits(tmp_path, params_file, capsys):
+    cfg = {"newick": "((1,2),(3,4));", "kind": "jc-dna", "root": "uniform",
+           "params": dict(params_file[1], a0="1" * 5000)}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'a0'" in err and "has too many digits" in err
+    assert len(err) < 200
+
+
 def test_simulate_zero_denominator(tree_file, params_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(dict(params_file[1], a0="1/0")))

@@ -32,6 +32,22 @@ def test_rat_from_string():
         rat("1/0")
 
 
+def test_rat_names_too_many_digits_briefly():
+    # int() refuses more than 4300 digits; the message quotes a prefix
+    for text in ["1" * 5000, "1" * 5000 + "/7", "7/" + "1" * 5000]:
+        with pytest.raises(ValueError, match="has too many digits") as err:
+            rat(text)
+        assert len(str(err.value)) < 120
+        assert f"({len(text)} characters)" in str(err.value)
+    with pytest.raises(ValueError, match=r"^'x{40}'\.\.\. \(99 characters\) "
+                       "is not an integer or p/q$"):
+        rat("x" * 99)
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0+'\.\.\. "
+                       r"\(4002 characters\)$"):
+        rat("1/" + "0" * 4000)
+    assert rat("2" * 4300 + "/7") == Rat(int("2" * 4300), 7)
+
+
 @given(rationals, st.sampled_from([7, 97, 8388593]))
 def test_residue_solves_the_congruence(x, p):
     assume(x.denominator % p)

@@ -61,6 +61,18 @@ def test_transform_inverse_roundtrip_z2z2():
     assert fourier.inverse_transform(q, fourier.Z2xZ2, 2) == p
 
 
+def test_transform_needs_a_power_of_two():
+    # the characters are those of Z2^m: Z3's transform would not invert
+    with pytest.raises(ValueError, match="k = 3 is not a power of two"):
+        fourier.transform_tensor([Rat(1)] * 9, 3, 2)
+    with pytest.raises(ValueError, match="k = 3"):
+        fourier.inverse_transform([Rat(1)] * 9, 3, 2)
+    rng = random.Random(3)
+    p = [random_rat(rng) for _ in range(64)]
+    q = fourier.transform_tensor(p, 8, 2)
+    assert fourier.inverse_transform(q, 8, 2) == p
+
+
 def test_transform_rejects_bad_length():
     with pytest.raises(ValueError):
         fourier.transform_tensor([Rat(1)] * 7, fourier.Z2, 3)

@@ -2,9 +2,9 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from phyloag import make_model, paramap, treecore
+from phyloag import fourier, make_model, paramap, treecore
 from phyloag.treecore import (NewickError, display_edge_order, edge_split,
                               enumerate_subforests, parse_newick)
 
@@ -169,6 +169,40 @@ def test_is_subforest_brute_force():
         for bits in itertools.product((0, 1), repeat=t.num_edges):
             edges = [e for e, b in enumerate(bits) if b]
             assert is_subforest(t, edges) == (bits in listed)
+
+
+@st.composite
+def newick_trees(draw):
+    return draw_newick(draw, 2, 6)
+
+
+@given(newick_trees())
+@example("(1,2,3,4,5);")
+@example("((1,2,3,4),5);")
+@example("(1,(2));")
+@example("(((1,2)),3);")
+@settings(max_examples=60, deadline=None)
+def test_pre_order_ranges_match_their_definitions(nwk):
+    t = parse_newick(nwk)
+    E = t.num_edges
+    want = sorted(bits for bits in itertools.product((0, 1), repeat=E)
+                  if is_subforest(t, [e for e in range(E) if bits[e]]))
+    assert enumerate_subforests(t) == want
+
+    def dfs_leaves(v):
+        found, stack = set(), [v]
+        while stack:
+            u = stack.pop()
+            if t.is_leaf(u):
+                found.add(t.labels[u])
+            stack.extend(t.children[u])
+        return found
+
+    for v in t.children:
+        assert t.leaves_below(v) == dfs_leaves(v)
+    position = {label: i for i, label in enumerate(t.leaf_labels)}
+    assert fourier.edge_leaf_positions(t) == [
+        sorted(position[label] for label in dfs_leaves(c)) for _, c in t.edges]
 
 
 def test_deep_caterpillar_prints_draws_and_splits():
