@@ -6,8 +6,10 @@ Supported groups are Z2 (binary states) and Z2 x Z2 (DNA states with the
 fixed bijection A=(0,0), C=(0,1), G=(1,0), T=(1,1), so state i is the
 element whose bit tuple is i in binary).  A group Z2^m is named by its
 order k = 2^m, a group-based model's number of states, and its operations
-act on element indices bitwise: the sum is XOR.  A coordinate's key is the
-tuple of its edge labels, the group sums of the leaf labels below each
+act on element indices bitwise: the sum is XOR.  Its character table is the
+m-fold tensor power of [[1, 1], [1, -1]], which transform_tensor applies as
+one Walsh-Hadamard butterfly (a + b, a - b) per bit.  A coordinate's key is
+the tuple of its edge labels, the group sums of the leaf labels below each
 edge, in edge-id order; under the Jukes-Cantor DNA reduction only whether a
 label is the identity matters, and the key is the 0/1 indicator tuple of a
 subforest, the labels' support.  coord_name writes a key as a name.  The
@@ -28,7 +30,6 @@ import numpy as np
 from .exactalg import Poly, Rat, monomial_binomial
 from . import treecore
 from .models import edge_letter
-from .paramap import pattern_of_flat
 
 
 Z2, Z2xZ2 = 2, 4
@@ -37,11 +38,6 @@ Z2, Z2xZ2 = 2, 4
 def char(g, h):
     """Character value chi_g(h) = (-1)^(g.h) for element indices g, h."""
     return -1 if (g & h).bit_count() & 1 else 1
-
-
-def characters(k):
-    """The k x k character table chi_g(h) of the group of order k, rows g."""
-    return np.array([[char(g, h) for h in range(k)] for g in range(k)])
 
 
 def group_for_model(model):
@@ -58,20 +54,20 @@ def group_for_model(model):
 def transform_tensor(p, k, n):
     """q[(g_1..g_n)] = sum_sigma p[sigma] * prod_i chi_{g_i}(sigma_i).
 
-    p has length k^n with leaf-major flat indexing (paramap.flat_index), so
-    it is the (k,)*n tensor of the leaf axes, and the character table acts
-    on each axis in turn; exact when the input is exact.  k must be a
-    power of two: the characters are those of Z2^m.
+    p has length k^n with leaf-major flat indexing (paramap.flat_index);
+    state i is the binary digits of i, so p is the tensor of n*log2(k) bit
+    axes of length 2 and one butterfly (a + b, a - b) per axis applies the
+    characters, exact when the input is exact.  k must be a power of two.
     """
     if k < 1 or k & (k - 1):
         raise ValueError(f"k = {k} is not a power of two, the order of Z2^m")
     if len(p) != k ** n:
         raise ValueError(f"tensor length {len(p)} != {k}^{n}")
-    # Python int entries keep Rat and Poly arithmetic exact
-    chars = characters(k).astype(object)
-    q = np.array(p, dtype=object).reshape((k,) * n)
-    for axis in range(n):
-        q = np.moveaxis(np.tensordot(chars, q, axes=(1, axis)), 0, axis)
+    # object entries: ints grow instead of wrapping, Rat and Poly stay exact
+    q = np.array(p, dtype=object)
+    for bit in range(n * (k.bit_length() - 1)):
+        q = q.reshape(2 ** bit, 2, -1)
+        q = np.stack([q[:, 0] + q[:, 1], q[:, 0] - q[:, 1]], axis=1)
     return q.reshape(-1).tolist()
 
 
@@ -146,11 +142,9 @@ def transform_params(model):
     group = group_for_model(model)
     out = {}
     for eid, tpl in enumerate(model.templates):
+        forms = transform_tensor([Poly.var(s) for s in tpl[0]], group, 1)
         for g in transformed_indices(model, group):
-            form = Poly()
-            for h in range(group):
-                form = form + Poly.var(tpl[0][h]) * char(g, h)
-            out[transformed_symbol(model, eid, g)] = form
+            out[transformed_symbol(model, eid, g)] = forms[g]
     return out
 
 
@@ -274,11 +268,10 @@ def accumulated_combination(tree, subforest, classes, group):
     (sum over C of the character product) / |C|.
     """
     leaf_labels = subforest_leaf_labeling(tree, subforest, group)
-    chars = characters(group)
-    n = tree.num_leaves
-    states = pattern_of_flat(np.arange(group ** n), n, group)
-    # the character product of every pattern, by flat index
-    chi = np.prod([chars[g, s] for g, s in zip(leaf_labels, states)], axis=0)
+    # the character product of every pattern, leaf-major as the flat index
+    chi = functools.reduce(np.multiply.outer, (
+        [char(g, s) for s in range(group)] for g in leaf_labels),
+        np.array(1)).reshape(-1)
     return [Rat(int(chi[cls].sum()), len(cls)) for cls in classes]
 
 

@@ -265,8 +265,8 @@ def stride_transform(p, k, n):
     """Character transform of a leaf-major k^n tensor, one leaf axis at a
     time, walking each axis by its stride k^(n - 1 - axis).
 
-    Independent oracle for fourier.transform_tensor, which contracts the
-    character table with each axis of the reshaped tensor.
+    Independent oracle for fourier.transform_tensor, which applies one
+    butterfly per bit axis of the reshaped tensor.
     """
     out = list(p)
     for axis in range(n):

@@ -15,16 +15,14 @@ from phyloag import fourier, paramap, treecore
 from conftest import (draw_newick, fresh_process_env, is_subforest,
                       lex_scan_leaf_labeling, poly_product_binomials,
                       poly_product_monomial_map, random_params, random_rat,
-                      support, support_classes)
+                      stride_transform, support, support_classes)
 
 
 def test_characters_are_plus_minus_one():
     for k in (fourier.Z2, fourier.Z2xZ2):
-        chars = fourier.characters(k)
-        assert chars.shape == (k, k)
         for g in range(k):
             for h in range(k):
-                assert chars[g, h] == fourier.char(g, h) in (-1, 1)
+                assert fourier.char(g, h) in (-1, 1)
                 assert fourier.char(g, h) == fourier.char(h, g)
         # characters of the identity are trivial
         assert all(fourier.char(0, h) == 1 for h in range(k))
@@ -71,6 +69,17 @@ def test_transform_needs_a_power_of_two():
     p = [random_rat(rng) for _ in range(64)]
     q = fourier.transform_tensor(p, 8, 2)
     assert fourier.inverse_transform(q, 8, 2) == p
+
+
+@pytest.mark.parametrize("k, n, entry", [
+    (1, 3, "rat"), (8, 2, "rat"), (4, 2, "poly"), (2, 4, "poly")])
+def test_butterfly_bit_order_is_the_character_order(k, n, entry):
+    # the butterfly runs over bit axes; the oracle sums chi_g(s) over whole
+    # states, so equal outputs pin state i to the binary digits of i
+    rng = random.Random(k * 10 + n)
+    p = ([random_rat(rng) for _ in range(k ** n)] if entry == "rat"
+         else [Poly.var(f"p{i}") for i in range(k ** n)])
+    assert fourier.transform_tensor(p, k, n) == stride_transform(p, k, n)
 
 
 def test_transform_rejects_bad_length():

@@ -466,6 +466,22 @@ def test_mixture_rejects_shared_symbols(tree3):
         invariants.mixture_map([a, make_model(tree3, "jc-dna", prefix="y")])
 
 
+@pytest.mark.parametrize("newick, components, shared", [
+    # edge 18's letter is s: the unprefixed model's parameters s0, s1 are
+    # the mixing weights' names
+    ("((((((((((1,2),3),4),5),6),7),8),9),10),11);",
+     [("jc-dna", ""), ("jc-dna", "y")], "s0, s1"),
+    ("(1,(2,3));", [("jc-dna", "y"), ("kimura2", "y")],
+     "ya0, ya1, yb0, yb1, yc0, yc1, yd0, yd1"),
+], ids=["weights-reuse-edge-18", "shared-prefix"])
+def test_mixture_names_every_repeated_symbol(newick, components, shared):
+    tree = parse_newick(newick)
+    models = [make_model(tree, kind, prefix=p) for kind, p in components]
+    with pytest.raises(ValueError,
+                       match=rf"^mixture symbols repeat: {shared}; build"):
+        invariants.mixture_map(models)
+
+
 @pytest.mark.parametrize("mixture", [
     lambda tree: invariants.mixture_map([]),
     lambda tree: invariants.make_mixture(tree, "jc-binary", 0),
