@@ -442,7 +442,7 @@ def _det_cofactor(mat):
 
 def minors(mat, t):
     """All t x t minors, lexicographic on (row tuple, column tuple)."""
-    nrows, ncols = len(mat), len(mat[0])
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
     if t < 0 or t > min(nrows, ncols):
         raise ValueError(f"minor size {t} out of range for {nrows}x{ncols}")
     out = []

@@ -179,7 +179,7 @@ def monomial_map(model):
     Each monomial is written directly from its edge labels.
     """
     group = group_for_model(model)
-    if model.root.mode != "uniform":
+    if isinstance(model.root[0], str):
         raise ValueError("monomial map requires a uniform root")
     if model.no_hidden:
         raise ValueError("monomial map requires hidden internal nodes")
@@ -300,7 +300,7 @@ def fourier_flattening(tree, edge, h):
 def _fourier_flattening(tree, edge, h, indicators):
     """fourier_flattening from the indicators of every subforest."""
     # the edges below are those into the child's range c+1..last(c)
-    last = tree.last(tree.child_of_edge(edge))
+    last = tree.last(edge + 1)
     below = list(range(edge + 1, last))
     above = [*range(edge), *range(last, tree.num_edges)]
     cells = {(tuple(ind[e] for e in below), tuple(ind[e] for e in above)):

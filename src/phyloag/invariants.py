@@ -263,30 +263,20 @@ def _random_residues(rng, shape):
 
 
 def mixture_map(models):
-    """JointMap of the coordinate-wise sum of ModelSpecs sharing leaf set and
-    k, held as one circuit (paramap.build_circuit).
+    """JointMap of the coordinate-wise sum of ModelSpecs, held as one
+    circuit (paramap.build_circuit).
 
-    Components keep their own root vectors; when there are several and
-    every one has a uniform root, global mixing weights s0..s_{m-1} restore
-    the mixing freedom.  Every component symbol and weight must be distinct
-    (edge 18's letter is s, so build components with distinct prefixes); a
-    repeated symbol or an empty list raises ValueError.
+    Components keep their own root rows; when there are several and every
+    one has a uniform root, global mixing weights s0..s_{m-1} restore the
+    mixing freedom.  paramap.JointMap checks the components: an empty list,
+    components that differ in k, leaf labels or observed nodes, or a
+    repeated symbol or weight raise ValueError (edge 18's letter is s, so
+    build components with distinct prefixes).
     """
-    if not models:
-        raise ValueError("a mixture needs at least one model")
-    first = models[0]
-    for m in models[1:]:
-        if m.k != first.k or m.tree.leaf_labels != first.tree.leaf_labels:
-            raise ValueError("mixture components must share leaf set and k")
-    if len(models) > 1 and all(m.root.mode == "uniform" for m in models):
+    if len(models) > 1 and not any(isinstance(m.root[0], str) for m in models):
         weights = tuple(f"s{i}" for i in range(len(models)))
     else:
         weights = ()
-    names = [s for m in models for s in m.symbols] + list(weights)
-    shared = [s for s, n in collections.Counter(names).items() if n > 1]
-    if shared:
-        raise ValueError(f"mixture symbols repeat: {', '.join(shared)}; "
-                         "build the components with distinct prefixes")
     return _paramap.expand_map(*models, weight_symbols=weights)
 
 

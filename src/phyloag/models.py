@@ -1,8 +1,8 @@
 """Model families: per-edge transition-matrix templates with parameter ties
-and a root-distribution mode.
+and a root weight row.
 
 A template is a k x k array of parameter symbol names; repeating a symbol
-encodes a tie.
+encodes a tie.  The root is one more row, of k weights (see ModelSpec).
 
 This module owns the state alphabet: each state is one character, the
 digits then the lower-case letters (`STATES`, so k <= 36).  Symbols that
@@ -34,46 +34,27 @@ def edge_letter(i):
     return f"e{i}"
 
 
-@dataclass(frozen=True)
-class RootSpec:
-    mode: str                  # "uniform" | "free"
-    symbols: tuple = ()
-
-    def weights(self, k):
-        """Root weight per state: Rat(1/k) in uniform mode, symbol names in
-        free mode."""
-        if self.mode == "uniform":
-            return [Rat(1, k)] * k
-        return list(self.symbols)
-
-
 @dataclass
 class ModelSpec:
+    """A model on a tree: one template per edge id, the edge into node c
+    being c - 1, and the root row of k weights, Rat(1, k) each for a uniform
+    root or the symbols {prefix}pi{s} for a free root."""
+
     kind: str
     k: int
     tree: treecore.Tree
     templates: list            # per edge id: k x k list of symbol names
-    root: RootSpec
+    root: list                 # k root weights: Rats or symbol names
     no_hidden: bool = False
     prefix: str = ""
 
     @property
     def symbols(self):
-        """Distinct parameter symbols, deterministic order."""
-        seen = []
-        have = set()
-        for tpl in self.templates:
-            for row in tpl:
-                for s in row:
-                    if s not in have:
-                        have.add(s)
-                        seen.append(s)
-        if self.root.mode == "free":
-            for s in self.root.symbols:
-                if s not in have:
-                    have.add(s)
-                    seen.append(s)
-        return seen
+        """Distinct parameter symbols: the template cells by edge id, row
+        and column, then the root weights when they are symbols."""
+        return list(dict.fromkeys(s for tpl in [*self.templates, [self.root]]
+                                  for row in tpl for s in row
+                                  if isinstance(s, str)))
 
 
 def _template(kind, k, letter):
@@ -135,31 +116,30 @@ def make_model(tree, kind, root_mode="uniform", k=None, homogeneous_base=None,
                      for i in range(tree.num_edges)]
 
     if root_mode == "free":
-        root = RootSpec("free",
-                        tuple(f"{prefix}pi{STATES[s]}" for s in range(k)))
+        root = [f"{prefix}pi{STATES[s]}" for s in range(k)]
         cells = {s for tpl in templates for row in tpl for s in row}
-        shared = [s for s in root.symbols if s in cells]
+        shared = [s for s in root if s in cells]
         if shared:
             raise ValueError("root weights share names with edge "
                              f"parameters: {', '.join(shared)}")
     elif root_mode == "uniform":
-        root = RootSpec("uniform")
+        root = [Rat(1, k)] * k
     else:
         raise ValueError(f"unsupported root mode {root_mode!r}")
     return ModelSpec(kind=kind, k=k, tree=tree, templates=templates,
                      root=root, no_hidden=no_hidden, prefix=prefix)
 
 
-def _row_check(symbols, params):
+def _row_check(row, params):
     """(exact sum, what is wrong with the row as a probability vector in
-    plain text, or None)."""
+    plain text, or None); a row entry is a symbol or a Rat."""
     values = []
-    for s in symbols:
-        if s not in params:
+    for s in row:
+        if isinstance(s, str) and s not in params:
             raise KeyError(f"missing symbol {s!r}")
-        values.append(Rat(params[s]))
+        values.append(Rat(params[s] if isinstance(s, str) else s))
     total = sum(values, Rat(0))
-    outside = [f"{s} = {v}" for s, v in dict(zip(symbols, values)).items()
+    outside = [f"{s} = {v}" for s, v in dict(zip(row, values)).items()
                if not 0 <= v <= 1]
     faults = []
     if total != 1:
@@ -184,13 +164,10 @@ def validate_stochastic(model, params):
                          "row_stochastic": fault is None})
             if fault:
                 faults.append(f"edge {eid} row {i} {fault}")
-    report = {"rows": rows, "faults": faults}
-    if model.root.mode == "free":
-        _, fault = _row_check(model.root.symbols, params)
-        if fault:
-            faults.append(f"the root distribution {fault}")
-    report["stochastic"] = not faults
-    return report
+    _, fault = _row_check(model.root, params)
+    if fault:
+        faults.append(f"the root distribution {fault}")
+    return {"rows": rows, "faults": faults, "stochastic": not faults}
 
 
 def alphabet(k):

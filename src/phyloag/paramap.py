@@ -29,6 +29,7 @@ indexes is named "p" and the label.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
 from functools import cached_property, reduce
@@ -226,13 +227,33 @@ class JointMap:
     """Joint-probability map of one model, or of a mixture of models on the
     same leaves and states: the shared circuit (see build_circuit), built on
     first access, plus expanded polynomials per coordinate, read off the
-    circuit on first access."""
+    circuit on first access.
+
+    The components must share k and leaf labels and observe the same nodes
+    (the same no_hidden, and the same Newick when it is set), and every
+    component symbol and weight symbol must be distinct; otherwise, or with
+    no component, ValueError.
+    """
 
     def __init__(self, *models, weight_symbols=()):
+        if not models:
+            raise ValueError("a mixture needs at least one model")
+        first = models[0]
+        if any(m.k != first.k or m.tree.leaf_labels != first.tree.leaf_labels
+               for m in models):
+            raise ValueError("mixture components must share leaf set and k")
+        if len({(m.no_hidden, m.no_hidden and m.tree.to_newick())
+                for m in models}) > 1:
+            raise ValueError("mixture components must observe the same nodes")
         self.models = models
         self.weight_symbols = tuple(weight_symbols)
-        self.k = models[0].k
+        self.k = first.k
         self._polys = {}
+        names = self.symbols()
+        shared = [s for s, n in collections.Counter(names).items() if n > 1]
+        if shared:
+            raise ValueError(f"mixture symbols repeat: {', '.join(shared)}; "
+                             "build the components with distinct prefixes")
 
     @cached_property
     def circuit(self):
@@ -273,7 +294,7 @@ def degree_profile(joint_map):
     """
     models = joint_map.models
     return (models[0].tree.num_edges
-            + max(m.root.mode == "free" for m in models)
+            + max(isinstance(m.root[0], str) for m in models)
             + bool(joint_map.weight_symbols))
 
 
@@ -341,9 +362,8 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
     cols = np.array([column[s] for tpl in model.templates for row in tpl
                      for s in row], dtype=np.int64)
     mats = values[cols].reshape(-1, k, k)
-    roots = model.root.weights(k)
     pi = np.array([values[column[w]] if isinstance(w, str) else
-                   residue(w, prime) for w in roots], dtype=np.int64)
+                   residue(w, prime) for w in model.root], dtype=np.int64)
     evidence = dict(zip(observed_nodes(model), leaf_vectors))
 
     beta, mu = dict(evidence), {}
@@ -351,10 +371,10 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
         v, c = tree.edges[e]
         mu[c] = beta[c] @ mats[e].T % prime
         beta[v] = beta[v] * mu[c] % prime if v in beta else mu[c]
-    total = beta[tree.root] @ pi % prime
+    total = beta[0] @ pi % prime
 
     grads = np.empty((rows, len(mats), k, k), dtype=np.int64)
-    alpha = {tree.root: np.broadcast_to(pi, (rows, k))}
+    alpha = {0: np.broadcast_to(pi, (rows, k))}
     for e, (v, c) in enumerate(tree.edges):
         adjoint = alpha[v] * evidence[v] % prime if v in evidence else alpha[v]
         for sib in tree.children[v]:
@@ -364,9 +384,9 @@ def _pruning_gradient(model, column, values, leaf_vectors, prime):
         if tree.children[c]:
             alpha[c] = adjoint @ mats[e] % prime
     grads = grads.reshape(rows, -1)
-    if model.root.mode == "free":
-        grads = np.concatenate([grads, beta[tree.root]], axis=1)
-        cols = np.concatenate([cols, [column[w] for w in roots]])
+    if isinstance(model.root[0], str):
+        grads = np.concatenate([grads, beta[0]], axis=1)
+        cols = np.concatenate([cols, [column[w] for w in model.root]])
     return total, grads, cols
 
 
@@ -389,7 +409,7 @@ def pattern_weights(model, params):
     no (k, k^n) table is held.  Raises KeyError on a missing symbol.
     """
     tree, k, denominator = model.tree, model.k, 1
-    last = tree.children[tree.root][-1]
+    last = tree.children[0][-1]
 
     def scaled(rows):
         nonlocal denominator
@@ -402,12 +422,11 @@ def pattern_weights(model, params):
 
     one = np.ones((1, k), dtype=object)
     beta = {v: np.identity(k, dtype=object) for v in observed_nodes(model)}
-    beta[tree.root] = beta.get(tree.root, one) * \
-        scaled([model.root.weights(k)])
+    beta[0] = beta.get(0, one) * scaled([model.root])
     for v in tree.postorder():
         b = beta.get(v, one)
         for c in tree.children[v]:
-            mu = beta.pop(c) @ scaled(model.templates[tree.edge_id(v, c)]).T
+            mu = beta.pop(c) @ scaled(model.templates[c - 1]).T
             if c == last:
                 return (b @ mu.T).reshape(-1), denominator
             b = (b[:, None, :] * mu[None, :, :]).reshape(-1, k)
@@ -474,14 +493,14 @@ def _build_into(circ, model):
     for v in tree.postorder():
         table = np.zeros((k, 1, 0), dtype=np.int64)
         for c in tree.children[v]:
-            factors = entered(model.templates[tree.edge_id(v, c)], c)
+            factors = entered(model.templates[c - 1], c)
             table = np.concatenate(
                 [np.repeat(table, factors.shape[1], axis=1),
                  np.tile(factors, (1, table.shape[1], 1))], axis=2)
         tables[v] = table
     # the root's patterns run over the observed nodes in pre-order, which
     # parse_newick makes node-id order: the flat-index order of observed_nodes
-    factors = entered([model.root.weights(k)], tree.root)
+    factors = entered([model.root], 0)
     return circ.per_row(MUL, factors[0])
 
 

@@ -3,10 +3,10 @@ enumeration.
 
 Node ids are pre-order numbers from the root 0 with children in source
 order, so a subtree is the id range v..last(v) and the edge into node c
-has id c - 1: edge ids 0..E-1 follow the same pre-order, which every
-edge/indicator vector downstream uses.  Leaves keep their source order,
-which is pre-order.  A subforest is a plain tuple of 0/1 edge indicators,
-one per edge id.
+has id c - 1, edges[c - 1] being (parent of c, c): edge ids 0..E-1 follow
+the same pre-order, which every edge/indicator vector downstream uses.
+Leaves keep their source order, which is pre-order.  A subforest is a
+plain tuple of 0/1 edge indicators, one per edge id.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ class NewickError(ValueError):
 
 @dataclass
 class Tree:
-    """Rooted tree with ordered labeled leaves and pre-order node ids: a
-    subtree is the id range v..last(v), and the edge into c has id c - 1."""
+    """Rooted tree with ordered labeled leaves and pre-order node ids: the
+    root is node 0, a subtree is the id range v..last(v), and the edge into
+    c is edges[c - 1]."""
 
-    root: int
-    children: dict
-    parent: dict
-    edges: list            # list of (parent, child); index = edge id
+    children: dict         # node id -> child ids in source order
+    edges: list            # (parent, child) per edge id c - 1, in pre-order
     leaves: list           # leaf node ids in source order
     labels: dict           # leaf node id -> label
 
@@ -54,19 +53,10 @@ class Tree:
     def is_leaf(self, v):
         return not self.children[v]
 
-    def edge_id(self, parent, child):
-        # nodes are numbered in pre-order, so the edge into child c has id c-1
-        if child not in self.parent or self.parent[child] != parent:
-            raise ValueError(f"({parent}, {child}) is not an edge")
-        return child - 1
-
-    def child_of_edge(self, eid):
-        return self.edges[eid][1]
-
     def postorder(self):
-        """All nodes, each child before its parent: the pre-order of the
-        edge ids, reversed."""
-        return [c for _, c in reversed(self.edges)] + [self.root]
+        """All nodes, each child before its parent: the pre-order ids in
+        descending order."""
+        return range(len(self.children) - 1, -1, -1)
 
     def last(self, v):
         """The subtree's last pre-order id: follow last children to a leaf."""
@@ -98,7 +88,7 @@ class Tree:
             else:
                 text[v] = "(" + ",".join(text.pop(c)
                                          for c in self.children[v]) + ")"
-        return text[self.root] + ";"
+        return text[0] + ";"
 
 
 # a token: punctuation, a label, a branch length, or any other character
@@ -120,7 +110,7 @@ def parse_newick(text):
     if not s.endswith(";"):
         raise NewickError("missing terminating ';'", len(text))
     children = {}
-    parent = {}
+    edges = []             # appended as the nodes are numbered
     labels = {}
     seen = set()
     open_nodes = []        # internal nodes whose ')' is still to come
@@ -132,8 +122,8 @@ def parse_newick(text):
             v = len(children)          # nodes are numbered in pre-order
             children[v] = []
             if open_nodes:
-                parent[v] = open_nodes[-1]
-                children[parent[v]].append(v)
+                edges.append((open_nodes[-1], v))
+                children[open_nodes[-1]].append(v)
             if punct == "(":
                 open_nodes.append(v)
                 continue
@@ -148,7 +138,7 @@ def parse_newick(text):
             raise NewickError(f"branch length {length!r} is not supported",
                               pos)
         elif label:
-            where = "internal node" if node in parent else "root"
+            where = "internal node" if node else "root"
             raise NewickError(f"whitespace inside leaf label {labels[node]!r}"
                               if node in labels else
                               f"{where} label {label!r} is not supported", pos)
@@ -162,11 +152,8 @@ def parse_newick(text):
             node = open_nodes.pop()
         else:
             raise NewickError("unbalanced parentheses", pos)
-
-    # pre-order edge ids: a child's id is its pre-order number
-    edges = [(parent[c], c) for c in range(1, len(children))]
-    return Tree(root=0, children=children, parent=parent, edges=edges,
-                leaves=list(labels), labels=labels)
+    return Tree(children=children, edges=edges, leaves=list(labels),
+                labels=labels)
 
 
 def read_newick(path):
@@ -180,7 +167,7 @@ def edge_split(tree, edge):
     the leaf set into; below = leaves under the child endpoint."""
     if not 0 <= edge < tree.num_edges:
         raise KeyError(f"unknown edge id {edge}")
-    below = tree.leaves_below(tree.child_of_edge(edge))
+    below = tree.leaves_below(edge + 1)
     above = frozenset(tree.leaf_labels) - below
     return below, above
 
@@ -201,7 +188,7 @@ def enumerate_subforests(tree):
                                 np.tile(np.int8([0, 1]), len(sets))])
         if c == tree.children[p][-1]:
             incident = [d - 1 for d in tree.children[p]] + \
-                ([p - 1] if p != tree.root else [])
+                ([p - 1] if p else [])
             sets = sets[sets[:, incident].sum(axis=1) != 1]
     return list(map(tuple, sets.tolist()))
 

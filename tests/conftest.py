@@ -63,11 +63,10 @@ def _brute_force_terms(model, leaf_states):
     else:
         observed = tree.leaves
         hidden = [v for v in tree.children if tree.children[v]]
-    weights = model.root.weights(k)
     state = dict(zip(observed, leaf_states))
     for assign in itertools.product(range(k), repeat=len(hidden)):
         state.update(zip(hidden, assign))
-        yield weights[state[tree.root]], [
+        yield model.root[state[0]], [
             model.templates[eid][state[p]][state[c]]
             for eid, (p, c) in enumerate(tree.edges)]
 
@@ -145,8 +144,7 @@ def brute_force_jacobian(joint_map, params, symbols, prime):
     sums = np.zeros((len(first), len(names)), dtype=np.int64)
     rows = np.arange(len(first))[:, None]
     for model, weight in zip(models, weights):
-        root = model.root.weights(k)
-        at_root = state[tree.root]
+        root, at_root = model.root, state[0]
         if isinstance(root[0], str):
             term = np.ones(shape, dtype=np.int64)
             factors = [np.array([index[s] for s in root])[at_root]]

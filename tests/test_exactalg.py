@@ -356,6 +356,8 @@ def test_minors_order_and_count():
     assert out[0] == mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     with pytest.raises(ValueError):
         minors(mat, 3)
+    with pytest.raises(ValueError, match="minor size 1 out of range for 0x0"):
+        minors([], 1)
     # a 1 x 1 polynomial minor is its entry
     x, y = Poly.var("x"), Poly.var("y")
     assert minors([[x, y], [y, x]], 1) == [x, y, y, x]

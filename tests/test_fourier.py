@@ -260,13 +260,15 @@ def test_fourier_flattening_is_the_subforests_with_bit_h(data):
     brute = [ind for ind in itertools.product((0, 1), repeat=E)
              if is_subforest(tree, [e for e in range(E) if ind[e]])]
 
+    parent = {c: p for p, c in tree.edges}
+
     def under(v, top):
-        while v != top and v in tree.parent:
-            v = tree.parent[v]
+        while v != top and v in parent:
+            v = parent[v]
         return v == top
 
     for edge in range(E):
-        child = tree.child_of_edge(edge)
+        child = tree.edges[edge][1]
         below = [e for e in range(E) if e != edge
                  and under(tree.edges[e][0], child)]
         above = [e for e in range(E) if e != edge and e not in below]

@@ -482,11 +482,37 @@ def test_mixture_names_every_repeated_symbol(newick, components, shared):
         invariants.mixture_map(models)
 
 
+@pytest.mark.parametrize("build", [
+    invariants.mixture_map, lambda models: expand_map(*models)],
+    ids=["mixture_map", "expand_map"])
+@pytest.mark.parametrize("components, message", [
+    # (newick, no_hidden, prefix) per component: without hidden nodes the
+    # map has 2^7 coordinates here, with them 2^4, so the components'
+    # outputs and gradients cannot be summed
+    ([("((1,2),(3,4));", True, "x0"), ("((1,2),(3,4));", False, "x1")],
+     "mixture components must observe the same nodes"),
+    ([("((1,2),(3,4));", True, "x0"), ("(1,(2,(3,4)));", True, "x1")],
+     "mixture components must observe the same nodes"),
+    ([("((1,2),(3,4));", False, "x0"), ("((1,2),(3,5));", False, "x1")],
+     "mixture components must share leaf set and k"),
+    ([("((1,2),(3,4));", False, "x0")] * 2,
+     "mixture symbols repeat: x0a00, "),
+], ids=["hidden-and-not", "other-observed-tree", "other-leaves",
+        "model-twice"])
+def test_mixture_components_must_match(build, components, message):
+    models = [make_model(parse_newick(nwk), "general-markov", k=2,
+                         no_hidden=no_hidden, prefix=prefix)
+              for nwk, no_hidden, prefix in components]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(models)
+
+
 @pytest.mark.parametrize("mixture", [
     lambda tree: invariants.mixture_map([]),
+    lambda tree: expand_map(),
     lambda tree: invariants.make_mixture(tree, "jc-binary", 0),
     lambda tree: invariants.make_mixture(tree, "jc-binary", -1),
-], ids=["empty-list", "m=0", "m=-1"])
+], ids=["empty-list", "expand_map", "m=0", "m=-1"])
 def test_mixture_needs_a_model(tree3, mixture):
     with pytest.raises(ValueError, match="a mixture needs at least one model"):
         mixture(tree3)

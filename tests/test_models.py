@@ -21,7 +21,7 @@ def test_jc_templates(tree3):
     assert tpl[0][0] == "a0"
     assert all(tpl[i][j] == ("a0" if i == j else "a1")
                for i in range(4) for j in range(4))
-    assert m.k == 4 and m.root.mode == "uniform"
+    assert m.k == 4 and m.root == [Rat(1, 4)] * 4
 
 
 def test_kimura_templates(tree3):
@@ -60,9 +60,9 @@ def test_implied_k_conflicts(tree3):
 
 def test_root_weights(tree3):
     uni = make_model(tree3, "jc-binary")
-    assert uni.root.weights(2) == [Rat(1, 2), Rat(1, 2)]
+    assert uni.root == [Rat(1, 2), Rat(1, 2)]
     free = make_model(tree3, "jc-binary", root_mode="free")
-    assert free.root.weights(2) == ["pi0", "pi1"]
+    assert free.root == ["pi0", "pi1"]
     assert "pi0" in free.symbols
 
 
@@ -167,14 +167,14 @@ def test_general_markov_symbols_are_distinct_beyond_ten_states(tree3, k):
         assert len({s for row in tpl for s in row}) == k * k
     assert len(m.symbols) == m.tree.num_edges * k * k + k
     assert m.templates[0][1][10] == "a1a" and m.templates[0][11][0] == "ab0"
-    assert m.root.symbols[10] == "pia"
+    assert m.root[10] == "pia"
 
 
 def test_symbols_up_to_ten_states_keep_their_names(tree3):
     m = make_model(tree3, "general-markov", root_mode="free", k=10)
     assert m.templates[1] == [[f"b{i}{j}" for j in range(10)]
                               for i in range(10)]
-    assert m.root.symbols == tuple(f"pi{s}" for s in range(10))
+    assert m.root == [f"pi{s}" for s in range(10)]
     r = make_model(tree3, "reversible", k=10)
     assert r.templates[0][9][3] == "a39"
 
@@ -203,7 +203,7 @@ def test_root_weights_must_not_share_edge_symbols(kind, shared):
         f"root weights share names with edge parameters: {shared}"
     m = make_model(tree, kind, root_mode="free", k=18)
     cells = {s for tpl in m.templates for row in tpl for s in row}
-    assert not cells & set(m.root.symbols)
+    assert not cells & set(m.root)
 
 
 def test_a_tree_without_edges_has_no_model():

@@ -51,3 +51,55 @@ def test_the_check_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources):
+    """Private top-level names that no source reads, as (module, line, name)
+    triples: functions, classes and constants named `_x` at module level,
+    and `_x` methods of module-level classes.  `sources` maps module names
+    to their text; a name is read where it is loaded, as a bare name or an
+    attribute, or imported by name.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            names = [(t.lineno, t.id) for t in getattr(node, "targets", [])
+                     if isinstance(t, ast.Name)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                names += [(d.lineno, d.name) for d in node.body
+                          if isinstance(d, ast.FunctionDef)]
+            defined += [(module, line, name) for line, name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {"a": ("_USED = 1\n"
+                     "_UNUSED = 2\n"
+                     "def _helper(): return _USED\n"
+                     "def _orphan(): pass\n"
+                     "class _Hidden:\n"
+                     "    _FIELD = 3\n"
+                     "    def __init__(self): self._go()\n"
+                     "    def _go(self): pass\n"
+                     "    def _stop(self): pass\n"
+                     "class Shown: pass\n"),
+               "b": "from .a import _Hidden\nprint(_helper())\n"}
+    assert unread_private_names(sources) == [
+        ("a", 2, "_UNUSED"), ("a", 4, "_orphan"), ("a", 9, "_stop")]
+
+
+def test_no_private_name_goes_unread():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

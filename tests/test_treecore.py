@@ -27,12 +27,18 @@ def test_node_ids_are_the_pre_order(data):
     tree = parse_newick(nwk)
     # children are in source order
     assert tree.to_newick() == nwk
-    order, stack = [], [tree.root]
+    order, stack = [], [0]
     while stack:
         v = stack.pop()
         order.append(v)
         stack.extend(reversed(tree.children[v]))
     assert order == list(range(len(tree.children)))
+    assert list(tree.postorder()) == order[::-1]
+    # the edge into c is edge c - 1
+    assert len(tree.edges) == len(order) - 1
+    for p in order:
+        for c in tree.children[p]:
+            assert tree.edges[c - 1] == (p, c)
     leaves = [v for v in order if tree.is_leaf(v)]
     assert tree.leaves == leaves
     assert tree.leaf_labels == re.findall(r"[^(),;]+", nwk)
@@ -44,7 +50,7 @@ def test_node_ids_are_the_pre_order(data):
 def test_parse_degree_two_root():
     t = parse_newick("(1,(2,3));")
     assert t.num_edges == 4
-    assert len(t.children[t.root]) == 2
+    assert len(t.children[0]) == 2
 
 
 @pytest.mark.parametrize("bad, snippet", [
@@ -136,17 +142,6 @@ def test_parse_deep_caterpillar():
     assert t.edges[-1] == (0, 2996)
 
 
-def test_edge_id_lookup():
-    t = parse_newick("((1,2),(3,(4,5)));")
-    for eid, (p, c) in enumerate(t.edges):
-        assert t.edge_id(p, c) == eid
-    p, c = t.edges[0]
-    with pytest.raises(ValueError):
-        t.edge_id(c, p)
-    with pytest.raises(ValueError):
-        t.edge_id(None, t.root)
-
-
 def test_newick_file_roundtrip(tmp_path):
     p = tmp_path / "t.nwk"
     p.write_text("(a,(b,c));\n", encoding="utf-8")
@@ -214,7 +209,7 @@ def test_deep_caterpillar_prints_draws_and_splits():
     x = t.node_x()
     assert len(x) == 2997
     # the root sits between the spine below it and the last leaf
-    assert x[t.root] == (x[1] + 1498) / 2
+    assert x[0] == (x[1] + 1498) / 2
     below, above = edge_split(t, 0)
     assert above == {"1499"}
     assert below == {str(i) for i in range(1, 1499)}
