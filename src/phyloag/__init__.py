@@ -8,7 +8,7 @@ from .models import ModelSpec, make_model, load_model_config
 from .paramap import JointMap, expand_map
 from .fourier import monomial_map, transform_tensor
 from .invariants import (flatten, interpolate_vanishing_forms,
-                         jacobian_dimension, mixture_map)
+                         jacobian_dimension)
 from .pipeline import (exact_distribution, infer_quartet, sample_alignment,
                        score_splits)
 
@@ -19,7 +19,6 @@ __all__ = [
     "JointMap", "expand_map",
     "monomial_map", "transform_tensor",
     "flatten", "interpolate_vanishing_forms", "jacobian_dimension",
-    "mixture_map",
     "exact_distribution", "infer_quartet", "sample_alignment", "score_splits",
 ]
 

@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def rat(num, den=1):
-    """Exact rational from ints or a 'p/q' string; a malformed string, one
+def rat(num):
+    """Exact rational from a number or a 'p/q' string; a malformed string, one
     with too many digits or a zero denominator raises ValueError quoting at
     most 40 characters of it."""
     if isinstance(num, str):
@@ -43,7 +43,7 @@ def rat(num, den=1):
         if b == 0:
             raise ValueError(f"zero denominator in {shown}")
         return Rat(a, b)
-    return Rat(num, den)
+    return Rat(num)
 
 
 def residue(x, prime):
@@ -85,10 +85,8 @@ class Poly:
         return cls({(): c} if c != 0 else {})
 
     @classmethod
-    def var(cls, name, exp=1):
-        if exp < 0:
-            raise ValueError("negative power")
-        return cls({(name,) * exp: 1})
+    def var(cls, name):
+        return cls({(name,): 1})
 
     def is_zero(self):
         return not self.terms
@@ -178,11 +176,6 @@ class Poly:
 
     def num_terms(self):
         return len(self.terms)
-
-    def coefficient(self, mono_names):
-        """Coefficient of the monomial given as {name: exponent}."""
-        m = tuple(sorted(n for n, e in mono_names.items() for _ in range(e)))
-        return Rat(self.terms.get(m, 0))
 
     def eval(self, values):
         """The value where each variable takes its value in `values`, all in

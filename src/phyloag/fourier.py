@@ -71,13 +71,6 @@ def transform_tensor(p, k, n):
     return q.reshape(-1).tolist()
 
 
-def inverse_transform(q, k, n):
-    """Exact inverse: the character matrix is symmetric with H^2 = kI."""
-    p = transform_tensor(q, k, n)
-    scale = Rat(1, k ** n)
-    return [scale * v for v in p]
-
-
 def edge_leaf_positions(tree):
     """Per edge id, the positions in tree.leaves of the leaves below it."""
     pos = {v: i for i, v in enumerate(tree.leaves)}

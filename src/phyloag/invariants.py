@@ -262,30 +262,14 @@ def _random_residues(rng, shape):
 # mixtures
 
 
-def mixture_map(models):
-    """JointMap of the coordinate-wise sum of ModelSpecs, held as one
-    circuit (paramap.build_circuit).
-
-    Components keep their own root rows; when there are several and every
-    one has a uniform root, global mixing weights s0..s_{m-1} restore the
-    mixing freedom.  paramap.JointMap checks the components: an empty list,
-    components that differ in k, leaf labels or observed nodes, or a
-    repeated symbol or weight raise ValueError (edge 18's letter is s, so
-    build components with distinct prefixes).
-    """
-    if len(models) > 1 and not any(isinstance(m.root[0], str) for m in models):
-        weights = tuple(f"s{i}" for i in range(len(models)))
-    else:
-        weights = ()
-    return _paramap.expand_map(*models, weight_symbols=weights)
-
-
 def make_mixture(tree, kind, m, root_mode="uniform", k=None):
-    """Convenience constructor: m copies of a model with disjoint symbols,
-    prefixed x0, x1, ...; a single copy keeps the model's own symbols."""
-    return mixture_map([_models.make_model(
+    """Convenience constructor: the JointMap of m copies of a model with
+    disjoint symbols, prefixed x0, x1, ...; a single copy keeps the model's
+    own symbols.  The mixing weights follow from the copies
+    (paramap.mixing_weights); m < 1 raises ValueError."""
+    return _paramap.expand_map(*(_models.make_model(
         tree, kind, root_mode=root_mode, k=k,
-        prefix=f"x{i}" if m > 1 else "") for i in range(m)])
+        prefix=f"x{i}" if m > 1 else "") for i in range(m)))
 
 
 def quartet_splits(leaf_order):

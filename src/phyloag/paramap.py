@@ -2,7 +2,7 @@
 several such models.
 
 A mixture's map is the coordinate-wise sum of its models' maps, each
-weighted by a mixing-weight symbol when it has one; a single model is the
+weighted by its symbol from mixing_weights, if any; a single model is the
 mixture with one component.  Either is held as one factored sum-product
 circuit with subexpression sharing by structural hashing, built by
 Felsenstein's pruning recursion as one post-order pass of per-node integer
@@ -232,10 +232,10 @@ class JointMap:
     The components must share k and leaf labels and observe the same nodes
     (the same no_hidden, and the same Newick when it is set), and every
     component symbol and weight symbol must be distinct; otherwise, or with
-    no component, ValueError.
+    no component, ValueError.  weight_symbols is mixing_weights(models).
     """
 
-    def __init__(self, *models, weight_symbols=()):
+    def __init__(self, *models):
         if not models:
             raise ValueError("a mixture needs at least one model")
         first = models[0]
@@ -246,7 +246,7 @@ class JointMap:
                 for m in models}) > 1:
             raise ValueError("mixture components must observe the same nodes")
         self.models = models
-        self.weight_symbols = tuple(weight_symbols)
+        self.weight_symbols = mixing_weights(models)
         self.k = first.k
         self._polys = {}
         names = self.symbols()
@@ -257,7 +257,7 @@ class JointMap:
 
     @cached_property
     def circuit(self):
-        return build_circuit(self.models, self.weight_symbols)
+        return build_circuit(self.models)
 
     @property
     def num_coordinates(self):
@@ -280,9 +280,18 @@ class JointMap:
             list(self.weight_symbols)
 
 
-def expand_map(*models, weight_symbols=()):
+def expand_map(*models):
     """JointMap of the models (coordinates expand lazily on access)."""
-    return JointMap(*models, weight_symbols=weight_symbols)
+    return JointMap(*models)
+
+
+def mixing_weights(models):
+    """Weight symbols s0..s{m-1} of a mixture of m > 1 models with uniform
+    roots, which restore the mixing freedom; none otherwise (one model, or a
+    free root, which already scales its component)."""
+    if len(models) > 1 and not any(isinstance(m.root[0], str) for m in models):
+        return tuple(f"s{i}" for i in range(len(models)))
+    return ()
 
 
 def degree_profile(joint_map):
@@ -433,16 +442,15 @@ def pattern_weights(model, params):
         beta[v] = b
 
 
-def build_circuit(models, weight_symbols=()):
+def build_circuit(models):
     """One circuit for the coordinate-wise sum of the models' maps (see
-    _build_into): output i is the sum over j of s_j * (output i of model j)
-    with a weight symbol s_j per model, the plain sum without weight
-    symbols.  Every product and sum is made once per distinct row of
-    component nodes (Circuit.per_row).  With one model there is nothing to
-    sum: the outputs are that model's (weighted) outputs."""
+    _build_into): output i is the sum over j of s_j * (output i of model j),
+    s_j the mixing_weights(models), or the plain sum without them.  Every
+    product and sum is made once per distinct row of component nodes
+    (Circuit.per_row).  With one model the outputs are that model's."""
     circ = Circuit()
     outs = np.stack([_build_into(circ, m) for m in models], axis=1)
-    for j, w in enumerate(weight_symbols):
+    for j, w in enumerate(mixing_weights(models)):
         pairs = np.stack([np.full(len(outs), circ.sym(w)), outs[:, j]], axis=1)
         outs[:, j] = circ.per_row(MUL, pairs)
     circ.outputs = outs[:, 0] if len(models) == 1 else \

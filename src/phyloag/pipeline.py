@@ -104,8 +104,9 @@ def sample_alignment(joint_map, params, num_sites, seed):
     if model.no_hidden:
         raise ValueError("internal nodes have no sequence names")
     weights, D = _checked_weights(joint_map, params)
+    np.add.accumulate(weights, out=weights)  # in place: no second k^n array
     rng = np.random.Generator(np.random.Philox(seed))
-    idx = _inverse_cdf(np.cumsum(weights), D, rng.random(num_sites))
+    idx = _inverse_cdf(weights, D, rng.random(num_sites))
     states = _paramap.pattern_of_flat(idx, model.tree.num_leaves, model.k)
     return Alignment(names=list(model.tree.leaf_labels),
                      rows=[_paramap.pattern_label(s, model.k)

@@ -46,29 +46,29 @@ def test_bitwise_group_operations_match_bit_tuples(group, m):
 @given(st.lists(st.integers(-20, 20), min_size=8, max_size=8))
 @settings(max_examples=30)
 def test_transform_inverse_roundtrip_z2(vals):
+    # the character matrix is symmetric with square k^n I: its own inverse
+    # up to the scale k^n
     p = [Rat(v) for v in vals]
     q = fourier.transform_tensor(p, fourier.Z2, 3)
-    back = fourier.inverse_transform(q, fourier.Z2, 3)
-    assert back == p
+    assert fourier.transform_tensor(q, fourier.Z2, 3) == [8 * v for v in p]
 
 
 def test_transform_inverse_roundtrip_z2z2():
     rng = random.Random(2)
     p = [random_rat(rng) for _ in range(16)]
     q = fourier.transform_tensor(p, fourier.Z2xZ2, 2)
-    assert fourier.inverse_transform(q, fourier.Z2xZ2, 2) == p
+    assert fourier.transform_tensor(q, fourier.Z2xZ2, 2) == \
+        [16 * v for v in p]
 
 
 def test_transform_needs_a_power_of_two():
     # the characters are those of Z2^m: Z3's transform would not invert
     with pytest.raises(ValueError, match="k = 3 is not a power of two"):
         fourier.transform_tensor([Rat(1)] * 9, 3, 2)
-    with pytest.raises(ValueError, match="k = 3"):
-        fourier.inverse_transform([Rat(1)] * 9, 3, 2)
     rng = random.Random(3)
     p = [random_rat(rng) for _ in range(64)]
     q = fourier.transform_tensor(p, 8, 2)
-    assert fourier.inverse_transform(q, 8, 2) == p
+    assert fourier.transform_tensor(q, 8, 2) == [64 * v for v in p]
 
 
 @pytest.mark.parametrize("k, n, entry", [

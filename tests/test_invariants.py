@@ -439,6 +439,19 @@ def test_mixture_map_eval_and_symbols(tree3):
         assert mix.coordinate(i).eval(params) == want
 
 
+def test_a_mixture_derives_its_weights_from_its_components():
+    # two uniform-root components get mixing weights however the map is
+    # built, so the 2-secant of the jc-binary quartet has dimension 7
+    tree = parse_newick("((1,2),(3,4));")
+    jm = expand_map(*(make_model(tree, "jc-binary", prefix=f"x{j}")
+                      for j in range(2)))
+    mix = invariants.make_mixture(tree, "jc-binary", 2)
+    assert jm.weight_symbols == mix.weight_symbols == ("s0", "s1")
+    assert jm.circuit.ops == mix.circuit.ops
+    assert invariants.jacobian_dimension(jm, rng=random.Random(0)) == \
+        invariants.jacobian_dimension(mix, rng=random.Random(0)) == (8, 7)
+
+
 @pytest.mark.parametrize("kind, root, k", [
     ("jc-dna", "uniform", None), ("general-markov", "free", 2)])
 def test_one_component_mixture_is_the_model(tree4, kind, root, k):
@@ -461,9 +474,9 @@ def test_mixture_rejects_shared_symbols(tree3):
     a = make_model(tree3, "jc-binary")
     b = make_model(tree3, "jc-binary")
     with pytest.raises(ValueError):
-        invariants.mixture_map([a, b])
+        expand_map(a, b)
     with pytest.raises(ValueError):
-        invariants.mixture_map([a, make_model(tree3, "jc-dna", prefix="y")])
+        expand_map(a, make_model(tree3, "jc-dna", prefix="y"))
 
 
 @pytest.mark.parametrize("newick, components, shared", [
@@ -479,12 +492,11 @@ def test_mixture_names_every_repeated_symbol(newick, components, shared):
     models = [make_model(tree, kind, prefix=p) for kind, p in components]
     with pytest.raises(ValueError,
                        match=rf"^mixture symbols repeat: {shared}; build"):
-        invariants.mixture_map(models)
+        expand_map(*models)
 
 
-@pytest.mark.parametrize("build", [
-    invariants.mixture_map, lambda models: expand_map(*models)],
-    ids=["mixture_map", "expand_map"])
+@pytest.mark.parametrize("build", [lambda models: expand_map(*models)],
+                         ids=["expand_map"])
 @pytest.mark.parametrize("components, message", [
     # (newick, no_hidden, prefix) per component: without hidden nodes the
     # map has 2^7 coordinates here, with them 2^4, so the components'
@@ -508,11 +520,10 @@ def test_mixture_components_must_match(build, components, message):
 
 
 @pytest.mark.parametrize("mixture", [
-    lambda tree: invariants.mixture_map([]),
     lambda tree: expand_map(),
     lambda tree: invariants.make_mixture(tree, "jc-binary", 0),
     lambda tree: invariants.make_mixture(tree, "jc-binary", -1),
-], ids=["empty-list", "expand_map", "m=0", "m=-1"])
+], ids=["expand_map", "m=0", "m=-1"])
 def test_mixture_needs_a_model(tree3, mixture):
     with pytest.raises(ValueError, match="a mixture needs at least one model"):
         mixture(tree3)
@@ -835,7 +846,7 @@ def small_polys(draw):
     for num, den, exps in terms:
         mono = Poly.const(Rat(num, den))
         for name, e in zip("uvw", exps):
-            mono = mono * Poly.var(name, e)
+            mono = mono * Poly.var(name) ** e
         poly = poly + mono
     return poly
 

@@ -53,14 +53,19 @@ def test_degree_profile(tree3):
 
 def test_degree_profile_of_a_mixed_root_mixture():
     # a component has degree E = 4, plus one with a free root; a coordinate
-    # has the largest, plus one for a weight symbol
+    # has the largest, plus one for a weight symbol, which only mixtures of
+    # uniform roots have
     tree = parse_newick("((1,2),3);")
     free = make_model(tree, "general-markov", root_mode="free", k=2,
                       prefix="x0")
-    uni = make_model(tree, "general-markov", k=2, prefix="x1")
-    assert paramap.degree_profile(expand_map(free, uni)) == 5
-    weighted = expand_map(free, uni, weight_symbols=("s0", "s1"))
-    assert paramap.degree_profile(weighted) == 6 == \
+    uni = [make_model(tree, "general-markov", k=2, prefix=f"x{j}")
+           for j in (1, 2)]
+    mixed = expand_map(free, uni[0])
+    assert mixed.weight_symbols == ()
+    assert paramap.degree_profile(mixed) == 5 == mixed.coordinate(0).degree()
+    weighted = expand_map(*uni)
+    assert weighted.weight_symbols == ("s0", "s1")
+    assert paramap.degree_profile(weighted) == 5 == \
         weighted.coordinate(0).degree()
 
 
@@ -79,25 +84,26 @@ def test_param_summary_builds_no_circuit(monkeypatch, capsys, tmp_path):
 
 @st.composite
 def degree_cases(draw):
-    """(joint map, flat indices): a map of every model kind, with a free or
-    uniform root, with or without hidden nodes, of one model or a 2-mixture,
-    on 2-5 leaves (at most 4 with more than two states, 3 without hidden
-    nodes), and some of its coordinates."""
-    kind = draw(st.sampled_from(models.KINDS))
-    k = draw(st.sampled_from([2, 3])) if kind in (
-        "general-markov", "reversible", "homogeneous") else None
-    root = draw(st.sampled_from(["uniform", "free"]))
+    """(joint map, roots, flat indices): a map of one to three models on the
+    same tree, each of its own kind among those with the drawn k and with
+    its own free or uniform root, with or without hidden nodes, on 2-5
+    leaves (at most 4 with more than two states, 3 without hidden nodes);
+    the components' root modes; and some of the map's coordinates."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    kinds = {2: ["general-markov", "reversible", "homogeneous", "jc-binary"],
+             3: ["general-markov", "reversible", "homogeneous"],
+             4: ["jc-dna", "kimura2", "kimura3"]}[k]
     no_hidden = draw(st.booleans())
-    two_states = kind == "jc-binary" or k == 2
-    nwk = draw_newick(draw, 2, 3 if no_hidden and not two_states else
-                      5 if two_states else 4)
-    components = [make_model(parse_newick(nwk), kind, root_mode=root, k=k,
-                             no_hidden=no_hidden, prefix=f"x{j}")
-                  for j in range(draw(st.sampled_from([1, 2])))]
-    jm = invariants.mixture_map(components)
+    nwk = draw_newick(draw, 2, 5 if k == 2 else 3 if no_hidden else 4)
+    roots = draw(st.lists(st.sampled_from(["uniform", "free"]), min_size=1,
+                          max_size=3))
+    components = [make_model(parse_newick(nwk), draw(st.sampled_from(kinds)),
+                             root_mode=root, k=k, no_hidden=no_hidden,
+                             prefix=f"x{j}") for j, root in enumerate(roots)]
+    jm = expand_map(*components)
     indices = draw(st.lists(st.integers(0, jm.num_coordinates - 1),
                             min_size=1, max_size=8))
-    return jm, indices
+    return jm, roots, indices
 
 
 def _unavailable(*args):
@@ -107,7 +113,12 @@ def _unavailable(*args):
 @given(degree_cases())
 @settings(max_examples=50, deadline=None)
 def test_degree_profile_is_the_expanded_degree(case):
-    jm, indices = case
+    jm, roots, indices = case
+    # several components with uniform roots, and only they, are weighted
+    if len(roots) > 1 and set(roots) == {"uniform"}:
+        assert jm.weight_symbols == tuple(f"s{j}" for j in range(len(roots)))
+    else:
+        assert jm.weight_symbols == ()
     weights = jm.weight_symbols or [None] * len(jm.models)
     tree = jm.models[0].tree
     width = len(tree.children) if jm.models[0].no_hidden else tree.num_leaves
@@ -523,10 +534,9 @@ def test_pattern_format_matches_the_oracles(case):
     if k in (fourier.Z2, fourier.Z2xZ2):
         q = fourier.transform_tensor(tensor, k, n)
         assert q == stride_transform(tensor, k, n)
-        back = fourier.inverse_transform(q, k, n)
-        assert back == [Rat(1, k ** n) * v
-                        for v in stride_transform(q, k, n)]
-        assert back == tensor
+        back = fourier.transform_tensor(q, k, n)
+        assert back == stride_transform(q, k, n)
+        assert back == [k ** n * v for v in tensor]
     expected = [stride_pattern(i, n, k) for i in sites]
     for i, states in zip(sites, expected):
         assert paramap.pattern_of_flat(i, n, k) == states

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from phyloag import expand_map, make_model, parse_newick
 from phyloag.exactalg import Rat
 from phyloag import invariants, paramap, pipeline
 
-from conftest import rational_scan_inverse_cdf, stochastic_jc_params
+from conftest import (fresh_process_env, rational_scan_inverse_cdf,
+                      stochastic_jc_params)
 
 
 @pytest.fixture
@@ -250,3 +254,29 @@ def test_pattern_counts_beyond_ten_states():
     with pytest.raises(ValueError, match="'c' is not in the 12-state"):
         pipeline.pattern_counts(
             pipeline.Alignment(names=["1", "2"], rows=["0c", "00"]), 12)
+
+
+
+_PEAK_OF = """
+import resource, sys
+from phyloag import expand_map, make_model, parse_newick, paramap, pipeline
+from conftest import stochastic_jc_params
+tree = parse_newick("((((1,2),(3,4)),((5,6),(7,8))),(9,10));")
+model, params = make_model(tree, "jc-dna"), stochastic_jc_params(tree, 4)
+if sys.argv[1] == "sample":
+    pipeline.sample_alignment(expand_map(model), params, 1000, 7)
+else:
+    paramap.pattern_weights(model, params)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_sampling_holds_one_table_of_weights():
+    # the cumulative weights overwrite the weights, so sampling T10 peaks
+    # near the one table of 4^10 Python ints that pattern_weights makes;
+    # each run is a fresh interpreter, whose peak resident size is its own
+    peaks = [int(subprocess.run(
+        [sys.executable, "-c", _PEAK_OF, job], env=fresh_process_env(),
+        cwd=Path(__file__).parent, capture_output=True, text=True,
+        check=True, timeout=120).stdout) for job in ("table", "sample")]
+    assert peaks[1] <= 1.2 * peaks[0]

@@ -1,11 +1,14 @@
 """Static checks on the package source that no installed linter makes."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phyloag"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "phyloag"
 
 
 def unused_imports(source):
@@ -103,3 +106,32 @@ def test_the_check_finds_an_unread_private_name():
 def test_no_private_name_goes_unread():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+_ONE_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_reports_and_the_session_goes_on(tmp_path):
+    # under this repository's warning filters (-c), a warning raised while
+    # hypothesis reports the example must not end the session with an
+    # INTERNALERROR (exit 3), which hides the example and runs no more tests
+    test_file = tmp_path / "test_property.py"
+    test_file.write_text(_ONE_FAILING_PROPERTY)
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "Falsifying example: test_fails(" in out.stdout
+    assert "1 failed, 1 passed" in out.stdout
